@@ -7,6 +7,7 @@ that bound are rejected rather than answered probabilistically.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -199,21 +200,36 @@ def is_prime_power(q: int) -> tuple[int, int] | None:
     return None
 
 
-_PRIME_POWER_CACHE: list[int] = []
+# Sorted (q, p, i) with q = p**i, complete up to its last q.
+_PRIME_POWERS: list[tuple[int, int, int]] = []
+
+
+def prime_power_stream():
+    """Every prime power as (q, p, i) with q = p**i, in increasing order.
+
+    Endless; read from one cache filled straight from the sieve, which
+    grows fourfold whenever a reader runs past its end, so no q is ever
+    factorized.
+    """
+    k = 0
+    while True:
+        if k == len(_PRIME_POWERS):
+            prime_powers_up_to(4 * _PRIME_POWERS[-1][0] if _PRIME_POWERS else 512)
+        cache = _PRIME_POWERS
+        yield from itertools.islice(cache, k, None)
+        k = len(cache)
 
 
 def prime_powers_up_to(limit: int) -> list[int]:
     """Sorted prime powers q <= limit (cached; grows on demand)."""
-    global _PRIME_POWER_CACHE
-    if not _PRIME_POWER_CACHE or _PRIME_POWER_CACHE[-1] < limit:
+    global _PRIME_POWERS
+    if not _PRIME_POWERS or _PRIME_POWERS[-1][0] < limit:
         cap = max(limit, 512)
-        vals = []
+        triples = []
         for p in primes_up_to(cap):
-            q = p
+            q, i = p, 1
             while q <= cap:
-                vals.append(q)
-                q *= p
-        _PRIME_POWER_CACHE = sorted(vals)
-    from bisect import bisect_right
-
-    return _PRIME_POWER_CACHE[: bisect_right(_PRIME_POWER_CACHE, limit)]
+                triples.append((q, p, i))
+                q, i = q * p, i + 1
+        _PRIME_POWERS = sorted(triples)
+    return [q for q, _, _ in itertools.takewhile(lambda t: t[0] <= limit, _PRIME_POWERS)]

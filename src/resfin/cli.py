@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from . import counterexamples, growth, matgrp, numring
+from . import arith, counterexamples, growth, matgrp, numring
 from . import chevalley
 from .chevalley import BudgetExceededError, GroupSpec
 from .matgrp import RangeExhaustedError, UndetectableError
@@ -85,6 +85,11 @@ def _parse_range(text: str) -> tuple[int, int]:
     if hi < lo:
         raise ValueError(f"empty range {text!r}")
     return lo, hi
+
+
+def _require_prime_p(args) -> None:
+    if args.p < 2 or not arith.is_prime(args.p):
+        raise ValueError(f"--p must be prime, got {args.p}")
 
 
 def _spec_for(args, n: int | None = None) -> GroupSpec:
@@ -166,7 +171,6 @@ def _cmd_growth(args) -> int:
         k=args.power,
         allow_central=args.allow_central,
         budget=args.budget,
-        workers=args.threads,
     )
     rows = []
     for row in table.rows:
@@ -243,6 +247,7 @@ def _cmd_verify(args) -> int:
     if args.suite == "moy-prasad":
         if args.p is None or args.k is None:
             raise ValueError("moy-prasad needs --p and --k")
+        _require_prime_p(args)
         lo, hi = _parse_range(args.k)
         if lo < 2:
             raise ValueError("moy-prasad needs level k >= 2")
@@ -257,6 +262,7 @@ def _cmd_verify(args) -> int:
     elif args.suite == "adjoint":
         if args.p is None:
             raise ValueError("adjoint needs --p")
+        _require_prime_p(args)
         results.append(
             chevalley.adjoint_irreducibility_check(spec, args.p, seed=args.seed)
         )
@@ -275,7 +281,8 @@ def _cmd_verify(args) -> int:
             raise ValueError("strong-approx needs --level and --modulus")
         results.append(
             chevalley.strong_approx_check(
-                spec, args.level, args.modulus, trials=args.trials, seed=args.seed
+                spec, args.level, args.modulus, trials=args.trials, seed=args.seed,
+                budget=args.budget,
             )
         )
     rows = []
@@ -374,7 +381,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--power", type=int, default=1, help="measure D(g^k) instead of D(g)")
     p.add_argument("--allow-central", action="store_true")
     p.add_argument("--budget", type=int, default=growth.DEFAULT_BALL_BUDGET)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument(
+        "--threads", type=int, default=os.cpu_count() or 1,
+        help="accepted and ignored; growth tables run serially",
+    )
     add_output(p)
     p.set_defaults(func=_cmd_growth)
 
@@ -421,8 +431,22 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _join_signed_values(argv: list[str]) -> list[str]:
+    """Rewrite "--matrix -1,0;0,-1" as "--matrix=-1,0;0,-1": argparse takes a
+    separate value that begins with "-" for an unknown flag."""
+    out: list[str] = []
+    for tok in argv:
+        if (out and out[-1] in ("--matrix", "--element")
+                and tok.startswith("-") and not tok.startswith("--")):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_join_signed_values(argv))
     try:
         return args.func(args)
     except (UndetectableError, ValueError) as exc:

@@ -10,11 +10,9 @@ the empirical exponent run to k in the thousands and recover dim(G).
 
 from __future__ import annotations
 
-import itertools
 import math
 import statistics
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from resfin import arith, matgrp
 from resfin.chevalley import BudgetExceededError
@@ -79,13 +77,14 @@ def word_ball(gens: GeneratingSet, n: int, budget: int = DEFAULT_BALL_BUDGET) ->
     if n < 0:
         raise ValueError("radius must be >= 0")
     ident = matgrp.identity(len(gens.mats[0]))
+    columns = [_sparse_columns(s) for s in gens.mats]
     ball = {ident: 0}
     frontier = [ident]
     for length in range(1, n + 1):
         new = []
         for g in frontier:
-            for s in gens.mats:
-                h = matgrp.mat_mul(g, s)
+            for cols in columns:
+                h = _mul_sparse(g, cols)
                 if h not in ball:
                     ball[h] = length
                     new.append(h)
@@ -95,6 +94,27 @@ def word_ball(gens: GeneratingSet, n: int, budget: int = DEFAULT_BALL_BUDGET) ->
                         )
         frontier = new
     return ball
+
+
+def _sparse_columns(s: Mat) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Each column of s as its nonzero (row, value) pairs."""
+    n = len(s)
+    return tuple(tuple((r, s[r][c]) for r in range(n) if s[r][c]) for c in range(n))
+
+
+def _mul_sparse(g: Mat, columns) -> Mat:
+    """g * s by column operations: column c of the product is the sum of
+    value * (column r of g) over the nonzero pattern of column c of s."""
+    out = []
+    for row in g:
+        new = []
+        for col in columns:
+            x = 0
+            for r, v in col:
+                x += row[r] * v
+            new.append(x)
+        out.append(tuple(new))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -127,11 +147,6 @@ class GrowthTable:
         return self.rows[n].f_value
 
 
-def _eval_detection(args):
-    target, spec, allow_central = args
-    return target, matgrp.congruence_D(target, spec, allow_central=allow_central)
-
-
 def farb_growth(
     gens: GeneratingSet,
     spec,
@@ -145,67 +160,45 @@ def farb_growth(
     """The table n -> F^k(n) for n <= n_max, maximizing D(gamma^k) over the
     ball and skipping gamma with gamma^k = 1 (all gamma != 1 when k = 1).
 
-    Witnesses are the first maximizer in (word length, entries) order, so
-    tables are deterministic regardless of worker count.
+    D depends on a target only through its detection key (see
+    matgrp.congruence_D): g = detection_gcd, paired with the central gcd h
+    under allow_central.  congruence_D runs once per distinct key, on the
+    first target with that key; a ball shares only a handful of keys.
+
+    Witnesses are the first maximizer in (word length, entries) order.
+    `workers` and `parallel_threshold` are accepted and ignored: growth
+    tables run serially.
     """
     if k < 1:
         raise ValueError("power must be >= 1")
     ball = word_ball(gens, n_max, budget=budget)
-    ident = matgrp.identity(spec.n)
     ordered = sorted(ball.items(), key=lambda kv: (kv[1], kv[0]))
-
-    # deduplicated detection targets
-    targets: dict[Mat, DetectionResult | None] = {}
-    gamma_target: list[tuple[int, Mat, Mat]] = []
-    for g, length in ordered:
-        tg = g if k == 1 else matgrp.mat_pow(g, k)
-        if tg == ident:
-            continue
-        gamma_target.append((length, g, tg))
-        targets.setdefault(tg, None)
-
-    todo = sorted(targets)
-    if workers > 1 and len(todo) >= parallel_threshold:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for tg, res in pool.map(
-                _eval_detection,
-                ((t, spec, allow_central) for t in todo),
-                chunksize=64,
-            ):
-                targets[tg] = res
-    else:
-        for tg in todo:
-            targets[tg] = matgrp.congruence_D(tg, spec, allow_central=allow_central)
+    by_key: dict[object, DetectionResult] = {}
 
     rows = [GrowthRow(0, 1, 0, None, None)]
     best = 0
     best_witness: Mat | None = None
     best_det: DetectionResult | None = None
     idx = 0
-    counts = _ball_counts(ball, n_max)
     for n in range(1, n_max + 1):
-        while idx < len(gamma_target) and gamma_target[idx][0] <= n:
-            _, g, tg = gamma_target[idx]
-            det = targets[tg]
+        while idx < len(ordered) and ordered[idx][1] <= n:
+            g = ordered[idx][0]
+            idx += 1
+            tg = g if k == 1 else matgrp.mat_pow(g, k)
+            key = matgrp.detection_gcd(tg)
+            if key == 0:
+                continue  # gamma^k = 1
+            if allow_central:
+                key = (key, matgrp._central_gcd(tg))
+            det = by_key.get(key)
+            if det is None:
+                det = by_key[key] = matgrp.congruence_D(tg, spec, allow_central=allow_central)
             if det.quotient_order > best:
                 best = det.quotient_order
                 best_witness = g
                 best_det = det
-            idx += 1
-        rows.append(GrowthRow(n, counts[n], best, best_witness, best_det))
+        rows.append(GrowthRow(n, idx, best, best_witness, best_det))  # idx = |ball(n)|
     return GrowthTable(gens.name, k, allow_central, tuple(rows))
-
-
-def _ball_counts(ball: dict[Mat, int], n_max: int) -> list[int]:
-    counts = [0] * (n_max + 1)
-    for length in ball.values():
-        counts[length] += 1
-    out = []
-    acc = 0
-    for n in range(n_max + 1):
-        acc += counts[n]
-        out.append(acc)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -278,34 +271,17 @@ def candidate_D_analytic(cs: CandidateSeq, k: int, allow_central: bool = False) 
     A prime power q = p^i detects E_12(M) exactly when p^i does not divide
     M = e * alpha^k * lcm(1..k); divisibility is read off multiplier_valuation,
     so k can be far beyond what candidate_elements can materialize.  The
-    search and stop rule mirror matgrp.congruence_D, and the two agree
-    exactly on the materializable range (a test pins this for k <= 40).
+    search and stop rule are matgrp.min_congruence_quotient, shared with
+    congruence_D; the two agree exactly on the materializable range (a test
+    pins this for k <= 40).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    spec = cs.spec
-    fnum, fden = matgrp._order_floor_fraction(spec.n)
-    slack = 2 * spec.n if allow_central else 1
-    best: DetectionResult | None = None
-    for q in matgrp._prime_powers_unbounded():
-        if best is not None and q**spec.dim * fnum > best.quotient_order * fden * slack:
-            break
-        p, i = arith.is_prime_power(q)
-        if i <= cs.multiplier_valuation(k, p):
-            continue  # q divides the multiplier: A_k dies mod q
-        order = spec.order_mod(q)
-        cand = DetectionResult(q, order, False)
-        if best is None or cand.key() < best.key():
-            best = cand
-        if allow_central:
-            # a nontrivial elementary image is never scalar, so the central
-            # quotient always sees it
-            z = spec.center_order_mod(q)
-            cand = DetectionResult(q, order // z, True)
-            if cand.key() < best.key():
-                best = cand
-    assert best is not None
-    return best
+    # a nontrivial elementary image is never scalar, so with allow_central
+    # the central quotient always sees it
+    return matgrp.min_congruence_quotient(
+        cs.spec, lambda q, p, i: i > cs.multiplier_valuation(k, p), allow_central
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -430,13 +406,19 @@ def _largest_balanced_divisor(m: int) -> int | None:
 
 
 def evaluate_word(n: int, word: list[str]) -> Mat:
-    """Multiply a label word out exactly."""
-    out = matgrp.identity(n)
+    """Multiply a label word out exactly.  Each letter E_ij(+-1) acts on the
+    right as the column operation column j += +-column i, in place."""
+    letters = {}
+    for i in range(min(n, 9)):  # labels carry one digit per index
+        for j in range(min(n, 9)):
+            if i != j:
+                letters[f"E{i + 1}{j + 1}"] = (i, j, 1)
+                letters[f"E{i + 1}{j + 1}^-1"] = (i, j, -1)
+    out = [list(row) for row in matgrp.identity(n)]
     for tok in word:
-        inv = tok.endswith("^-1")
-        core = tok[:-3] if inv else tok
-        if not core.startswith("E") or len(core) != 3:
+        if tok not in letters:
             raise ValueError(f"bad generator label {tok!r}")
-        i, j = int(core[1]), int(core[2])
-        out = matgrp.mat_mul(out, matgrp.elementary(n, i, j, -1 if inv else 1))
-    return out
+        i, j, z = letters[tok]
+        for row in out:
+            row[j] += z * row[i]
+    return tuple(tuple(row) for row in out)

@@ -141,14 +141,14 @@ def mat_inv_mod(a: Mat, m: int) -> Mat:
 def mat_pow(a: Mat, e: int) -> Mat:
     if e < 0:
         return mat_pow(mat_inv(a), -e)
-    out = identity(len(a))
-    base = a
+    out = None
     while e:
         if e & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base)
+            out = a if out is None else mat_mul(out, a)
         e >>= 1
-    return out
+        if e:
+            a = mat_mul(a, a)
+    return identity(len(a)) if out is None else out
 
 
 def parse_matrix(text: str) -> Mat:
@@ -193,16 +193,25 @@ class DetectionResult:
         return (self.quotient_order, self.modulus, 1 if self.central_quotient else 0)
 
 
+def _central_gcd(a: Mat) -> int:
+    """gcd of the off-diagonal entries of a, of the a_ii - a_11 and of det a - 1.
+
+    Lemma: a is central mod q (a scalar lambda with lambda^n = 1) exactly
+    when q divides it.  q divides the first two parts exactly when
+    a = lambda * I mod q, and then lambda^n = det a mod q; for det a = 1 the
+    last part is 0, as lambda^n = 1 comes for free.
+    """
+    a11 = a[0][0]
+    h = det(a) - 1
+    for i, row in enumerate(a):
+        for j, x in enumerate(row):
+            h = math.gcd(h, x - (a11 if i == j else 0))
+    return h
+
+
 def is_central_mod(a: Mat, m: int) -> bool:
     """Is a (mod m) a central element of SL_n(Z/m), i.e. a scalar n-th root of 1?"""
-    n = len(a)
-    lam = a[0][0] % m
-    for i in range(n):
-        for j in range(n):
-            want = lam if i == j else 0
-            if a[i][j] % m != want:
-                return False
-    return pow(lam, n, m) == 1 % m
+    return _central_gcd(a) % m == 0
 
 
 def _order_floor_fraction(n: int) -> tuple[int, int]:
@@ -215,14 +224,38 @@ def _order_floor_fraction(n: int) -> tuple[int, int]:
     return num, den
 
 
-def _prime_powers_unbounded():
-    limit = 64
-    seen = 0
-    while True:
-        pps = arith.prime_powers_up_to(limit)
-        yield from pps[seen:]
-        seen = len(pps)
-        limit *= 4
+def min_congruence_quotient(
+    spec, survives, allow_central: bool = False, central=None
+) -> DetectionResult:
+    """The least (order, modulus) congruence quotient of `spec` seeing an
+    element known only through survives(q, p, i): is its image mod q = p**i
+    not the identity?  With allow_central, SL_n(Z/q) / center competes too,
+    unless central(q, p, i) says the image is central mod q.
+
+    Prime powers suffice: SL_n(Z/m), also modulo its center, is the product
+    over the prime powers exactly dividing m, and the element survives mod m
+    only if it does mod one of them.  q runs upwards until q^dim times the
+    universal order floor exceeds the best order; central quotients are
+    smaller by the center order, which never exceeds 2n (n-th roots of unity
+    in a unit group with <= 2 cyclic parts), so the bound then has slack 2n.
+    """
+    fnum, fden = _order_floor_fraction(spec.n)
+    slack = 2 * spec.n if allow_central else 1
+    best: tuple[int, int, bool] | None = None  # ordered as DetectionResult.key()
+    for q, p, i in arith.prime_power_stream():
+        if best is not None and q**spec.dim * fnum > best[0] * fden * slack:
+            break
+        if not survives(q, p, i):
+            continue
+        order = spec.order_mod(q)
+        cand = (order, q, False)
+        if allow_central and (central is None or not central(q, p, i)):
+            z = spec.center_order_mod(q)
+            if z > 1:
+                cand = (order // z, q, True)
+        if best is None or cand < best:
+            best = cand
+    return DetectionResult(best[1], best[0], best[2])
 
 
 def congruence_D(a: Mat, spec, allow_central: bool = False) -> DetectionResult:
@@ -232,36 +265,20 @@ def congruence_D(a: Mat, spec, allow_central: bool = False) -> DetectionResult:
     With allow_central, quotients SL_n(Z/q) / center compete as well, counting
     only when the image of `a` is not itself central mod q.
 
-    The search runs over prime powers q not dividing detection_gcd(a) in
-    increasing order, and stops once q^dim alone (times the universal order
-    floor) exceeds the best order found, so the reported minimum is global.
+    a dies mod q exactly when q divides g = detection_gcd(a) and is central
+    mod q exactly when q divides h = _central_gcd(a), so the answer depends
+    on the detection key (g, h) alone; min_congruence_quotient searches.
     """
     if len(a) != spec.n:
         raise ValueError(f"matrix size {len(a)} does not match spec n={spec.n}")
     g = detection_gcd(a)
     if g == 0:
         raise UndetectableError("identity is killed by every quotient")
-    fnum, fden = _order_floor_fraction(spec.n)
-    # central quotients can be smaller by the center order, which never
-    # exceeds 2n (n-th roots of unity in a unit group with <= 2 cyclic parts)
-    slack = 2 * spec.n if allow_central else 1
-    best: DetectionResult | None = None
-    for q in _prime_powers_unbounded():
-        if best is not None and q**spec.dim * fnum > best.quotient_order * fden * slack:
-            break
-        if g % q == 0:
-            continue
-        order = spec.order_mod(q)
-        cand = DetectionResult(q, order, False)
-        if best is None or cand.key() < best.key():
-            best = cand
-        if allow_central and not is_central_mod(a, q):
-            z = spec.center_order_mod(q)
-            cand = DetectionResult(q, order // z, True)
-            if cand.key() < best.key():
-                best = cand
-    assert best is not None
-    return best
+    central = None
+    if allow_central:
+        h = _central_gcd(a)
+        central = lambda q, p, i: h % q == 0  # noqa: E731
+    return min_congruence_quotient(spec, lambda q, p, i: g % q != 0, allow_central, central)
 
 
 def brute_force_D(a: Mat, spec, m_max: int) -> DetectionResult:

@@ -4,6 +4,7 @@ Expected values for the factorization and nondivisor examples were computed
 with the trial-division oracle below before being frozen into assertions.
 """
 
+import itertools
 import math
 
 import pytest
@@ -178,6 +179,12 @@ def test_prime_powers_up_to():
     big = arith.prime_powers_up_to(1000)
     assert arith.prime_powers_up_to(10) == [2, 3, 4, 5, 7, 8, 9]
     assert big[-1] <= 1000
+
+
+def test_prime_power_stream_matches_factorization():
+    stream = itertools.islice(arith.prime_power_stream(), 3000)
+    expect = ((q, *arith.is_prime_power(q)) for q in itertools.count(2) if arith.is_prime_power(q))
+    assert list(stream) == list(itertools.islice(expect, 3000))
 
 
 def test_is_prime_power():

@@ -48,6 +48,11 @@ class TestDq:
         assert rc == 0
         assert out == "modulus=5,order=60,central=true\n"
 
+    def test_negative_entries_space_separated(self):
+        rc, out, _ = run_cli(["dq", "--matrix", "-1,0;0,-1"])
+        assert (rc, out) == (0, "modulus=3,order=24\n")
+        assert run_cli(["dq", "--matrix=-1,0;0,-1"]) == (rc, out, "")
+
     def test_rejections(self):
         rc, _, err = run_cli(["dq", "--matrix", "2,0;0,1"])
         assert rc == 2 and "determinant" in err
@@ -208,6 +213,21 @@ class TestVerify:
         assert rc == 0
         assert "3 normal subgroups" in out
 
+    @pytest.mark.parametrize("suite", [["adjoint"], ["moy-prasad", "--k", "2"]])
+    def test_composite_p_is_usage_error(self, suite):
+        rc, out, err = run_cli(
+            ["verify", "--suite", suite[0], "--group", "sl2", "--p", "4", *suite[1:]]
+        )
+        assert (rc, out, err) == (2, "", "error: --p must be prime, got 4\n")
+
+    def test_strong_approx_respects_budget(self):
+        rc, out, err = run_cli(
+            ["verify", "--suite", "strong-approx", "--group", "sl2",
+             "--level", "2", "--modulus", "9", "--budget", "10"]
+        )
+        assert rc == 3 and out == ""
+        assert err.startswith("budget:") and len(err.splitlines()) == 1
+
     def test_missing_flags(self):
         rc, _, err = run_cli(["verify", "--suite", "moy-prasad", "--group", "sl2"])
         assert rc == 2 and "--p" in err
@@ -260,6 +280,12 @@ class TestRing:
             "ideal: prime=2,factor=x+1,norm=2",
         ]
 
+    def test_negative_coordinates_space_separated(self):
+        rc, out, _ = run_cli(["ring", "--ring", "f=1,0,1", "--element", "-3,4"])
+        assert rc == 0
+        assert run_cli(["ring", "--ring", "f=1,0,1", "--element=-3,4"]) == (rc, out, "")
+        assert out.startswith("split: prime=")
+
     def test_zero_element(self):
         rc, _, err = run_cli(["ring", "--ring", "f=1,0,1", "--element", "0,0"])
         assert rc == 2 and "zero" in err
@@ -295,6 +321,14 @@ class TestDeterminism:
         assert first.returncode == 0
         assert first.stdout == b"modulus=5,order=120\n"
         assert (first.stdout, first.returncode) == (second.stdout, second.returncode)
+
+    def test_python_dash_m_package(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+        cmd = [sys.executable, "-m", "resfin", "dq", "--group", "sl2", "--matrix=1,12;0,1"]
+        proc = subprocess.run(cmd, capture_output=True, env=env)
+        assert (proc.returncode, proc.stdout) == (0, b"modulus=5,order=120\n")
 
 
 def test_emit_quoting_and_endings():

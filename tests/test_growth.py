@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resfin import arith, matgrp
 from resfin import growth as gr
-from resfin import matgrp
 from resfin.chevalley import SL2, SL3, SL4, BudgetExceededError
 
 
@@ -32,6 +32,58 @@ def brute_ball(gens, n):
 
 
 MINUS_I = ((-1, 0), (0, -1))
+
+
+def reference_D(a, spec, allow_central):
+    """Oracle: a per-element prime-power search with its own copy of the
+    stop rule, independent of min_congruence_quotient: q from
+    prime_powers_up_to, survival by reducing a mod q, centrality by reading
+    the reduction as a scalar lambda with lambda^n = 1."""
+    n = spec.n
+    ident = matgrp.identity(n)
+    fnum, fden = 1, 1
+    for i in range(2, n + 1):
+        fnum, fden = fnum * (2**i - 1), fden * 2**i
+    slack = 2 * n if allow_central else 1
+    best = None
+    for q in arith.prime_powers_up_to(10**4):
+        if best is not None and q**spec.dim * fnum > best[0] * fden * slack:
+            return matgrp.DetectionResult(best[1], best[0], best[2] == 1)
+        am = matgrp.reduce_mod(a, q)
+        if am == ident:
+            continue
+        order = spec.order_mod(q)
+        cands = [(order, q, 0)]
+        lam = am[0][0]
+        scalar = all(x == (lam if i == j else 0) for i, row in enumerate(am) for j, x in enumerate(row))
+        if allow_central and not (scalar and pow(lam, n, q) == 1):
+            cands.append((order // spec.center_order_mod(q), q, 1))
+        best = min(cands if best is None else cands + [best])
+    raise AssertionError("reference search ran past its prime-power range")
+
+
+def per_element_table(gens, spec, n_max, k=1, allow_central=False):
+    """Oracle: the growth table with reference_D run on every ball element,
+    no detection keys; gamma^k is a plain repeated product."""
+    ball = gr.word_ball(gens, n_max)
+    ident = matgrp.identity(spec.n)
+    rows = [gr.GrowthRow(0, 1, 0, None, None)]
+    best, witness, det = 0, None, None
+    for n in range(1, n_max + 1):
+        for g, length in sorted(ball.items(), key=lambda kv: (kv[1], kv[0])):
+            if length != n:
+                continue
+            tg = g
+            for _ in range(k - 1):
+                tg = matgrp.mat_mul(tg, g)
+            if tg == ident:
+                continue
+            d = reference_D(tg, spec, allow_central)
+            if d.quotient_order > best:
+                best, witness, det = d.quotient_order, g, d
+        size = sum(1 for length in ball.values() if length <= n)
+        rows.append(gr.GrowthRow(n, size, best, witness, det))
+    return gr.GrowthTable(gens.name, k, allow_central, tuple(rows))
 
 
 class TestWordBall:
@@ -115,6 +167,21 @@ class TestFarbGrowth:
         # the maximizer -I is central everywhere, so F(2) stays 24
         assert t.f(2) == 24
         assert t.rows[2].detection.central_quotient is False
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("allow_central", [False, True])
+    @pytest.mark.parametrize("gens,spec,n_max", [
+        (gr.sl2_st(), SL2, 8),
+        (gr.elementary_set(3), SL3, 3),
+        # A = [[-3, 2], [-2, 1]] and -I share detection_gcd 2 and A sorts
+        # first, but only -I is central mod 3: one key per gcd would give
+        # -I the central order 12 of A instead of 24
+        (gr.GeneratingSet("A,-I", ("A", "A^-1", "-I"),
+                          (((-3, 2), (-2, 1)), ((1, -2), (2, -3)), MINUS_I)), SL2, 3),
+    ])
+    def test_keyed_table_matches_per_element_oracle(self, gens, spec, n_max, k, allow_central):
+        fast = gr.farb_growth(gens, spec, n_max, k=k, allow_central=allow_central)
+        assert fast == per_element_table(gens, spec, n_max, k, allow_central)
 
     def test_worker_pool_is_deterministic(self):
         serial = gr.farb_growth(gr.sl2_st(), SL2, 3)
@@ -259,6 +326,19 @@ class TestShortUnipotentWord:
         w = gr.short_unipotent_word(SL4, 12345, i=2, j=1)
         assert gr.evaluate_word(4, w) == matgrp.elementary(4, 2, 1, 12345)
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(2, 4).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.sampled_from(gr.elementary_set(n).labels), max_size=40),
+    )))
+    def test_column_ops_match_matrix_products(self, case):
+        n, word = case
+        letters = dict(gr.elementary_set(n))
+        expect = matgrp.identity(n)
+        for tok in word:
+            expect = matgrp.mat_mul(expect, letters[tok])
+        assert gr.evaluate_word(n, word) == expect
+
     def test_inverse_word(self):
         w = gr.short_unipotent_word(SL3, 97)
         assert gr.evaluate_word(3, w + gr._invert_word(w)) == matgrp.identity(3)
@@ -272,6 +352,10 @@ class TestShortUnipotentWord:
             gr.short_unipotent_word(SL3, 5, i=1, j=1)
         with pytest.raises(ValueError):
             gr.evaluate_word(3, ["X12"])
+        with pytest.raises(ValueError):
+            gr.evaluate_word(3, ["E14"])
+        with pytest.raises(ValueError):
+            gr.evaluate_word(3, ["E22^-1"])
 
 
 def test_detection_is_viewpoint_free():

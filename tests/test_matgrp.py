@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resfin import matgrp
+from resfin import arith, matgrp
 from resfin.chevalley import SL2, SL3
 
 
@@ -38,15 +38,52 @@ def square_matrix(n):
     ).map(matgrp.mat)
 
 
-def sl2_word(max_len=6):
-    """Random elements of SL_2(Z) as words in E_12, E_21."""
-    step = st.tuples(st.sampled_from([(1, 2), (2, 1)]), st.integers(-3, 3))
+def sl_word(n, max_len=6):
+    """Random elements of SL_n(Z) as words in the E_ij(z), |z| <= 3."""
+    positions = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    step = st.tuples(st.sampled_from(positions), st.integers(-3, 3))
     def build(steps):
-        a = matgrp.identity(2)
+        a = matgrp.identity(n)
         for (i, j), z in steps:
-            a = matgrp.mat_mul(a, matgrp.elementary(2, i, j, z))
+            a = matgrp.mat_mul(a, matgrp.elementary(n, i, j, z))
         return a
     return st.lists(step, min_size=1, max_size=max_len).map(build)
+
+
+def sl2_word(max_len=6):
+    """Random elements of SL_2(Z) as words in E_12, E_21."""
+    return sl_word(2, max_len)
+
+
+def brute_force_central_D(a, spec, m_max):
+    """Oracle for congruence_D(allow_central=True): every modulus 2..m_max,
+    composites included, minimizing (order, modulus, central flag).
+
+    SL_n(Z/m) scores order_mod(m); SL_n(Z/m) / center scores
+    order_mod(m) // center_order_mod(m) and counts only when a is not
+    central mod m, decided by commuting a with the elementary generators,
+    which generate SL_n(Z/m).  Returns the minimum and whether m_max covers
+    twice the least detecting prime power, which makes it global.
+    """
+    ident = matgrp.identity(spec.n)
+    gens = spec.elementary_generators()
+    best = None
+    least_pp = None
+    for m in range(2, m_max + 1):
+        am = matgrp.reduce_mod(a, m)
+        if am == ident:
+            continue
+        if least_pp is None and arith.is_prime_power(m):
+            least_pp = m
+        order = spec.order_mod(m)
+        cands = [(order, m, False)]
+        central = all(
+            matgrp.mat_mul_mod(am, e, m) == matgrp.mat_mul_mod(e, am, m) for e in gens
+        )
+        if not central:
+            cands.append((order // spec.center_order_mod(m), m, True))
+        best = min(cands if best is None else cands + [best])
+    return best, least_pp is not None and m_max >= 2 * least_pp
 
 
 class TestMatrixBasics:
@@ -189,6 +226,68 @@ class TestBruteForceD:
         assert slow.search_complete
         assert fast.quotient_order == slow.quotient_order
         assert fast.modulus == slow.modulus
+
+    @settings(max_examples=40, deadline=None)
+    @given(sl_word(3))
+    def test_prime_power_search_matches_all_moduli_sl3(self, a):
+        if a == matgrp.identity(3):
+            return
+        fast = matgrp.congruence_D(a, SL3)
+        slow = matgrp.brute_force_D(a, SL3, 48)
+        assert slow.search_complete
+        assert (fast.modulus, fast.quotient_order) == (slow.modulus, slow.quotient_order)
+
+
+class TestCentralOracle:
+    def test_frozen_examples(self):
+        # PSL_2(5) sees E_12(12); -I is central everywhere and keeps SL_2(3)
+        best, complete = brute_force_central_D(matgrp.elementary(2, 1, 2, 12), SL2, 64)
+        assert complete and best == (60, 5, True)
+        best, complete = brute_force_central_D(((-1, 0), (0, -1)), SL2, 64)
+        assert complete and best == (24, 3, False)
+        # E_12(60) first survives mod 7 (168 centrally), but mod 8 the center
+        # has order 4 and 384 / 4 = 96 wins: only the 2n stop-rule slack
+        # keeps the search running that far
+        best, complete = brute_force_central_D(matgrp.elementary(2, 1, 2, 60), SL2, 64)
+        assert complete and best == (96, 8, True)
+
+    @pytest.mark.parametrize("a,spec", [
+        (matgrp.elementary(2, 1, 2, 12), SL2),
+        (matgrp.elementary(2, 1, 2, 60), SL2),
+        (matgrp.elementary(2, 1, 2, 840), SL2),
+        (matgrp.elementary(3, 1, 2, 60), SL3),
+        (((-1, 0), (0, -1)), SL2),
+    ])
+    def test_pinned_elements(self, a, spec):
+        self._check(a, spec, 64)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sl_word(2))
+    def test_central_search_matches_all_moduli_sl2(self, a):
+        self._check(a, SL2, 64)
+
+    @settings(max_examples=30, deadline=None)
+    @given(sl_word(3, max_len=5))
+    def test_central_search_matches_all_moduli_sl3(self, a):
+        self._check(a, SL3, 40)
+
+    @staticmethod
+    def _check(a, spec, m_max):
+        if a == matgrp.identity(spec.n):
+            return
+        fast = matgrp.congruence_D(a, spec, allow_central=True)
+        slow, complete = brute_force_central_D(a, spec, m_max)
+        assert complete
+        assert fast.key() == (slow[0], slow[1], int(slow[2]))
+
+    def test_non_unimodular_centrality(self):
+        # det = -1: diag(1, -1) is scalar mod 2 only; diag(2, 2) is scalar
+        # everywhere but 2^2 = 1 only mod 3
+        a = ((1, 0), (0, -1))
+        assert [q for q in range(2, 9) if matgrp.is_central_mod(a, q)] == [2]
+        assert [q for q in range(2, 9) if matgrp.is_central_mod(((2, 0), (0, 2)), q)] == [3]
+        r = matgrp.congruence_D(a, SL2, allow_central=True)
+        assert (r.modulus, r.quotient_order, r.central_quotient) == (3, 12, True)
 
 
 class TestOrderFloor:
