@@ -9,6 +9,13 @@ verify that picture computationally: the commutator containment
 of the adjoint action, the shape of normal subgroups above the center, and
 surjectivity of arithmetic subgroups onto congruence quotients.
 
+Finite groups are enumerated once: `closure` walks the generators mod m
+breadth first and records the right Cayley graph, and a FiniteGroupTable is
+the elements in BFS order plus that graph.  Left multiplication replays the
+BFS tree through the graph, so conjugacy classes, centers and the
+class-product table behind the normal-subgroup lattice are integer-array
+lookups, not matrix products.
+
 Conventions: "good" primes are p >= 5; p in {2, 3} are excluded from the
 center-sensitive statements, and two checks exist specifically to document
 what breaks there.
@@ -19,8 +26,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import deque
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
 
 from resfin import arith, matgrp
 from resfin.matgrp import Mat, identity, mat_inv_mod, mat_mul_mod, reduce_mod
@@ -138,14 +146,118 @@ SL4 = GroupSpec(4)
 # exhaustive tables
 
 
-class FiniteGroupTable:
-    """A fully enumerated SL_n(Z/m), elements in deterministic BFS order."""
+def closure(
+    start: Mat,
+    gens: list[Mat],
+    m: int,
+    budget: int = DEFAULT_ENUM_BUDGET,
+    stop_at: int | None = None,
+) -> tuple[list[Mat], list[array], array, array]:
+    """BFS closure of start under right multiplication by gens mod m.
 
-    def __init__(self, spec: GroupSpec, modulus: int, elements: list[Mat], generators: list[Mat]):
+    Returns (elements, right, parent, via): the elements in BFS order, start
+    (reduced mod m) first; right[s][x], the index of elements[x] * gens[s];
+    and the BFS tree, elements[x] = elements[parent[x]] * gens[via[x]] with
+    parent[x] < x for x >= 1 (parent[0] = via[0] = -1).  From start = I this
+    is the right Cayley graph of the group the gens generate: a
+    multiplicatively closed subset of a finite group is a subgroup.  Raises
+    BudgetExceededError past `budget` elements.  With stop_at, the walk ends
+    as soon as that many elements are found (for a caller that knows the
+    order of a group containing the closure and wants only the count); right
+    then covers only the elements walked.
+
+    The walk runs on row-major flat tuples, which build and hash faster than
+    rows of rows, and converts to matrices at the end.
+    """
+    n = len(start)
+    acts = [_right_action(s, m) for s in gens]
+    first = tuple(x % m for row in start for x in row)
+    flat = [first]
+    index = {first: 0}
+    right = [array("i") for _ in gens]
+    parent = array("i", [-1])
+    via = array("i", [-1])
+    for x, g in enumerate(flat):  # the list grows while it is walked
+        for s, (act, row) in enumerate(zip(acts, right)):
+            h = act(g)
+            y = index.get(h)
+            if y is None:
+                y = len(flat)
+                if y >= budget:
+                    raise BudgetExceededError(f"closure exceeded {budget} elements")
+                index[h] = y
+                flat.append(h)
+                parent.append(x)
+                via.append(s)
+            row.append(y)
+        if len(flat) == stop_at:
+            break
+    del index  # frees each flat tuple as it is replaced by its matrix
+    rows = [slice(r, r + n) for r in range(0, n * n, n)]
+    for x, g in enumerate(flat):
+        flat[x] = tuple(map(g.__getitem__, rows))
+    return flat, right, parent, via
+
+
+def _right_action(s: Mat, m: int):
+    """x -> x * s mod m on row-major flat tuples reduced mod m.  An
+    elementary s = I + c e_ij is the column operation column j += c * column
+    i; any other s multiplies by its sparse columns."""
+    n = len(s)
+    moved = [(r, c) for r in range(n) for c in range(n) if s[r][c] != (1 if r == c else 0)]
+    if len(moved) == 1 and moved[0][0] != moved[0][1]:
+        i, j = moved[0]
+        c = s[i][j]
+        pairs = [(r * n + j, r * n + i) for r in range(n)]
+
+        def column_op(x):
+            y = list(x)
+            for t, u in pairs:
+                y[t] = (y[t] + c * y[u]) % m
+            return tuple(y)
+
+        return column_op
+    # entry (r, c) of x * s sums x[r][k] * v over the (k, v) of column c of s
+    terms = [[(r * n + k, v) for k, v in col] for r in range(n) for col in matgrp.sparse_columns(s)]
+
+    def sparse_product(x):
+        out = []
+        for t in terms:
+            acc = 0
+            for k, v in t:
+                acc += x[k] * v
+            out.append(acc % m)
+        return tuple(out)
+
+    return sparse_product
+
+
+class FiniteGroupTable:
+    """A fully enumerated SL_n(Z/m): the elements in deterministic BFS order
+    plus the right Cayley graph of the generators (see closure).
+
+    Structural questions are integer-array lookups: left(a) is left
+    multiplication by elements[a], replayed along the BFS tree, and
+    `conjugations` is conjugation by each generator.
+    """
+
+    def __init__(
+        self,
+        spec: GroupSpec,
+        modulus: int,
+        elements: list[Mat],
+        generators: list[Mat],
+        right: list[array],
+        parent: array,
+        via: array,
+    ):
         self.spec = spec
         self.modulus = modulus
         self.elements = elements
         self.generators = generators
+        self.right = right
+        self.parent = parent
+        self.via = via
         self.index = {g: i for i, g in enumerate(elements)}
 
     def __len__(self) -> int:
@@ -157,9 +269,31 @@ class FiniteGroupTable:
     def inv(self, g: Mat) -> Mat:
         return mat_inv_mod(g, self.modulus)
 
+    def left(self, a: int) -> array:
+        """x -> index of elements[a] * elements[x].
+
+        elements[x] = elements[parent[x]] * gens[via[x]] with parent[x] < x,
+        so a * elements[x] = (a * elements[parent[x]]) * gens[via[x]]: one
+        lookup in right[via[x]] per x, from left[0] = a (elements[0] = I).
+        """
+        right = self.right
+        out = array("i", [a]) * len(self.elements)
+        for x, p, s in zip(range(1, len(out)), self.parent[1:], self.via[1:]):
+            out[x] = right[s][out[p]]
+        return out
+
+    @cached_property
+    def conjugations(self) -> list[array]:
+        """For each generator s, x -> index of s^-1 * elements[x] * s, read
+        as right[s][left(s^-1)[x]]."""
+        return [
+            array("i", map(row.__getitem__, self.left(self.index[self.inv(s)])))
+            for row, s in zip(self.right, self.generators)
+        ]
+
 
 def enumerate_group(spec: GroupSpec, m: int, budget: int = DEFAULT_ENUM_BUDGET) -> FiniteGroupTable:
-    """BFS closure of the elementary generators mod m.
+    """The closure of the elementary generators mod m, as a table.
 
     The expected order is checked against the budget up front, using the
     closed formula; the enumeration itself is independent of that formula and
@@ -177,19 +311,8 @@ def enumerate_group(spec: GroupSpec, m: int, budget: int = DEFAULT_ENUM_BUDGET) 
         if gm not in seen_g:
             seen_g.add(gm)
             gens.append(gm)
-    start = identity(spec.n)
-    elements = [start]
-    index = {start}
-    queue = deque([start])
-    while queue:
-        g = queue.popleft()
-        for s in gens:
-            h = mat_mul_mod(g, s, m)
-            if h not in index:
-                index.add(h)
-                elements.append(h)
-                queue.append(h)
-    return FiniteGroupTable(spec, m, elements, gens)
+    elements, right, parent, via = closure(identity(spec.n), gens, m, budget)
+    return FiniteGroupTable(spec, m, elements, gens, right, parent, via)
 
 
 def center_scalars(spec: GroupSpec, m: int) -> list[Mat]:
@@ -207,14 +330,13 @@ def center_scalars(spec: GroupSpec, m: int) -> list[Mat]:
 
 def center_of(table: FiniteGroupTable) -> list[Mat]:
     """Elements commuting with all generators (hence with everything)."""
-    out = []
-    for g in table.elements:
-        if all(
-            mat_mul_mod(g, s, table.modulus) == mat_mul_mod(s, g, table.modulus)
-            for s in table.generators
-        ):
-            out.append(g)
-    return out
+    return [table.elements[x] for x in _center_indices(table)]
+
+
+def _center_indices(table: FiniteGroupTable) -> list[int]:
+    """Indices of the elements fixed by conjugation by every generator."""
+    conj = table.conjugations
+    return [x for x in range(len(table)) if all(c[x] == x for c in conj)]
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +355,7 @@ def filtration_subgroup(table: FiniteGroupTable, i: int) -> list[Mat]:
     if not 0 <= i <= k:
         raise ValueError(f"filtration level {i} outside 0..{k}")
     q = p**i
-    ident = identity(table.spec.n)
-    return [g for g in table.elements if reduce_mod(g, q) == reduce_mod(ident, q)]
+    return [g for g in table.elements if _congruent_to_identity(g, q)]
 
 
 def filtration_elements(
@@ -980,125 +1101,121 @@ def annuli_witness(spec: GroupSpec, p: int, k: int, g: Mat, i: int) -> Mat:
 
 
 def conjugacy_classes(table: FiniteGroupTable) -> list[list[int]]:
-    """Conjugacy classes as lists of element indices, BFS under generator
-    conjugation, in deterministic order."""
-    m = table.modulus
-    gen_pairs = [(s, table.inv(s)) for s in table.generators]
-    assigned = [False] * len(table)
+    """Conjugacy classes as sorted lists of element indices, in order of
+    their smallest member: orbits under conjugation by the generators."""
+    conj = table.conjugations
+    assigned = bytearray(len(table))
     classes = []
     for start in range(len(table)):
         if assigned[start]:
             continue
         cls = [start]
-        assigned[start] = True
-        queue = deque([table.elements[start]])
-        while queue:
-            x = queue.popleft()
-            for s, sinv in gen_pairs:
-                y = mat_mul_mod(mat_mul_mod(s, x, m), sinv, m)
-                idx = table.index[y]
-                if not assigned[idx]:
-                    assigned[idx] = True
-                    cls.append(idx)
-                    queue.append(y)
+        assigned[start] = 1
+        for x in cls:  # the list grows while it is walked
+            for c in conj:
+                y = c[x]
+                if not assigned[y]:
+                    assigned[y] = 1
+                    cls.append(y)
         classes.append(sorted(cls))
     return classes
 
 
-def _mulclose_indices(table: FiniteGroupTable, gen_indices: list[int]) -> frozenset[int]:
-    """Subgroup generated by the given elements, as a set of indices.
+def class_product_table(table: FiniteGroupTable, classes: list[list[int]]) -> list[list[int]]:
+    """prod[a][b] = the classes met by C_a * C_b, as a bitmask.
 
-    A multiplicatively closed subset of a finite group is a subgroup, so BFS
-    under left multiplication by the generators suffices.
+    Lemma: C_a * C_b is the union of x * C_b over x in C_a, and for
+    y = g x g^-1 we have y * C_b = g (x * C_b) g^-1 since C_b is normal, which
+    meets the same classes as x * C_b.  So one representative x of C_a
+    suffices, and the table costs #classes * |G| lookups.
     """
-    m = table.modulus
-    gens = [table.elements[i] for i in gen_indices]
-    ident = identity(table.spec.n)
-    seen = {table.index[ident]}
-    frontier = deque([ident])
+    class_of = array("i", [0]) * len(table)
+    for ci, cls in enumerate(classes):
+        for x in cls:
+            class_of[x] = ci
+    bit = [1 << ci for ci in class_of]
+    prod = []
+    for cls in classes:
+        row = [0] * len(classes)
+        for cy, xy in zip(class_of, table.left(cls[0])):
+            row[cy] |= bit[xy]
+        prod.append(row)
+    return prod
+
+
+def _class_closure(mask: int, prod: list[list[int]]) -> int:
+    """The least class set containing mask and closed under prod.
+
+    A nonempty finite subset of a group closed under products is a subgroup,
+    and a union of classes is normal, so the result is the normal subgroup
+    generated by the classes in mask.  Semi-naive fixpoint: each round
+    multiplies the classes added in the round before by every class so far
+    (products of normal sets commute, AB = BA, so one order suffices).
+    """
+    frontier = mask
     while frontier:
-        x = frontier.popleft()
-        for s in gens:
-            y = mat_mul_mod(x, s, m)
-            idx = table.index[y]
-            if idx not in seen:
-                seen.add(idx)
-                frontier.append(y)
-    return frozenset(seen)
+        old = _bits(mask)
+        new = 0
+        for b in _bits(frontier):
+            row = prod[b]
+            for a in old:
+                new |= row[a]
+        frontier = new & ~mask
+        mask |= new
+    return mask
 
 
-def _closure_of_classes(
-    table: FiniteGroupTable, classes: list[list[int]], seed_classes: list[int]
-) -> tuple[frozenset[int], list[int]]:
-    """Subgroup generated by a union of conjugacy classes (normal by
-    construction).  Returns the subgroup and the generator indices used."""
-    gens: list[int] = []
-    members: frozenset[int] = frozenset({0})
-    for ci in seed_classes:
-        for idx in classes[ci]:
-            if idx not in members:
-                gens.append(idx)
-                members = _mulclose_indices(table, gens)
-    return members, gens
+def _bits(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def normal_subgroups_containing_center(table: FiniteGroupTable) -> list[frozenset[int]]:
     """All normal subgroups of the table group that contain its center.
 
-    Method: conjugacy classes; for each class, the normal subgroup generated
-    by the center plus that class; then saturation under joins.  Every normal
-    subgroup above the center is a join of these atoms (it is generated by the
-    classes it contains), so the saturated family is complete.
+    Method: conjugacy classes and their product table; for each class C, the
+    atom <Z, C>; then saturation under pairwise joins.  Every normal subgroup
+    above the center is a join of these atoms (it is generated by the
+    classes it contains), so the saturated family is complete.  Subgroups
+    are class bitmasks and each closure is a fixpoint of class products
+    (class_product_table, _class_closure).
     """
     classes = conjugacy_classes(table)
-    center = center_of(table)
-    center_idx = sorted(table.index[z] for z in center)
-    class_of = {}
-    for ci, cls in enumerate(classes):
-        for idx in cls:
-            class_of[idx] = ci
-    center_classes = sorted({class_of[i] for i in center_idx})
+    prod = class_product_table(table, classes)
+    class_of = {cls[0]: ci for ci, cls in enumerate(classes)}
+    z_mask = 0
+    for x in _center_indices(table):  # central classes are singletons
+        z_mask |= 1 << class_of[x]
 
-    z_sub, z_gens = _closure_of_classes(table, classes, center_classes)
-    subgroups: dict[frozenset[int], list[int]] = {z_sub: z_gens}
-    order = len(table)
+    subgroups = {_class_closure(z_mask, prod)}
     for ci in range(len(classes)):
-        seed = center_classes + ([ci] if ci not in center_classes else [])
-        sub, gens = _closure_of_classes(table, classes, seed)
-        if sub not in subgroups:
-            subgroups[sub] = gens
-        # Lagrange prune: nothing to do, closure always yields a subgroup;
-        # the divisibility is asserted for safety.
-        assert order % len(sub) == 0
+        subgroups.add(_class_closure(z_mask | 1 << ci, prod))
 
     # saturate under pairwise joins
     changed = True
     while changed:
         changed = False
-        items = list(subgroups.items())
-        for (a, ga), (b, gb) in itertools.combinations(items, 2):
-            if a <= b or b <= a:
+        for a, b in itertools.combinations(list(subgroups), 2):
+            if a & b in (a, b):
                 continue
-            join, gens = _closure_of_classes(
-                table, classes, sorted({class_of[i] for i in ga + gb})
-            )
+            join = _class_closure(a | b, prod)
             if join not in subgroups:
-                subgroups[join] = gens
+                subgroups.add(join)
                 changed = True
-    return sorted(subgroups.keys(), key=lambda s: (len(s), sorted(s)))
+    out = [
+        frozenset(x for ci in _bits(mask) for x in classes[ci]) for mask in subgroups
+    ]
+    assert all(len(table) % len(s) == 0 for s in out)  # Lagrange
+    return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 
 def filtration_center_subgroups(table: FiniteGroupTable) -> list[frozenset[int]]:
     """The predicted normal subgroups G^i Z(G) for i = 0..k, as index sets."""
     p, k = _prime_power_modulus(table.modulus)
-    m = table.modulus
-    center = center_of(table)
+    by_center = [table.left(z) for z in _center_indices(table)]  # g -> z * g = g * z
     out = []
     for i in range(k + 1):
-        level = filtration_subgroup(table, i)
-        sub = frozenset(
-            table.index[mat_mul_mod(g, z, m)] for g in level for z in center
-        )
+        level = [table.index[g] for g in filtration_subgroup(table, i)]
+        sub = frozenset(lz[x] for x in level for lz in by_center)
         if sub not in out:
             out.append(sub)
     return sorted(out, key=lambda s: (len(s), sorted(s)))
@@ -1128,18 +1245,9 @@ def normal_structure_check(table: FiniteGroupTable) -> CheckResult:
 def centerless_quotient_check(table: FiniteGroupTable) -> CheckResult:
     """Does G/Z(G) have trivial center?  (Holds for good primes; fails for
     example at SL_2(Z/4), documenting the excluded-prime boundary.)"""
-    m = table.modulus
-    instance = f"{table.spec.name},m={m}"
-    center = set(center_of(table))
-    second = []
-    for g in table.elements:
-        ginv = table.inv(g)
-        if all(
-            mat_mul_mod(mat_mul_mod(g, s, m), mat_mul_mod(ginv, table.inv(s), m), m)
-            in center
-            for s in table.generators
-        ):
-            second.append(g)
+    instance = f"{table.spec.name},m={table.modulus}"
+    center = _center_indices(table)
+    second = _second_center_indices(table, center)
     if len(second) == len(center):
         return CheckResult(
             "centerless-quotient", instance, "pass",
@@ -1149,6 +1257,22 @@ def centerless_quotient_check(table: FiniteGroupTable) -> CheckResult:
         "centerless-quotient", instance, "fail",
         f"second center order {len(second)} exceeds center order {len(center)}",
     )
+
+
+def _second_center_indices(table: FiniteGroupTable, center: list[int]) -> list[int]:
+    """Elements g with [g, s] central for every generator s.
+
+    For central z, g s g^-1 s^-1 = z iff g s = z s g iff s^-1 g s = z g, so
+    the test is conj_s(g) in the coset Z g, read through left(z).
+    """
+    conj = table.conjugations
+    by_center = [table.left(z) for z in center]
+    out = []
+    for g in range(len(table)):
+        coset = {lz[g] for lz in by_center}
+        if all(c[g] in coset for c in conj):
+            out.append(g)
+    return out
 
 
 def center_reduction_check(spec: GroupSpec, p: int, k: int) -> CheckResult:
@@ -1219,16 +1343,7 @@ def strong_approx_check(
                 if c not in seen:
                     seen.add(c)
                     gens.append(c)
-    ident = identity(spec.n)
-    reached = {ident}
-    frontier = deque([ident])
-    while frontier:
-        x = frontier.popleft()
-        for s in gens:
-            y = mat_mul_mod(x, s, m)
-            if y not in reached:
-                reached.add(y)
-                frontier.append(y)
+    reached, _, _, _ = closure(identity(spec.n), gens, m, budget, stop_at=expected)
     if len(reached) == expected:
         return CheckResult(
             "strong-approximation", instance, "pass",

@@ -8,6 +8,7 @@ inconclusive.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -140,7 +141,7 @@ def _cmd_dq(args) -> int:
     try:
         r = matgrp.congruence_D(a, spec, allow_central=args.allow_central)
     except UndetectableError:
-        print("identity is undetectable", file=sys.stderr)
+        print("error: identity is undetectable", file=sys.stderr)
         return EXIT_USAGE
     line = f"modulus={r.modulus},order={r.quotient_order}"
     if args.allow_central:
@@ -344,7 +345,7 @@ def _cmd_ring(args) -> int:
         split = numring.detect_split(a, limit=args.m_max)
         ideal = numring.min_detecting_ideal(a, limit=args.m_max)
     except UndetectableError:
-        print("zero is undetectable", file=sys.stderr)
+        print("error: zero is undetectable", file=sys.stderr)
         return EXIT_USAGE
     print(f"split: prime={split.prime},root={split.root},residue={split.residue}")
     print(
@@ -431,6 +432,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  Parsing leaves it unchanged and
+    returns a fresh Namespace per call."""
+    return build_parser()
+
+
 def _join_signed_values(argv: list[str]) -> list[str]:
     """Rewrite "--matrix -1,0;0,-1" as "--matrix=-1,0;0,-1": argparse takes a
     separate value that begins with "-" for an unknown flag."""
@@ -446,7 +454,7 @@ def _join_signed_values(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(_join_signed_values(argv))
+    args = _parser().parse_args(_join_signed_values(argv))
     try:
         return args.func(args)
     except (UndetectableError, ValueError) as exc:

@@ -77,7 +77,7 @@ def word_ball(gens: GeneratingSet, n: int, budget: int = DEFAULT_BALL_BUDGET) ->
     if n < 0:
         raise ValueError("radius must be >= 0")
     ident = matgrp.identity(len(gens.mats[0]))
-    columns = [_sparse_columns(s) for s in gens.mats]
+    columns = [matgrp.sparse_columns(s) for s in gens.mats]
     ball = {ident: 0}
     frontier = [ident]
     for length in range(1, n + 1):
@@ -94,12 +94,6 @@ def word_ball(gens: GeneratingSet, n: int, budget: int = DEFAULT_BALL_BUDGET) ->
                         )
         frontier = new
     return ball
-
-
-def _sparse_columns(s: Mat) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Each column of s as its nonzero (row, value) pairs."""
-    n = len(s)
-    return tuple(tuple((r, s[r][c]) for r in range(n) if s[r][c]) for c in range(n))
 
 
 def _mul_sparse(g: Mat, columns) -> Mat:
@@ -239,12 +233,16 @@ class CandidateSeq:
         return self.alpha**k * math.lcm(*range(1, k + 1))
 
     def r_log2(self, k: int) -> float:
-        """log2(r_k) from valuations; no huge integers formed."""
+        """log2(r_k) from valuations; no huge integers formed.  The primes
+        p <= k come from the cached prime-power stream in increasing order,
+        so no call sieves."""
         if k < 1:
             raise ValueError("k must be >= 1")
         out = k * (math.log2(self.alpha) if self.s_primes else 0.0)
-        for p in arith.primes_up_to(max(k, 2)):
-            if p <= k:
+        for q, p, i in arith.prime_power_stream():
+            if q > k:
+                break
+            if i == 1:
                 out += arith.lcm_valuation(k, p) * math.log2(p)
         return out
 

@@ -75,6 +75,13 @@ def mat_mul_mod(a: Mat, b: Mat, m: int) -> Mat:
     )
 
 
+def sparse_columns(s: Mat) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Each column of s as its nonzero (row, value) pairs: column c of g * s
+    is the sum of value * (column row of g) over these pairs."""
+    n = len(s)
+    return tuple(tuple((r, s[r][c]) for r in range(n) if s[r][c]) for c in range(n))
+
+
 def reduce_mod(a: Mat, m: int) -> Mat:
     if m < 1:
         raise ValueError("modulus must be >= 1")

@@ -331,6 +331,194 @@ class TestNormalSubgroups:
         assert all(f in subs for f in filt)
 
 
+# ---------------------------------------------------------------------------
+# slow oracles: the tuple-product engine the table lookups replaced
+
+
+def oracle_enumerate(spec, m):
+    """BFS of the elementary generators mod m by full matrix products."""
+    gens = []
+    for g in spec.elementary_generators():
+        gm = matgrp.reduce_mod(g, m)
+        if gm not in gens:
+            gens.append(gm)
+    start = matgrp.reduce_mod(matgrp.identity(spec.n), m)
+    elements, seen = [start], {start}
+    for g in elements:
+        for s in gens:
+            h = matgrp.mat_mul_mod(g, s, m)
+            if h not in seen:
+                seen.add(h)
+                elements.append(h)
+    return elements
+
+
+def oracle_classes(table):
+    m = table.modulus
+    assigned = set()
+    classes = []
+    for start, g in enumerate(table.elements):
+        if start in assigned:
+            continue
+        assigned.add(start)
+        cls, queue = [start], [g]
+        for x in queue:
+            for s in table.generators:
+                y = matgrp.mat_mul_mod(matgrp.mat_mul_mod(s, x, m), table.inv(s), m)
+                if table.index[y] not in assigned:
+                    assigned.add(table.index[y])
+                    cls.append(table.index[y])
+                    queue.append(y)
+        classes.append(sorted(cls))
+    return classes
+
+
+def oracle_center(table):
+    m = table.modulus
+    return [
+        g for g in table.elements
+        if all(matgrp.mat_mul_mod(g, s, m) == matgrp.mat_mul_mod(s, g, m) for s in table.generators)
+    ]
+
+
+def oracle_second_center(table):
+    m = table.modulus
+    center = set(oracle_center(table))
+    return [
+        g for g in table.elements
+        if all(
+            matgrp.mat_mul_mod(
+                matgrp.mat_mul_mod(g, s, m),
+                matgrp.mat_mul_mod(table.inv(g), table.inv(s), m), m,
+            ) in center
+            for s in table.generators
+        )
+    ]
+
+
+def oracle_subgroup(table, gen_indices):
+    """Subgroup generated by some elements, by right multiplication."""
+    m = table.modulus
+    gens = [table.elements[i] for i in gen_indices]
+    seen, queue = {0}, [table.elements[0]]
+    for x in queue:
+        for s in gens:
+            y = matgrp.mat_mul_mod(x, s, m)
+            if table.index[y] not in seen:
+                seen.add(table.index[y])
+                queue.append(y)
+    return frozenset(seen)
+
+
+def oracle_normal_subgroups(table):
+    """Atoms <Z, C> by re-closing after each new class element, then
+    saturation under pairwise joins, each join re-closed from generators."""
+    classes = oracle_classes(table)
+    class_of = {x: ci for ci, cls in enumerate(classes) for x in cls}
+
+    def close(seed_classes):
+        gens, members = [], frozenset({0})
+        for ci in seed_classes:
+            for x in classes[ci]:
+                if x not in members:
+                    gens.append(x)
+                    members = oracle_subgroup(table, gens)
+        return members, gens
+
+    center_classes = sorted({class_of[table.index[z]] for z in oracle_center(table)})
+    sub, gens = close(center_classes)
+    subgroups = {sub: gens}
+    for ci in range(len(classes)):
+        sub, gens = close(center_classes + ([ci] if ci not in center_classes else []))
+        subgroups.setdefault(sub, gens)
+    changed = True
+    while changed:
+        changed = False
+        for (a, ga), (b, gb) in itertools.combinations(list(subgroups.items()), 2):
+            if a <= b or b <= a:
+                continue
+            join, gens = close(sorted({class_of[i] for i in ga + gb}))
+            if join not in subgroups:
+                subgroups[join] = gens
+                changed = True
+    return sorted(subgroups, key=lambda s: (len(s), sorted(s)))
+
+
+ORACLE_INSTANCES = [(SL2, m) for m in (3, 4, 5, 7, 8, 9, 13)] + [(SL3, 2)]
+_TABLES = {}
+
+
+def table_for(spec, m):
+    key = (spec.n, m)
+    if key not in _TABLES:
+        _TABLES[key] = ch.enumerate_group(spec, m)
+    return _TABLES[key]
+
+
+class TestEngineAgainstOracles:
+    @pytest.mark.parametrize("spec,m", ORACLE_INSTANCES, ids=lambda v: str(getattr(v, "name", v)))
+    def test_lookups_match_tuple_products(self, spec, m):
+        table = table_for(spec, m)
+        assert table.elements == oracle_enumerate(spec, m)
+        assert ch.conjugacy_classes(table) == oracle_classes(table)
+        assert ch.center_of(table) == oracle_center(table)
+        second = [table.elements[g] for g in ch._second_center_indices(table, ch._center_indices(table))]
+        assert second == oracle_second_center(table)
+        assert ch.normal_subgroups_containing_center(table) == oracle_normal_subgroups(table)
+
+    def test_cayley_graph_and_tree(self):
+        table = table_for(SL2, 9)
+        m = table.modulus
+        for x, g in enumerate(table.elements):
+            for s, gen in enumerate(table.generators):
+                assert table.elements[table.right[s][x]] == matgrp.mat_mul_mod(g, gen, m)
+            if x:
+                assert table.parent[x] < x
+                assert matgrp.mat_mul_mod(
+                    table.elements[table.parent[x]], table.generators[table.via[x]], m
+                ) == g
+
+    @given(st.sampled_from(ORACLE_INSTANCES), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_left_and_conjugation_arrays(self, inst, data):
+        table = table_for(*inst)
+        m = table.modulus
+        a = data.draw(st.integers(0, len(table) - 1))
+        x = data.draw(st.integers(0, len(table) - 1))
+        el = table.elements
+        assert el[table.left(a)[x]] == matgrp.mat_mul_mod(el[a], el[x], m)
+        for s, c in zip(table.generators, table.conjugations):
+            want = matgrp.mat_mul_mod(matgrp.mat_mul_mod(table.inv(s), el[x], m), s, m)
+            assert el[c[x]] == want
+
+    @pytest.mark.parametrize("spec,m", [(SL2, 4), (SL2, 5), (SL2, 7), (SL3, 2)],
+                             ids=lambda v: str(getattr(v, "name", v)))
+    def test_class_products_match_all_pairs(self, spec, m):
+        # the one-representative lemma of class_product_table, checked
+        # against the full product set C_a * C_b
+        table = table_for(spec, m)
+        classes = ch.conjugacy_classes(table)
+        class_of = {x: ci for ci, cls in enumerate(classes) for x in cls}
+        prod = ch.class_product_table(table, classes)
+        for a, ca in enumerate(classes):
+            for b, cb in enumerate(classes):
+                hit = 0
+                for x in ca:
+                    for y in cb:
+                        xy = matgrp.mat_mul_mod(table.elements[x], table.elements[y], m)
+                        hit |= 1 << class_of[table.index[xy]]
+                assert prod[a][b] == hit
+
+    def test_closure_budget_and_trivial_modulus(self):
+        with pytest.raises(ch.BudgetExceededError):
+            ch.closure(matgrp.identity(2), SL2.elementary_generators(), 7, budget=100)
+        # Z/1 is the zero ring: SL_n(Z/1) is one element, not {I, 0}
+        t1 = ch.enumerate_group(SL2, 1)
+        assert len(t1) == SL2.order_mod(1) == 1
+        assert ch.strong_approx_check(SL2, 1, 1).passed
+        assert ch.centerless_quotient_check(t1).detail == "second center equals center (order 1)"
+
+
 class TestCenterlessAndReduction:
     def test_good_primes_pass(self, t5, t9):
         assert ch.centerless_quotient_check(t5).passed

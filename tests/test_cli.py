@@ -13,13 +13,17 @@ from resfin import cli
 
 
 def run_cli(argv, stdin_text=None):
-    """Invoke main() in process, returning (exit code, stdout, stderr)."""
+    """Invoke main() in process, returning (exit code, stdout, stderr).
+    An argparse usage error's SystemExit becomes its exit code."""
     old_out, old_err, old_in = sys.stdout, sys.stderr, sys.stdin
     sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
     if stdin_text is not None:
         sys.stdin = io.StringIO(stdin_text)
     try:
-        rc = cli.main(argv)
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
         return rc, sys.stdout.getvalue(), sys.stderr.getvalue()
     finally:
         sys.stdout, sys.stderr, sys.stdin = old_out, old_err, old_in
@@ -213,6 +217,14 @@ class TestVerify:
         assert rc == 0
         assert "3 normal subgroups" in out
 
+    def test_normal_subgroups_sl3_mod_4(self):
+        rc, out, _ = run_cli(
+            ["verify", "--suite", "normal-subgroups", "--group", "sl3",
+             "--modulus", "4"]
+        )
+        assert rc == 0
+        assert "3 normal subgroups above the center" in out
+
     @pytest.mark.parametrize("suite", [["adjoint"], ["moy-prasad", "--k", "2"]])
     def test_composite_p_is_usage_error(self, suite):
         rc, out, err = run_cli(
@@ -329,6 +341,136 @@ class TestDeterminism:
         cmd = [sys.executable, "-m", "resfin", "dq", "--group", "sl2", "--matrix=1,12;0,1"]
         proc = subprocess.run(cmd, capture_output=True, env=env)
         assert (proc.returncode, proc.stdout) == (0, b"modulus=5,order=120\n")
+
+
+USAGE_ERRORS = [  # value errors: exit 2, one "error:" line
+    ["dq", "--matrix", "1,2;3"],
+    ["dq", "--matrix", ";"],
+    ["dq", "--matrix", "1"],
+    ["dq", "--matrix", "1,a;0,1"],
+    ["dq", "--matrix", "2,0;0,1"],
+    ["dq", "--matrix", "1,0;0,1"],
+    ["dq", "--group", "gl2", "--matrix", "1,1;0,1"],
+    ["growth", "--group", "sl1", "--n-max", "1"],
+    ["growth", "--group", "sl9x", "--n-max", "1"],
+    ["growth", "--group", "sl2", "--n-max", "-1"],
+    ["growth", "--group", "sl2", "--n-max", "3", "--power", "0"],
+    ["growth", "--group", "sl3", "--gens", "st", "--n-max", "1"],
+    ["candidates", "--group", "sl2", "--k", "0..3"],
+    ["candidates", "--group", "sl2", "--k", "a..b"],
+    ["candidates", "--group", "sl2", "--k", "5..2"],
+    ["candidates", "--group", "sl2", "--k", "1", "--multiplier", "0"],
+    ["candidates", "--group", "sl2", "--k", "1", "--s-primes", "x"],
+    ["candidates", "--group", "sl2", "--k", "1", "--s-primes", "4"],
+    ["candidates", "--group", "sl2", "--k", "1", "--s-primes", "-2"],
+    ["fit", os.path.join(os.path.dirname(__file__), "no-such-file.csv")],
+    ["fit", os.path.dirname(__file__)],
+    ["verify", "--suite", "moy-prasad", "--group", "sl2"],
+    ["verify", "--suite", "moy-prasad", "--group", "sl2", "--p", "5", "--k", "x"],
+    ["verify", "--suite", "moy-prasad", "--group", "sl2", "--p", "5", "--k", "0..1"],
+    ["verify", "--suite", "adjoint", "--group", "sl2", "--p", "0"],
+    ["verify", "--suite", "adjoint", "--group", "sl1", "--p", "5"],
+    ["verify", "--suite", "normal-subgroups", "--group", "sl2", "--modulus", "0"],
+    ["verify", "--suite", "normal-subgroups", "--group", "sl2", "--modulus", "12"],
+    ["verify", "--suite", "centerless", "--group", "sl2", "--modulus", "-3"],
+    ["verify", "--suite", "strong-approx", "--group", "sl2", "--level", "2", "--modulus", "4"],
+    ["verify", "--suite", "strong-approx", "--group", "sl2", "--modulus", "5"],
+    ["examples", "--group", "lamplighter", "--k", "1"],
+    ["examples", "--group", "semidirect", "--k", "2..x"],
+    ["examples", "--group", "abelian", "--k", "3..2"],
+    ["ring", "--ring", "f=", "--element", "1"],
+    ["ring", "--ring", "f=1", "--element", "1"],
+    ["ring", "--ring", "f=1,0,1", "--element", "1,2,3"],
+    ["ring", "--ring", "f=1,0,1", "--element", "1,x"],
+    ["ring", "--ring", "f=1,0,1;invert=x", "--element", "1,1"],
+    ["ring", "--ring", "f=1,0,1", "--element", "0,0"],
+]
+
+ARGPARSE_ERRORS = [  # exit 2 from argparse itself
+    [],
+    ["bogus"],
+    ["dq"],
+    ["dq", "--matrix", "1,1;0,1", "--frobnicate"],
+    ["growth", "--group", "sl2", "--n-max", "x"],
+    ["growth", "--group", "sl2", "--n-max", "2", "--gens", "abc"],
+    ["candidates", "--group", "sl2"],
+    ["candidates", "--group", "sl2", "--k", "1", "--format", "xml"],
+    ["fit", "a.csv", "b.csv"],
+    ["verify", "--suite", "bogus", "--group", "sl2"],
+    ["verify", "--suite", "adjoint", "--group", "sl2", "--p", "five"],
+    ["examples", "--group", "free", "--k", "2"],
+    ["ring", "--ring", "f=1,0,1"],
+    ["ring", "--ring", "f=1,0,1", "--element", "1,1", "--m-max", "ten"],
+]
+
+BUDGET_CASES = [  # exit 3, one "budget:" line
+    ["verify", "--suite", "normal-subgroups", "--group", "sl2", "--modulus", "5", "--budget", "10"],
+    ["verify", "--suite", "centerless", "--group", "sl2", "--modulus", "5", "--budget", "10"],
+    ["verify", "--suite", "strong-approx", "--group", "sl2", "--level", "1", "--modulus", "9",
+     "--budget", "10"],
+    ["verify", "--suite", "moy-prasad", "--group", "sl5", "--p", "5", "--k", "2"],
+    ["growth", "--group", "sl2", "--n-max", "3", "--budget", "5"],
+    ["growth", "--group", "sl3", "--n-max", "2", "--budget", "5"],
+    ["ring", "--ring", "f=1,0,1", "--element", "12,0", "--m-max", "3"],
+]
+
+
+class TestExitCodes:
+    """The exit-code contract over every subcommand: bad values exit 2 with
+    one "error:" line, usage errors exit 2, exhausted budgets exit 3 with one
+    "budget:" line, and nothing prints a traceback."""
+
+    @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
+    def test_value_errors(self, argv):
+        rc, out, err = run_cli(argv)
+        assert (rc, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+    @pytest.mark.parametrize("argv", ARGPARSE_ERRORS, ids=" ".join)
+    def test_argparse_errors(self, argv):
+        rc, out, err = run_cli(argv)
+        assert (rc, out) == (2, "")
+        assert "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", BUDGET_CASES, ids=" ".join)
+    def test_budget_exhausted(self, argv):
+        rc, out, err = run_cli(argv)
+        assert (rc, out) == (3, "")
+        assert len(err.splitlines()) == 1 and err.startswith("budget: "), err
+
+    def test_bad_fit_input(self, tmp_path):
+        for name, data in [
+            ("nul.csv", b"k,quotient_order\n1,2\x00\n"),
+            ("latin1.csv", b"\xff\xfe\n"),
+            ("short.csv", b"k,quotient_order\n1,2\n2,3\n"),
+            ("flat.csv", b"k,quotient_order\n1,2\n1,3\n1,4\n"),
+        ]:
+            path = tmp_path / name
+            path.write_bytes(data)
+            rc, out, err = run_cli(["fit", str(path)])
+            assert (rc, out) == (2, "")
+            assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+    def test_cached_parser_matches_a_fresh_one(self):
+        calls = [
+            ["dq", "--matrix", "1,12;0,1"],
+            ["verify", "--suite", "centerless", "--group", "sl2", "--modulus", "5"],
+            ["dq"],
+            ["candidates", "--group", "sl2", "--k", "2..4", "--format", "json"],
+            ["dq", "--matrix", "1,0;0,1"],
+            ["growth", "--group", "sl2", "--n-max", "2"],
+            ["verify", "--suite", "bogus", "--group", "sl2"],
+            ["dq", "--matrix", "-1,0;0,-1", "--allow-central"],
+            ["growth", "--group", "sl2", "--n-max", "3", "--budget", "5"],
+            ["dq", "--matrix", "1,12;0,1"],
+        ]
+        reused = [run_cli(argv) for argv in calls]
+        fresh = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            fresh.append(run_cli(argv))
+        assert reused == fresh
+        assert cli._parser() is cli._parser()
 
 
 def test_emit_quoting_and_endings():

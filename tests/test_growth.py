@@ -218,6 +218,20 @@ class TestCandidateSeq:
             for k in (1, 2, 7, 20, 40, 64):
                 assert math.isclose(cs.r_log2(k), math.log2(cs.r(k)), rel_tol=1e-12)
 
+    def test_log_is_bit_identical_to_the_sieve_formula(self):
+        def sieved_r_log2(cs, k):
+            # the formula before r_log2 read the prime-power stream: one sieve
+            # per k, primes summed in increasing order
+            out = k * (math.log2(cs.alpha) if cs.s_primes else 0.0)
+            for p in arith.primes_up_to(max(k, 2)):
+                if p <= k:
+                    out += arith.lcm_valuation(k, p) * math.log2(p)
+            return out
+
+        for cs in (gr.CandidateSeq(SL2), gr.CandidateSeq(SL3, (2, 3))):
+            for k in range(1, 2001):
+                assert cs.r_log2(k) == sieved_r_log2(cs, k), k
+
     def test_valuations_match_factorization(self):
         cs = gr.CandidateSeq(SL2, (3,), 12)
         for k in (1, 2, 5, 11, 20):
