@@ -200,30 +200,46 @@ def is_prime_power(q: int) -> tuple[int, int] | None:
     return None
 
 
-# Sorted (q, p, i) with q = p**i, complete up to its last q.
+# Sorted (q, p, i) with q = p**i: every prime power <= _SIEVED_TO.
 _PRIME_POWERS: list[tuple[int, int, int]] = []
+_SIEVED_TO = 0
 
 
-def prime_power_stream():
-    """Every prime power as (q, p, i) with q = p**i, in increasing order.
+def prime_power_stream(limit: int | None = None):
+    """Every prime power as (q, p, i) with q = p**i, in increasing order;
+    endless, or only the q <= limit when a limit is given.
 
-    Endless; read from one cache filled straight from the sieve, which
-    grows fourfold whenever a reader runs past its end, so no q is ever
-    factorized.
+    Read from one cache filled straight from the sieve, which grows
+    fourfold (to at most limit) whenever a reader runs past its end, so no
+    q is ever factorized.  A limit above the sieve cap raises at once.
     """
+    if limit is not None and limit > _SIEVE_CAP:
+        raise ValueError(f"sieve limit {limit} exceeds cap {_SIEVE_CAP}")
     k = 0
     while True:
         if k == len(_PRIME_POWERS):
-            prime_powers_up_to(4 * _PRIME_POWERS[-1][0] if _PRIME_POWERS else 512)
+            if limit is not None and _SIEVED_TO >= limit:
+                return
+            grow = 4 * _SIEVED_TO if _SIEVED_TO else 512
+            prime_powers_up_to(grow if limit is None else min(grow, limit))
         cache = _PRIME_POWERS
-        yield from itertools.islice(cache, k, None)
+        for t in itertools.islice(cache, k, None):
+            if limit is not None and t[0] > limit:
+                return
+            yield t
         k = len(cache)
+
+
+def primes(limit: int | None = None):
+    """The primes in increasing order (those <= limit, if given), read from
+    the prime_power_stream cache, so a range it already holds sieves nothing."""
+    return (p for _, p, i in prime_power_stream(limit) if i == 1)
 
 
 def prime_powers_up_to(limit: int) -> list[int]:
     """Sorted prime powers q <= limit (cached; grows on demand)."""
-    global _PRIME_POWERS
-    if not _PRIME_POWERS or _PRIME_POWERS[-1][0] < limit:
+    global _PRIME_POWERS, _SIEVED_TO
+    if _SIEVED_TO < limit:
         cap = max(limit, 512)
         triples = []
         for p in primes_up_to(cap):
@@ -232,4 +248,5 @@ def prime_powers_up_to(limit: int) -> list[int]:
                 triples.append((q, p, i))
                 q, i = q * p, i + 1
         _PRIME_POWERS = sorted(triples)
+        _SIEVED_TO = cap
     return [q for q, _, _ in itertools.takewhile(lambda t: t[0] <= limit, _PRIME_POWERS)]

@@ -280,6 +280,8 @@ def _cmd_verify(args) -> int:
     else:  # strong-approx
         if args.level is None or args.modulus is None:
             raise ValueError("strong-approx needs --level and --modulus")
+        if args.level > 1 and args.trials < 1:
+            raise ValueError(f"--trials must be >= 1, got {args.trials}")
         results.append(
             chevalley.strong_approx_check(
                 spec, args.level, args.modulus, trials=args.trials, seed=args.seed,
@@ -335,6 +337,8 @@ def _cmd_examples(args) -> int:
 
 
 def _cmd_ring(args) -> int:
+    if args.m_max < 2:
+        raise ValueError(f"--m-max must be >= 2, got {args.m_max}")
     ring = numring.parse_ring(args.ring)
     try:
         coords = tuple(int(tok) for tok in args.element.split(","))

@@ -10,14 +10,23 @@ f realizes the map.
 
 detect_split finds the smallest completely split prime at which an element
 survives, which is the detection route whose size is logarithmic in the
-coordinates.  min_detecting_ideal is the brute-force referee: it scans all
-residue fields (split, inert, ramified alike) in order of size, so the
-split answer can be checked against the global minimum.
+coordinates.  min_detecting_ideal scans all residue fields (split, inert,
+ramified alike) in order of size, so the split answer can be compared with
+the global minimum.
+
+Both scans, split_primes and the irreducibility test read one residue-field
+table per min_poly: (p, the distinct irreducible factors of f mod p) for
+the primes in increasing order, factored (Cantor-Zassenhaus for odd p) only
+when a scan first reaches p, so the table grows only as far as some scan
+reached.  Since every scan shares it, the referee is the oracle in
+tests/test_numring.py, which finds roots by evaluating f at every residue,
+factors by trial division and redoes each scan per call.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 import re
@@ -41,13 +50,6 @@ def _ptrim(c):
 
 def _pmod_coeffs(c, p):
     return _ptrim(x % p for x in c)
-
-
-def _padd(a, b, p):
-    n = max(len(a), len(b))
-    a = tuple(a) + (0,) * (n - len(a))
-    b = tuple(b) + (0,) * (n - len(b))
-    return _ptrim((x + y) % p for x, y in zip(a, b))
 
 
 def _psub(a, b, p):
@@ -97,13 +99,32 @@ def _pgcd(a, b, p):
 
 
 def _ppowmod(base, e, mod, p):
+    """base**e modulo the monic polynomial mod over F_p."""
+    n = len(mod) - 1
+    low = [-c for c in mod[:n]]  # x^n = low(x) modulo mod
+
+    def mulmod(a, b):
+        # product folded down with x^n = low(x), over Z until the final mod p
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        for k in range(len(out) - 1, n - 1, -1):
+            c = out[k] % p
+            if c:
+                for j, y in enumerate(low):
+                    out[k - n + j] += c * y
+        return _ptrim(x % p for x in out[:n])
+
     result = (1,)
     base = _pdivmod(base, mod, p)[1]
     while e:
         if e & 1:
-            result = _pdivmod(_pmul(result, base, p), mod, p)[1]
-        base = _pdivmod(_pmul(base, base, p), mod, p)[1]
+            result = mulmod(result, base)
         e >>= 1
+        if e:
+            base = mulmod(base, base)
     return result
 
 
@@ -198,57 +219,21 @@ def _radical_mod(fbar, p):
     """Product of the distinct irreducible factors of fbar over F_p."""
     if len(fbar) <= 1:
         return fbar
-    deriv = _pderiv(fbar, p)
-    if p > len(fbar) - 1:
-        if not deriv:
-            raise AssertionError("monic poly of degree < p cannot have zero derivative")
-        return _pdivmod(fbar, _pgcd(fbar, deriv, p), p)[0]
-    # tiny p: full trial-division factorization is a handful of candidates
-    factors = set()
-    rest = _pmonic(fbar, p)
-    deg = 1
-    while len(rest) - 1 >= 1:
-        if len(rest) - 1 == deg and deg * 2 > len(rest) - 1:
-            factors.add(rest)
-            break
-        found = False
-        for cand in _monic_polys(deg, p):
-            if len(rest) - 1 < deg:
-                break
-            quo, rem = _pdivmod(rest, cand, p)
-            if not rem:
-                factors.add(cand)
-                rest = quo
-                while True:
-                    quo, rem = _pdivmod(rest, cand, p)
-                    if rem:
-                        break
-                    rest = quo
-                found = True
-                break
-        if not found:
-            deg += 1
-            if deg * 2 > len(rest) - 1:
-                if len(rest) - 1 >= 1:
-                    factors.add(rest)
-                break
-    out = (1,)
-    for g in factors:
-        out = _pmul(out, g, p)
-    return out
+    if p > len(fbar) - 1:  # every multiplicity is below p, so fbar' != 0
+        return _pdivmod(fbar, _pgcd(fbar, _pderiv(fbar, p), p), p)[0]
+    # tiny p: gcd(fbar, x^(p^g) - x) holds the factors of degree dividing
+    # g, each once; their lcm over g <= deg(fbar) is the radical
+    fbar = _pmonic(fbar, p)
+    rad, w = (1,), (0, 1)
+    for _ in range(len(fbar) - 1):
+        w = _ppowmod(w, p, fbar, p)
+        part = _pgcd(fbar, _psub(w, (0, 1), p), p)
+        rad = _pdivmod(_pmul(rad, part, p), _pgcd(rad, part, p), p)[0]
+    return rad
 
 
 def _monic_polys(deg, p):
-    def rec(k):
-        if k == 0:
-            yield ()
-            return
-        for tail in rec(k - 1):
-            for c in range(p):
-                yield (c,) + tail
-
-    for lower in rec(deg):
-        yield lower + (1,)
+    return (low + (1,) for low in itertools.product(range(p), repeat=deg))
 
 
 def _distinct_degree(h, p):
@@ -271,11 +256,17 @@ def _distinct_degree(h, p):
 
 
 def _split_equal_degree(h, g, p):
-    """Irreducible factors of h, all known to have degree g."""
+    """Irreducible factors of squarefree h, all known to have degree g.
+
+    Trial division for p = 2; Cantor-Zassenhaus equal-degree splitting for
+    odd p (von zur Gathen and Gerhard, Modern Computer Algebra, 14.3): for
+    random r, gcd(r^((p^g - 1)/2) - 1, h) is a proper factor with
+    probability about 1/2.  The seeded generator keeps runs deterministic,
+    and the factor set is unique whatever r splits it."""
     deg = len(h) - 1
     if deg == g:
         return [h]
-    if p == 2 or p**g <= 4096:
+    if p == 2:
         out = []
         rest = h
         for cand in _monic_polys(g, p):
@@ -314,25 +305,30 @@ def factor_distinct_mod(f, p) -> list[tuple]:
     return sorted(out, key=lambda c: (len(c), c))
 
 
-def _splits_completely(f, p) -> bool:
-    """Does monic f factor into deg(f) distinct linear factors mod p?"""
-    fbar = _pmod_coeffs(f, p)
-    if len(fbar) != len(f):
-        return False
-    xp = _ppowmod((0, 1), p, fbar, p)
-    return xp == _pdivmod((0, 1), fbar, p)[1]
+# One table per min_poly: (p, factor_distinct_mod(f, p)) for the primes in
+# increasing order, as far as some scan has reached.
+_RESIDUE_TABLES: dict[tuple, list[tuple[int, list[tuple]]]] = {}
 
 
-def _roots_mod(f, p) -> list[int]:
-    fbar = _pmod_coeffs(f, p)
-    if len(fbar) <= 1:
-        return []
-    xp = _ppowmod((0, 1), p, fbar, p)
-    lin = _pgcd(fbar, _psub(xp, (0, 1), p), p)
-    if len(lin) <= 1:
-        return []
-    roots = [(-g[0]) % p for g in _split_equal_degree(lin, 1, p)]
-    return sorted(roots)
+def _residue_rows(f: tuple, limit: int | None = None):
+    """(p, distinct irreducible factors of f mod p) for every prime p (up to
+    limit, if given), read from the table of f and factoring only primes no
+    earlier scan reached.  A limit above the sieve cap raises at once."""
+    rows = _RESIDUE_TABLES.setdefault(f, [])
+    for k, p in enumerate(arith.primes(limit)):
+        if k == len(rows):
+            rows.append((p, factor_distinct_mod(f, p)))
+        yield rows[k]
+
+
+def _split_rows(ring, limit: int):
+    """(p, sorted roots of f mod p) for the completely split p <= limit:
+    p divides neither disc(f) nor the inverted integer, and f mod p has
+    deg(f) distinct linear factors."""
+    bad = abs(ring.discriminant()) * ring.inverted
+    for p, factors in _residue_rows(ring.min_poly, limit):
+        if bad % p and len(factors) == ring.degree and len(factors[-1]) == 2:
+            yield p, sorted(-g[0] % p for g in factors)
 
 
 # ---------------------------------------------------------------------------
@@ -357,22 +353,19 @@ def _is_irreducible(f: tuple) -> bool:
         return False  # repeated factor
     degree_options = set(range(1, d))
     good = []
-    bound = 200
-    while not good:
-        for p in arith.primes_up_to(bound):
-            if disc % p == 0:
-                continue
-            factors = factor_distinct_mod(f, p)
-            degs = sorted(len(g) - 1 for g in factors)
-            if degs == [d]:
-                return True
-            good.append((len(degs), p, factors))
-            degree_options &= _subset_sums(degs)
-            if not degree_options:
-                return True
-            if len(good) >= 6:
-                break
-        bound *= 4  # disc has finitely many prime divisors, so this terminates
+    # disc has finitely many prime divisors, so six good primes turn up
+    for p, factors in _residue_rows(f):
+        if disc % p == 0:
+            continue
+        degs = sorted(len(g) - 1 for g in factors)
+        if degs == [d]:
+            return True
+        good.append((len(degs), p, factors))
+        degree_options &= _subset_sums(degs)
+        if not degree_options:
+            return True
+        if len(good) >= 6:
+            break
     good.sort()
     _, p, factors = good[0]
     return not _has_integer_factor(f, p, factors)
@@ -617,15 +610,7 @@ def split_primes(ring: NumberRing, limit: int) -> list[tuple[int, tuple[int, ...
     """
     if limit < 2:
         raise ValueError("limit must be >= 2")
-    f = ring.min_poly
-    bad = abs(ring.discriminant()) * ring.inverted
-    out = []
-    for p in arith.primes_up_to(limit):
-        if bad % p == 0:
-            continue
-        if _splits_completely(f, p):
-            out.append((p, tuple(_roots_mod(f, p))))
-    return out
+    return [(p, tuple(roots)) for p, roots in _split_rows(ring, limit)]
 
 
 def reduce_element(a: RingElement, p: int, root: int) -> int:
@@ -658,15 +643,8 @@ def detect_split(a: RingElement, limit: int = DEFAULT_PRIME_LIMIT) -> SplitDetec
     """
     if a.is_zero():
         raise UndetectableError("zero maps to zero in every quotient")
-    ring = a.ring
-    f = ring.min_poly
-    bad = abs(ring.discriminant()) * ring.inverted
-    for p in arith.primes_up_to(limit):
-        if bad % p == 0:
-            continue
-        if not _splits_completely(f, p):
-            continue
-        for root in _roots_mod(f, p):
+    for p, roots in _split_rows(a.ring, limit):
+        for root in roots:
             residue = reduce_element(a, p, root)
             if residue:
                 return SplitDetection(p, root, residue)
@@ -696,12 +674,12 @@ def min_detecting_ideal(a: RingElement, limit: int = DEFAULT_PRIME_LIMIT) -> Ide
     ring = a.ring
     f0 = ring.inverted
     best: IdealDetection | None = None
-    for p in arith.primes_up_to(limit):
+    for p, factors in _residue_rows(ring.min_poly, limit):
         if best is not None and p > best.norm:
             break
         if f0 % p == 0:
             continue
-        for g in factor_distinct_mod(ring.min_poly, p):
+        for g in factors:
             norm = p ** (len(g) - 1)
             if norm > limit or (best is not None and norm >= best.norm):
                 continue

@@ -187,6 +187,22 @@ def test_prime_power_stream_matches_factorization():
     assert list(stream) == list(itertools.islice(expect, 3000))
 
 
+def test_primes_read_the_prime_power_cache(monkeypatch):
+    assert list(arith.primes(30)) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert list(arith.primes(1)) == []
+    assert list(arith.primes(5000)) == arith.primes_up_to(5000)
+    assert list(itertools.islice(arith.primes(), 100)) == arith.primes_up_to(541)
+    assert [q for q, _, _ in arith.prime_power_stream(10)] == [2, 3, 4, 5, 7, 8, 9]
+    sieved = []
+    sieve = arith.primes_up_to
+    monkeypatch.setattr(arith, "primes_up_to", lambda n: sieved.append(n) or sieve(n))
+    assert list(arith.primes(3000))[-1] == 2999
+    assert sieved == []  # the range is cached already
+    with pytest.raises(ValueError, match="exceeds cap"):
+        next(arith.primes(10**8 + 1))
+    assert sieved == []
+
+
 def test_is_prime_power():
     assert arith.is_prime_power(8) == (2, 3)
     assert arith.is_prime_power(9) == (3, 2)

@@ -375,6 +375,10 @@ USAGE_ERRORS = [  # value errors: exit 2, one "error:" line
     ["verify", "--suite", "centerless", "--group", "sl2", "--modulus", "-3"],
     ["verify", "--suite", "strong-approx", "--group", "sl2", "--level", "2", "--modulus", "4"],
     ["verify", "--suite", "strong-approx", "--group", "sl2", "--modulus", "5"],
+    ["verify", "--suite", "strong-approx", "--group", "sl2", "--level", "2", "--modulus", "9",
+     "--trials", "0"],
+    ["verify", "--suite", "strong-approx", "--group", "sl2", "--level", "2", "--modulus", "9",
+     "--trials", "-1"],
     ["examples", "--group", "lamplighter", "--k", "1"],
     ["examples", "--group", "semidirect", "--k", "2..x"],
     ["examples", "--group", "abelian", "--k", "3..2"],
@@ -384,6 +388,10 @@ USAGE_ERRORS = [  # value errors: exit 2, one "error:" line
     ["ring", "--ring", "f=1,0,1", "--element", "1,x"],
     ["ring", "--ring", "f=1,0,1;invert=x", "--element", "1,1"],
     ["ring", "--ring", "f=1,0,1", "--element", "0,0"],
+    ["ring", "--ring", "f=1,0,1", "--element", "1,1", "--m-max", "1"],
+    ["ring", "--ring", "f=1,0,1", "--element", "1,1", "--m-max", "0"],
+    ["ring", "--ring", "f=1,0,1", "--element", "1,1", "--m-max=-5"],
+    ["ring", "--ring", "f=1,0,1", "--element", "1,1", "--m-max", "200000000"],
 ]
 
 ARGPARSE_ERRORS = [  # exit 2 from argparse itself
@@ -437,6 +445,22 @@ class TestExitCodes:
         rc, out, err = run_cli(argv)
         assert (rc, out) == (3, "")
         assert len(err.splitlines()) == 1 and err.startswith("budget: "), err
+
+    def test_bound_messages(self):
+        rc, _, err = run_cli(["ring", "--ring", "f=1,0,1", "--element", "1,1", "--m-max=-5"])
+        assert (rc, err) == (2, "error: --m-max must be >= 2, got -5\n")
+        rc, _, err = run_cli(["verify", "--suite", "strong-approx", "--group", "sl2",
+                              "--level", "2", "--modulus", "9", "--trials", "0"])
+        assert (rc, err) == (2, "error: --trials must be >= 1, got 0\n")
+        rc, _, err = run_cli(["ring", "--ring", "f=1,0,1", "--element", "1,1",
+                              "--m-max", "200000000"])
+        assert (rc, err) == (2, "error: sieve limit 200000000 exceeds cap 100000000\n")
+
+    def test_trials_unused_at_level_one(self):
+        argv = ["verify", "--suite", "strong-approx", "--group", "sl2", "--level", "1",
+                "--modulus", "9"]
+        assert run_cli(argv + ["--trials", "0"]) == run_cli(argv)
+        assert run_cli(argv)[0] == 0
 
     def test_bad_fit_input(self, tmp_path):
         for name, data in [

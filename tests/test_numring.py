@@ -6,6 +6,9 @@ cyclotomic) before freezing; detection values were derived by evaluating
 the residue maps by hand.
 """
 
+import functools
+import itertools
+import math
 import random
 
 import pytest
@@ -239,3 +242,286 @@ def test_split_density_matches_half():
     total = len(arith.primes_up_to(10**5))
     ratio = len(split) / total
     assert abs(ratio - 0.5) < 0.1
+
+
+# ---------------------------------------------------------------------------
+# Independent oracles for the shared residue-field table.  Everything below
+# works from the coefficients alone: roots by evaluating f at every residue,
+# factors by trial division over all monic polynomials, and scans that redo
+# the search on each call with neither the table nor numring's F_p[x] code.
+
+ORACLE_RINGS = (
+    ZI,
+    R2,
+    nr.NumberRing((-2, 0, 0, 1)),
+    nr.NumberRing((1, 0, 0, 0, 1)),
+    nr.NumberRing((1, -1, 0, 0, 0, 1)),
+    nr.NumberRing((1, 0, 1), 5),
+    nr.NumberRing((1, 1, 1, 1, 1)),
+)
+ORACLE_POLYS = tuple(dict.fromkeys(r.min_poly for r in ORACLE_RINGS))
+
+
+def _sieve(n):
+    flags = [True] * (n + 1)
+    flags[:2] = [False, False]
+    for i in range(2, int(n**0.5) + 1):
+        if flags[i]:
+            flags[i * i :: i] = [False] * len(flags[i * i :: i])
+    return [i for i, v in enumerate(flags) if v]
+
+
+@functools.lru_cache(maxsize=None)
+def _evaluator(f):
+    """f as a compiled Horner expression in x, over the integers."""
+    expr = "0"
+    for c in reversed(f):
+        expr = f"({expr})*x+({c})"
+    return eval("lambda x: " + expr)
+
+
+@functools.lru_cache(maxsize=None)
+def _roots_by_evaluation(f, p):
+    ev = _evaluator(f)
+    return tuple(c for c in range(p) if ev(c) % p == 0)
+
+
+def _trim(a):
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(c % p for c in out)
+
+
+def _rem(a, g, p):
+    """a mod the monic g over F_p, by schoolbook long division."""
+    a = _trim(x % p for x in a)
+    while len(a) >= len(g):
+        c = a[-1]
+        shift = len(a) - len(g)
+        for j, y in enumerate(g):
+            a[shift + j] = (a[shift + j] - c * y) % p
+        a = _trim(a)
+    return a
+
+
+def _quo(a, g, p):
+    a = _trim(x % p for x in a)
+    q = [0] * (len(a) - len(g) + 1)
+    while len(a) >= len(g):
+        c = a[-1]
+        shift = len(a) - len(g)
+        q[shift] = c
+        for j, y in enumerate(g):
+            a[shift + j] = (a[shift + j] - c * y) % p
+        a = _trim(a)
+    return _trim(q)
+
+
+def _monics(deg, p):
+    """Monic polynomials of degree deg, low degree first, in the library's
+    sort order (lexicographic on the coefficient tuple)."""
+    for lower in itertools.product(range(p), repeat=deg):
+        yield lower + (1,)
+
+
+def _brute_factors(f, p):
+    """Distinct monic irreducible factors of f mod p by trial division."""
+    rest = _trim(x % p for x in f)
+    out = []
+    deg = 1
+    while len(rest) - 1 >= 2 * deg:
+        for g in _monics(deg, p):
+            if not _rem(rest, g, p):
+                out.append(g)
+                while not _rem(rest, g, p):
+                    rest = _quo(rest, g, p)
+        deg += 1
+    if len(rest) > 1 and tuple(rest) not in out:
+        out.append(tuple(rest))
+    return sorted(out, key=lambda c: (len(c), c))
+
+
+def _is_irreducible_brute(g, p):
+    return all(
+        _rem(g, h, p) for e in range(1, (len(g) - 1) // 2 + 1) for h in _monics(e, p)
+    )
+
+
+def _oracle_detect_split(a, limit):
+    ring = a.ring
+    inv = pow(ring.inverted, a.denom_exp)
+    for p in _sieve(limit):
+        if ring.inverted % p == 0:
+            continue
+        roots = _roots_by_evaluation(ring.min_poly, p)
+        if len(roots) != ring.degree:  # also excludes p | disc: a root repeats
+            continue
+        for r in roots:
+            residue = _evaluator(a.coords)(r) * pow(inv, -1, p) % p
+            if residue:
+                return nr.SplitDetection(p, r, residue)
+    return None
+
+
+def _oracle_ideal(a, limit):
+    """Smallest-norm prime ideal keeping a alive: primes in increasing order,
+    and at each the monic g of each degree e (up to deg f, with p**e within
+    the limit and below the best norm so far) that are irreducible divisors
+    of f mod p; the first one at which a survives wins, as in the library's
+    (degree, coefficients) order."""
+    ring = a.ring
+    best = None
+    for p in _sieve(limit):
+        if best is not None and p > best.norm:
+            break
+        if ring.inverted % p == 0:
+            continue
+        for e in range(1, ring.degree + 1):
+            if p**e > (limit if best is None else best.norm - 1):
+                break
+            hit = next(
+                (g for g in _monics(e, p)
+                 if not _rem(ring.min_poly, g, p) and _is_irreducible_brute(g, p)
+                 and _rem(a.coords, g, p)),
+                None,
+            )
+            if hit is not None:
+                best = nr.IdealDetection(p, hit, p**e)
+                break
+    return best
+
+
+class TestResidueTableOracle:
+    def test_roots_match_evaluation_below_5000(self):
+        for f in ORACLE_POLYS:
+            for p, factors in nr._residue_rows(f, 5000):
+                linear = sorted(-g[0] % p for g in factors if len(g) == 2)
+                assert tuple(linear) == _roots_by_evaluation(f, p), (f, p)
+
+    def test_factors_match_trial_division_below_60(self):
+        for f in ORACLE_POLYS:
+            for p, factors in nr._residue_rows(f, 60):
+                assert factors == _brute_factors(f, p), (f, p)
+                assert all(_is_irreducible_brute(g, p) for g in factors)
+                # the product of the factors is the radical: it divides f,
+                # and f divides radical**deg(f)
+                radical = functools.reduce(lambda acc, g: _mul(acc, g, p), factors, [1])
+                assert not _rem(f, radical, p)
+                power = functools.reduce(lambda acc, _: _mul(acc, radical, p), f[1:], [1])
+                assert not _rem(power, f, p)
+
+    def test_every_small_polynomial_over_tiny_fields(self):
+        # includes repeated factors at p <= deg, where f' can vanish
+        for p, top in ((2, 6), (3, 4), (5, 3)):
+            for d in range(1, top + 1):
+                for low in itertools.product(range(p), repeat=d):
+                    f = low + (1,)
+                    assert nr.factor_distinct_mod(f, p) == _brute_factors(f, p), (f, p)
+
+    def test_scans_match_per_call_oracle(self):
+        rng = random.Random(5)
+        scale = math.lcm(*range(1, 301))
+        for ring in ORACLE_RINGS:
+            for _ in range(3):
+                coords = [rng.randint(-10**6, 10**6) or 1 for _ in range(ring.degree)]
+                a = ring.element([c * scale for c in coords])
+                for limit in (250, 20000):
+                    want = _oracle_detect_split(a, limit)
+                    if want is None:
+                        with pytest.raises(RangeExhaustedError):
+                            nr.detect_split(a, limit)
+                    else:
+                        assert nr.detect_split(a, limit) == want
+                # every ideal of norm <= 300 kills a, so 1000 leaves room
+                for limit in (250, 1000):
+                    want = _oracle_ideal(a, limit)
+                    if want is None:
+                        with pytest.raises(RangeExhaustedError):
+                            nr.min_detecting_ideal(a, limit)
+                    else:
+                        assert nr.min_detecting_ideal(a, limit) == want
+
+    def test_small_elements_match_per_call_oracle(self):
+        rng = random.Random(6)
+        for ring in ORACLE_RINGS:
+            for _ in range(10):
+                coords = [rng.randint(-50, 50) for _ in range(ring.degree)]
+                if not any(coords):
+                    continue
+                a = ring.element(coords, rng.randrange(2) if ring.inverted > 1 else 0)
+                assert nr.detect_split(a, 5000) == _oracle_detect_split(a, 5000)
+                assert nr.min_detecting_ideal(a, 5000) == _oracle_ideal(a, 5000)
+
+
+class TestResidueTableCoherence:
+    """The table is shared by every scan of one min_poly; no scan may see
+    more or less than a fresh table would give it."""
+
+    ZI5 = nr.NumberRing((1, 0, 1), 5)
+
+    def _calls(self):
+        big = math.lcm(*range(1, 120))
+        calls = []
+        for limit in (50, 3000, 7, 400, 20000, 13, 2, 1000):
+            for ring in (ZI, self.ZI5):
+                calls.append((nr.split_primes, ring, (ring, max(limit, 2))))
+                for coords in ((0, 5), (big, 3 * big), (5, 0)):
+                    a = ring.element(coords)
+                    calls.append((nr.detect_split, ring, (a, limit)))
+                    calls.append((nr.min_detecting_ideal, ring, (a, limit)))
+        return calls
+
+    @staticmethod
+    def _run(fn, args):
+        try:
+            return fn(*args)
+        except RangeExhaustedError as exc:
+            return ("exhausted", str(exc))
+
+    def test_interleaved_scans_match_fresh_tables(self):
+        calls = self._calls()
+        nr._RESIDUE_TABLES.clear()
+        shared = [self._run(fn, args) for fn, _, args in calls]
+        fresh = []
+        for fn, _, args in calls:
+            nr._RESIDUE_TABLES.clear()
+            fresh.append(self._run(fn, args))
+        assert shared == fresh
+
+    def test_small_limit_after_large(self):
+        nr.split_primes(ZI, 5000)
+        assert [p for p, _ in nr.split_primes(ZI, 30)] == [5, 13, 17, 29]
+        big = ZI.element((math.lcm(*range(1, 40)), 0))
+        with pytest.raises(RangeExhaustedError):
+            nr.detect_split(big, 37)
+        with pytest.raises(RangeExhaustedError):
+            nr.min_detecting_ideal(big, 37)
+        assert nr.detect_split(big, 5000).prime == 41
+
+    def test_table_grows_only_as_far_as_scanned(self):
+        f = (3, 1, 0, 1)  # x^3 + x + 3, used by no other test
+        ring = nr.NumberRing(f)
+        nr._RESIDUE_TABLES.pop(f, None)
+        nr.split_primes(ring, 100)
+        assert nr._RESIDUE_TABLES[f][-1][0] == 97
+
+    def test_cap_checked_before_any_scan(self):
+        nr._RESIDUE_TABLES.clear()
+        a = ZI.element((1, 0))
+        for call in (
+            lambda: nr.detect_split(a, 10**8 + 1),
+            lambda: nr.min_detecting_ideal(a, 10**8 + 1),
+            lambda: nr.split_primes(ZI, 10**8 + 1),
+        ):
+            with pytest.raises(ValueError, match="exceeds cap"):
+                call()
+        assert not nr._RESIDUE_TABLES.get(ZI.min_poly)
