@@ -1,9 +1,10 @@
 """The structural facts the growth computation stands on, each checked
 against brute force at one concrete modulus.
 
-Everything here is exhaustive or explicitly labeled as sampled; the point
-is that the order formulas, the congruence filtration, and the normal
-subgroup picture are not taken on faith.
+Everything here is exhaustive, a generator certificate resting on a stated
+lemma, or explicitly labeled as probabilistic; the point is that the order
+formulas, the congruence filtration, and the normal subgroup picture are
+not taken on faith.
 """
 
 from resfin import chevalley

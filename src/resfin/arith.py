@@ -177,17 +177,7 @@ def prime_powers_above(k: int, limit: int) -> list[tuple[int, int]]:
     """
     if limit < k:
         raise ValueError("limit must be at least k")
-    out: list[tuple[int, int, int]] = []
-    for p in primes_up_to(limit):
-        q = p
-        i = 1
-        while q <= limit:
-            if q > k:
-                out.append((q, p, i))
-            q *= p
-            i += 1
-    out.sort()
-    return [(p, i) for _, p, i in out]
+    return [(p, i) for q, p, i in prime_power_stream(limit) if q > k]
 
 
 def is_prime_power(q: int) -> tuple[int, int] | None:
@@ -210,8 +200,10 @@ def prime_power_stream(limit: int | None = None):
     endless, or only the q <= limit when a limit is given.
 
     Read from one cache filled straight from the sieve, which grows
-    fourfold (to at most limit) whenever a reader runs past its end, so no
-    q is ever factorized.  A limit above the sieve cap raises at once.
+    fourfold whenever a reader runs past its end, so no q is ever
+    factorized.  A reader with a limit grows it to that limit, but at least
+    twofold, so readers with rising limits (prime_powers_above for k = 2, 3,
+    ...) share O(log) sieves.  A limit above the sieve cap raises at once.
     """
     if limit is not None and limit > _SIEVE_CAP:
         raise ValueError(f"sieve limit {limit} exceeds cap {_SIEVE_CAP}")
@@ -221,7 +213,9 @@ def prime_power_stream(limit: int | None = None):
             if limit is not None and _SIEVED_TO >= limit:
                 return
             grow = 4 * _SIEVED_TO if _SIEVED_TO else 512
-            prime_powers_up_to(grow if limit is None else min(grow, limit))
+            if limit is not None:
+                grow = min(grow, max(limit, 2 * _SIEVED_TO), _SIEVE_CAP)
+            prime_powers_up_to(grow)
         cache = _PRIME_POWERS
         for t in itertools.islice(cache, k, None):
             if limit is not None and t[0] > limit:

@@ -9,6 +9,12 @@ verify that picture computationally: the commutator containment
 of the adjoint action, the shape of normal subgroups above the center, and
 surjectivity of arithmetic subgroups onto congruence quotients.
 
+The filtration checks are generator certificates, not pair scans: each
+level G^i has an explicit generating set X_i (filtration_generators, with
+its two lemmas), and the commutator containment, the additivity of psi_i
+and its equivariance are tested on generators only, each reduction resting
+on a lemma stated in the check's docstring.  They have no sampling mode.
+
 Finite groups are enumerated once: `closure` walks the generators mod m
 breadth first and records the right Cayley graph, and a FiniteGroupTable is
 the elements in BFS order plus that graph.  Left multiplication replays the
@@ -35,11 +41,10 @@ from resfin.matgrp import Mat, identity, mat_inv_mod, mat_mul_mod, reduce_mod
 
 
 class BudgetExceededError(RuntimeError):
-    """An enumeration would exceed its element or pair budget."""
+    """An enumeration would exceed its element budget."""
 
 
 DEFAULT_ENUM_BUDGET = 10**6
-DEFAULT_PAIR_BUDGET = 10**7
 EXCLUDED_PRIMES = (2, 3)
 
 
@@ -304,15 +309,15 @@ def enumerate_group(spec: GroupSpec, m: int, budget: int = DEFAULT_ENUM_BUDGET) 
         raise BudgetExceededError(
             f"|SL{spec.n}(Z/{m})| = {expected} exceeds budget {budget}"
         )
-    gens = []
-    seen_g = set()
-    for g in spec.elementary_generators():
-        gm = reduce_mod(g, m)
-        if gm not in seen_g:
-            seen_g.add(gm)
-            gens.append(gm)
+    gens = _elementary_mod(spec, m)
     elements, right, parent, via = closure(identity(spec.n), gens, m, budget)
     return FiniteGroupTable(spec, m, elements, gens, right, parent, via)
+
+
+def _elementary_mod(spec: GroupSpec, m: int) -> list[Mat]:
+    """The E_ij(+-1) reduced mod m, in elementary_generators order, each
+    residue once (E_ij(1) = E_ij(-1) mod 2)."""
+    return list(dict.fromkeys(reduce_mod(g, m) for g in spec.elementary_generators()))
 
 
 def center_scalars(spec: GroupSpec, m: int) -> list[Mat]:
@@ -365,8 +370,8 @@ def filtration_elements(
 
     Every entry except the last diagonal one runs over its p^(k-i) allowed
     residues; the last diagonal entry is then the unique solution of
-    det = 1 mod p^k (its cofactor is invertible because the matrix is
-    congruent to I mod p).  This realizes |G^i| = p^(dim * (k-i)) exactly.
+    det = 1 mod p^k (see _fix_last_entry).  This realizes
+    |G^i| = p^(dim * (k-i)) exactly.
     """
     if not arith.is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -385,24 +390,66 @@ def filtration_elements(
         a = [[0] * n for _ in range(n)]
         for (r, c), x in zip(positions, combo):
             a[r][c] = ((1 if r == c else 0) + step * x) % q
-        a[n - 1][n - 1] = 1  # placeholder; solved below
-        out.append(_solve_last_entry(a, q, step))
+        g = _fix_last_entry(a, q)
+        # the solved entry automatically lands back in 1 + step*Z
+        assert (g[n - 1][n - 1] - 1) % step == 0
+        out.append(g)
     assert len(out) == count
     return out
 
 
-def _solve_last_entry(a: list[list[int]], q: int, step: int) -> Mat:
-    """Choose a[n-1][n-1] so det = 1 mod q; the congruence class mod step is forced."""
+def _fix_last_entry(a: list[list[int]], q: int) -> Mat:
+    """a with its last diagonal entry replaced by the unique t that makes
+    det = 1 mod q.  The determinant is linear in that entry with coefficient
+    the leading (n-1)-minor, a unit whenever a = I mod p; so t is
+    (1 - det with the entry set to 0) / minor."""
     n = len(a)
-    minor = tuple(tuple(a[r][c] for c in range(n - 1)) for r in range(n - 1))
-    cof = matgrp.det(minor) % q
+    cof = matgrp.det(tuple(tuple(row[: n - 1]) for row in a[: n - 1])) % q
     a[n - 1][n - 1] = 0
     d0 = matgrp.det(matgrp.mat(a)) % q
-    t = (1 - d0) * pow(cof, -1, q) % q
-    # the solved entry automatically lands back in 1 + step*Z
-    assert (t - 1) % step == 0
-    a[n - 1][n - 1] = t
+    a[n - 1][n - 1] = (1 - d0) * pow(cof, -1, q) % q
     return matgrp.mat(a)
+
+
+def filtration_generators(spec: GroupSpec, p: int, k: int, i: int) -> list[Mat]:
+    """A generating set X_i of G^i in G = SL_n(Z/p^k), for 0 <= i <= k.
+
+    i = 0: the E_rc(+-1) mod p^k.  Lemma: Z/p^k is local, and SL_n of a
+    local ring is generated by elementary matrices (row reduction: every
+    column of an invertible matrix has a unit entry, which elementary row
+    operations move to the diagonal and use to clear the column); and
+    E_rc(z) = E_rc(1)^z.
+
+    i >= 1: E_rc(p^i) for r != c, and diag(.., u, u^-1, ..) in positions
+    (l, l+1) for u = 1 + p^t, i <= t < k.  Lemma: every g = I + p^i x has
+    g = L D U mod p^k with L (U) lower (upper) unitriangular with
+    off-diagonal entries in p^i Z, and D diagonal in 1 + p^i Z, because the
+    leading minors of g are 1 mod p (units) and each elimination step keeps
+    the Schur complement = I mod p^i.  L and U are products of
+    E_rc(p^i)^a.  D, of determinant 1, is the product over l of
+    diag(.., e_l, e_l^-1, ..) with e_l = d_1 .. d_l, and the units
+    1 + p^t (i <= t < k) generate 1 + p^i Z/p^k: each maps onto a generator
+    of (1 + p^t Z)/(1 + p^(t+1) Z) = Z/p.  Neither lemma excludes p = 2.
+    The tests close these sets and compare with filtration_elements and the
+    order formula.
+    """
+    if not 0 <= i <= k:
+        raise ValueError(f"filtration level {i} outside 0..{k}")
+    q = p**k
+    if i == 0:
+        return _elementary_mod(spec, q)
+    n = spec.n
+    gens = [
+        reduce_mod(matgrp.elementary(n, r, c, p**i), q)
+        for r in range(1, n + 1) for c in range(1, n + 1) if r != c
+    ]
+    for t in range(i, k):
+        u = 1 + p**t
+        for l in range(n - 1):
+            d = [1] * n
+            d[l], d[l + 1] = u % q, pow(u, -1, q)
+            gens.append(tuple(tuple(d[r] if r == c else 0 for c in range(n)) for r in range(n)))
+    return list(dict.fromkeys(gens))
 
 
 def graded_image(g: Mat, p: int, i: int) -> Mat:
@@ -425,8 +472,8 @@ def lift_from_lie(spec: GroupSpec, p: int, k: int, i: int, xbar: Mat) -> Mat:
     """A group element g = 1 + p^i * xbar + O(p^(i+1)) in SL_n(Z/p^k).
 
     Requires trace(xbar) = 0 mod p; the det = 1 correction is absorbed into
-    the last diagonal entry and is automatically O(p^(i+1)), so the graded
-    image of the result is exactly xbar.
+    the last diagonal entry (_fix_last_entry) and is automatically
+    O(p^(i+1)), so the graded image of the result is exactly xbar.
     """
     n = spec.n
     if sum(xbar[t][t] for t in range(n)) % p != 0:
@@ -437,49 +484,11 @@ def lift_from_lie(spec: GroupSpec, p: int, k: int, i: int, xbar: Mat) -> Mat:
         [((1 if r == c else 0) + step * (xbar[r][c] % p)) % q for c in range(n)]
         for r in range(n)
     ]
-    minor = tuple(tuple(a[r][c] for c in range(n - 1)) for r in range(n - 1))
-    cof = matgrp.det(minor) % q
-    d0 = matgrp.det(matgrp.mat(a)) % q
-    u = (1 - d0) * pow(cof, -1, q) % q
-    assert u % (step * p) == 0
-    a[n - 1][n - 1] = (a[n - 1][n - 1] + u) % q
-    g = matgrp.mat(a)
+    corner = a[n - 1][n - 1]
+    g = _fix_last_entry(a, q)
+    assert (g[n - 1][n - 1] - corner) % (step * p) == 0
     assert graded_image(g, p, i) == reduce_mod(xbar, p)
     return g
-
-
-def lift_group_element(abar: Mat, p: int, k: int) -> Mat:
-    """Lift an element of SL_n(F_p) to SL_n(Z/p^k), fixing det via one entry."""
-    n = len(abar)
-    q = p**k
-    a = [[abar[r][c] % q for c in range(n)] for r in range(n)]
-    d = matgrp.det(matgrp.mat(a)) % q
-    for r in range(n):
-        for c in range(n):
-            rows = [row[:] for row in a]
-            minor = tuple(
-                tuple(rows[x][y] for y in range(n) if y != c) for x in range(n) if x != r
-            )
-            cof = (-1) ** (r + c) * matgrp.det(minor) % q
-            if cof % p != 0:
-                a[r][c] = (a[r][c] + (1 - d) * pow(cof, -1, q)) % q
-                g = matgrp.mat(a)
-                assert matgrp.det(g) % q == 1 % q
-                assert reduce_mod(g, p) == reduce_mod(abar, p)
-                return g
-    raise ValueError("input is singular mod p")
-
-
-def random_element_mod(spec: GroupSpec, m: int, rng: random.Random) -> Mat:
-    """Uniform random element of SL_n(Z/m): unit-det matrix, first row rescaled."""
-    n = spec.n
-    while True:
-        a = [[rng.randrange(m) for _ in range(n)] for _ in range(n)]
-        d = matgrp.det(matgrp.mat(a)) % m
-        if math.gcd(d, m) == 1:
-            dinv = pow(d, -1, m)
-            a[0] = [x * dinv % m for x in a[0]]
-            return matgrp.mat(a)
 
 
 # ---------------------------------------------------------------------------
@@ -506,29 +515,30 @@ class CheckResult:
 
 
 def moy_prasad_check(
-    spec: GroupSpec,
-    p: int,
-    k: int,
-    i: int,
-    pair_budget: int = DEFAULT_PAIR_BUDGET,
-    sample_pairs: int = 10**4,
-    seed: int = 0,
-    elem_budget: int = DEFAULT_ENUM_BUDGET,
+    spec: GroupSpec, p: int, k: int, i: int, elem_budget: int = DEFAULT_ENUM_BUDGET
 ) -> CheckResult:
     """Verify G^i/G^{i+1} ~ sl_n(F_p) via psi_i, with conjugation equivariance.
 
-    Checks: psi_i lands in trace-zero matrices and hits all p^dim of them with
-    uniform fiber sizes; the fiber over 0 is exactly G^{i+1}; psi_i turns
-    multiplication into addition (all pairs when within pair_budget, else a
-    seeded sample); and conjugation by lifts of SL_n(F_p) elements acts as
-    conjugation on the image.
+    Over all of G^i: psi_i lands in trace-zero matrices and hits all p^dim
+    of them with uniform fiber sizes, and the fiber over 0 is exactly
+    G^{i+1}.  Then, with X_i and X_0 the generators of G^i and of G
+    (filtration_generators):
+
+    - additivity: psi(g s) = psi(g) + psi(s) for g in G^i, s in X_i.  Every
+      h in G^i is a word s_1 .. s_m over X_i (in a finite group the
+      generated monoid is the subgroup), so induction on m gives
+      psi(g h) = psi(g) + psi(h) for all g, h;
+    - equivariance: psi(a h a^-1) = abar psi(h) abar^-1 for a in X_0 and h
+      in X_i.  Given additivity both sides are homomorphisms in h, so they
+      agree on G^i = <X_i>; and the conjugators a for which they agree on
+      all of G^i are closed under products (a h a^-1 is again in G^i), so
+      they are all of G = <X_0>.
     """
     instance = f"{spec.name},p={p},k={k},i={i}"
     if not 1 <= i < k:
         raise ValueError("graded piece needs 1 <= i < k")
     q = p**k
     elems = filtration_elements(spec, p, k, i, budget=elem_budget)
-    rng = random.Random(seed)
 
     images: dict[Mat, Mat] = {}
     fibers: dict[Mat, int] = {}
@@ -553,139 +563,82 @@ def moy_prasad_check(
     if kernel != next_level:
         return CheckResult("moy-prasad", instance, "fail", "fiber over 0 is not G^(i+1)")
 
-    npairs = len(elems) * len(elems)
-    if npairs <= pair_budget:
-        mode = "exhaustive"
-        pairs = itertools.product(elems, elems)
-    else:
-        mode = "sampled"
-        pairs = (
-            (elems[rng.randrange(len(elems))], elems[rng.randrange(len(elems))])
-            for _ in range(sample_pairs)
-        )
-    for g, h in pairs:
-        lhs = graded_image(mat_mul_mod(g, h, q), p, i)
-        xg, xh = images[g], images[h]
-        rhs = tuple(
-            tuple((xg[r][c] + xh[r][c]) % p for c in range(spec.n))
-            for r in range(spec.n)
-        )
-        if lhs != rhs:
-            return CheckResult(
-                "moy-prasad", instance, "fail",
-                f"psi not additive at {matgrp.format_matrix(g)} * {matgrp.format_matrix(h)}",
-                mode,
-            )
+    gens = filtration_generators(spec, p, k, i)
+    n = spec.n
+    # g * s by closure's right action of s on flat row-major tuples
+    flat_images = {tuple(v for row in g for v in row): x for g, x in images.items()}
+    for s in gens:
+        act, xs = _right_action(s, q), images[s]
+        plus_s = {
+            x: tuple(tuple((a + b) % p for a, b in zip(row, srow)) for row, srow in zip(x, xs))
+            for x in fibers
+        }
+        for g, x in flat_images.items():
+            if flat_images.get(act(g)) != plus_s[x]:
+                rows = tuple(g[r : r + n] for r in range(0, n * n, n))
+                return CheckResult(
+                    "moy-prasad", instance, "fail",
+                    f"psi not additive at {matgrp.format_matrix(rows)} * {matgrp.format_matrix(s)}",
+                )
 
     # equivariance: conjugation upstairs matches Ad downstairs
-    conj_samples = []
-    for g in spec.elementary_generators():
-        conj_samples.append(reduce_mod(g, p))
-    for _ in range(8):
-        conj_samples.append(random_element_mod(spec, p, rng))
-    h_pool = elems if len(elems) <= 512 else [elems[rng.randrange(len(elems))] for _ in range(512)]
-    for abar in conj_samples:
-        lifted = lift_group_element(abar, p, k)
-        lifted_inv = mat_inv_mod(lifted, q)
-        abar_inv = mat_inv_mod(abar, p)
-        for h in h_pool:
-            lhs = graded_image(
-                mat_mul_mod(mat_mul_mod(lifted, h, q), lifted_inv, q), p, i
-            )
-            rhs = mat_mul_mod(mat_mul_mod(abar, graded_image(h, p, i), p), abar_inv, p)
+    for a in filtration_generators(spec, p, k, 0):
+        a_inv = mat_inv_mod(a, q)
+        abar, abar_inv = reduce_mod(a, p), reduce_mod(a_inv, p)
+        for h in gens:
+            lhs = graded_image(mat_mul_mod(mat_mul_mod(a, h, q), a_inv, q), p, i)
+            rhs = mat_mul_mod(mat_mul_mod(abar, images[h], p), abar_inv, p)
             if lhs != rhs:
                 return CheckResult(
                     "moy-prasad", instance, "fail",
                     f"equivariance fails for conjugator {matgrp.format_matrix(abar)}",
-                    mode,
                 )
     detail = f"|G^{i}/G^{i + 1}| = {want_image} = p^{spec.dim}, fibers uniform, additive, equivariant"
-    return CheckResult("moy-prasad", instance, "pass", detail, mode)
+    return CheckResult("moy-prasad", instance, "pass", detail)
 
 
-def _filtration_pool(
-    spec: GroupSpec,
-    p: int,
-    k: int,
-    i: int,
-    rng: random.Random,
-    elem_budget: int,
-    sample_size: int,
-) -> tuple[list[Mat], bool]:
-    """Elements of G^i, exhaustive when affordable, else a uniform sample."""
-    if i == 0:
-        if spec.order_mod(p**k) <= elem_budget:
-            return enumerate_group(spec, p**k, budget=elem_budget).elements, True
-        return [random_element_mod(spec, p**k, rng) for _ in range(sample_size)], False
-    count = p ** (spec.dim * (k - i))
-    if count <= elem_budget:
-        return filtration_elements(spec, p, k, i, budget=elem_budget), True
-    # uniform sample: random free parameters, same det-solve as the full walk
-    q = p**k
-    step = p**i
-    n = spec.n
-    out = []
-    positions = [(r, c) for r in range(n) for c in range(n) if (r, c) != (n - 1, n - 1)]
-    for _ in range(sample_size):
-        a = [[0] * n for _ in range(n)]
-        for (r, c) in positions:
-            a[r][c] = ((1 if r == c else 0) + step * rng.randrange(p ** (k - i))) % q
-        out.append(_solve_last_entry(a, q, step))
-    return out, False
-
-
-def commutator_filtration_check(
-    spec: GroupSpec,
-    p: int,
-    k: int,
-    pair_budget: int = DEFAULT_PAIR_BUDGET,
-    sample_pairs: int = 10**4,
-    seed: int = 0,
-    elem_budget: int = DEFAULT_ENUM_BUDGET,
-) -> CheckResult:
+def commutator_filtration_check(spec: GroupSpec, p: int, k: int) -> CheckResult:
     """[G^i, G^j] <= G^(i+j) for all i + j <= k (unordered pairs; the two
-    orders are equivalent because [g,h]^-1 = [h,g] and G^(i+j) is a group)."""
+    orders are equivalent because [g,h]^-1 = [h,g] and G^(i+j) is a group).
+
+    Certificate: with G^i = <X_i> (filtration_generators), it is enough that
+    [x, y] lies in G^(i+j) for every x in X_i and y in X_j.  Lemma:
+    G^(i+j) is normal in G, and if the images of X_i and X_j in
+    G/G^(i+j) commute, so do the subgroups they generate; that is,
+    [G^i, G^j] <= G^(i+j) (Robinson, A Course in the Theory of Groups, 5.1).
+    """
     instance = f"{spec.name},p={p},k={k}"
     q = p**k
-    rng = random.Random(seed)
+    gens = [filtration_generators(spec, p, k, i) for i in range(k + 1)]
     modes = []
     for i in range(0, k + 1):
         for j in range(i, k + 1 - i):
             if i == 0 and j == 0:
                 continue
-            pool_i, exh_i = _filtration_pool(spec, p, k, i, rng, elem_budget, 256)
-            pool_j, exh_j = _filtration_pool(spec, p, k, j, rng, elem_budget, 256)
-            npairs = len(pool_i) * len(pool_j)
-            exhaustive = exh_i and exh_j and npairs <= pair_budget
-            if exhaustive:
-                pairs = itertools.product(pool_i, pool_j)
-                modes.append(f"({i},{j}):exhaustive")
-            else:
-                pairs = (
-                    (pool_i[rng.randrange(len(pool_i))], pool_j[rng.randrange(len(pool_j))])
-                    for _ in range(sample_pairs)
+            modes.append(f"({i},{j}):exhaustive")
+            escape = _escaping_commutator(gens[i], gens[j], q, p ** (i + j))
+            if escape is not None:
+                g, h = escape
+                return CheckResult(
+                    "commutator-filtration", instance, "fail",
+                    f"[G^{i},G^{j}] escapes G^{i + j} at {matgrp.format_matrix(g)}, {matgrp.format_matrix(h)}",
+                    ";".join(modes),
                 )
-                modes.append(f"({i},{j}):sampled")
-            target = p ** (i + j)
-            inv_cache: dict[Mat, Mat] = {}
-            for g, h in pairs:
-                gi = inv_cache.get(g)
-                if gi is None:
-                    gi = inv_cache[g] = mat_inv_mod(g, q)
-                hi = inv_cache.get(h)
-                if hi is None:
-                    hi = inv_cache[h] = mat_inv_mod(h, q)
-                c = mat_mul_mod(mat_mul_mod(g, h, q), mat_mul_mod(gi, hi, q), q)
-                if not _congruent_to_identity(c, target):
-                    return CheckResult(
-                        "commutator-filtration", instance, "fail",
-                        f"[G^{i},G^{j}] escapes G^{i + j} at {matgrp.format_matrix(g)}, {matgrp.format_matrix(h)}",
-                        ";".join(modes),
-                    )
     return CheckResult(
         "commutator-filtration", instance, "pass",
         f"[G^i,G^j] <= G^(i+j) for all i+j <= {k}", ";".join(modes),
     )
+
+
+def _escaping_commutator(xs: list[Mat], ys: list[Mat], q: int, target: int) -> tuple[Mat, Mat] | None:
+    """The first (g, h) in xs x ys with g h g^-1 h^-1 not = I mod target."""
+    for g in xs:
+        gi = mat_inv_mod(g, q)
+        for h in ys:
+            c = mat_mul_mod(mat_mul_mod(g, h, q), mat_mul_mod(gi, mat_inv_mod(h, q), q), q)
+            if not _congruent_to_identity(c, target):
+                return g, h
+    return None
 
 
 def _congruent_to_identity(g: Mat, q: int) -> bool:
@@ -899,15 +852,7 @@ def adjoint_irreducibility_check(
             f"Lie algebra center has dimension {len(center_basis)} > 0",
         )
 
-    # unique generators per conjugation image
-    gens = []
-    seen = set()
-    for g in spec.elementary_generators():
-        gm = reduce_mod(g, p)
-        if gm not in seen:
-            seen.add(gm)
-            gens.append(gm)
-    ops = [_ad_matrix(g, p, basis, n) for g in gens]
+    ops = [_ad_matrix(g, p, basis, n) for g in _elementary_mod(spec, p)]
 
     # (b) no proper nonzero invariant subspace
     n_proper = sum(gaussian_binomial(d, t, p) for t in range(1, d))

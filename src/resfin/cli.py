@@ -254,12 +254,8 @@ def _cmd_verify(args) -> int:
             raise ValueError("moy-prasad needs level k >= 2")
         for k in range(lo, hi + 1):
             for i in range(1, k):
-                results.append(
-                    chevalley.moy_prasad_check(spec, args.p, k, i, seed=args.seed)
-                )
-            results.append(
-                chevalley.commutator_filtration_check(spec, args.p, k, seed=args.seed)
-            )
+                results.append(chevalley.moy_prasad_check(spec, args.p, k, i))
+            results.append(chevalley.commutator_filtration_check(spec, args.p, k))
     elif args.suite == "adjoint":
         if args.p is None:
             raise ValueError("adjoint needs --p")
@@ -414,7 +410,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modulus", type=int, help="for normal-subgroups, centerless, strong-approx")
     p.add_argument("--level", type=int, help="congruence level N for strong-approx")
     p.add_argument("--trials", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--seed", type=int, default=0,
+        help="seeds adjoint's sampled line closures and strong-approx's random "
+        "conjugates (--level > 1); the other suites ignore it",
+    )
     p.add_argument("--budget", type=int, default=chevalley.DEFAULT_ENUM_BUDGET)
     add_output(p)
     p.set_defaults(func=_cmd_verify)

@@ -17,7 +17,6 @@ and the kernel-lattice index bound for the semidirect product.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -151,24 +150,14 @@ def lamp_injectivity_certificate(k: int, m: int) -> CheckResult:
 # Z^2 x| Q for the eight signed permutation matrices
 
 
-@functools.cache
 def signed_permutations() -> tuple[Mat, ...]:
-    """The order-8 subgroup of GL_2(Z) generated by diag(1,-1) and the swap."""
-    gens = (((1, 0), (0, -1)), ((0, 1), (1, 0)))
-    seen = {matgrp.identity(2)}
-    frontier = [matgrp.identity(2)]
-    order = [matgrp.identity(2)]
-    while frontier:
-        nxt = []
-        for q in frontier:
-            for s in gens:
-                r = matgrp.mat_mul(q, s)
-                if r not in seen:
-                    seen.add(r)
-                    order.append(r)
-                    nxt.append(r)
-        frontier = nxt
-    return tuple(order)
+    """The order-8 subgroup of GL_2(Z) generated by diag(1,-1) and the swap:
+    the matrices with one entry +-1 in each row and column, that is +-1 on
+    the diagonal or on the anti-diagonal."""
+    return (
+        ((1, 0), (0, 1)), ((1, 0), (0, -1)), ((0, 1), (1, 0)), ((0, 1), (-1, 0)),
+        ((0, -1), (1, 0)), ((0, -1), (-1, 0)), ((-1, 0), (0, 1)), ((-1, 0), (0, -1)),
+    )
 
 
 def _apply(q: Mat, v: tuple[int, int]) -> tuple[int, int]:

@@ -203,6 +203,22 @@ def test_primes_read_the_prime_power_cache(monkeypatch):
     assert sieved == []
 
 
+def test_prime_powers_above_reads_the_prime_power_cache(monkeypatch):
+    # rising limits from an empty cache: a few sieves, not one per k
+    monkeypatch.setattr(arith, "_PRIME_POWERS", [])
+    monkeypatch.setattr(arith, "_SIEVED_TO", 0)
+    sieved = []
+    sieve = arith.primes_up_to
+    monkeypatch.setattr(arith, "primes_up_to", lambda n: sieved.append(n) or sieve(n))
+    for k in range(2, 3000):
+        p, i = arith.prime_powers_above(k, 2 * k + 2)[0]
+        assert k < p**i <= 2 * k + 2
+    assert sieved == [512, 1024, 2048, 4096, 8192]
+    sieved.clear()
+    assert arith.prime_powers_above(2000, 5000)[0] == (2003, 1)
+    assert sieved == []
+
+
 def test_is_prime_power():
     assert arith.is_prime_power(8) == (2, 3)
     assert arith.is_prime_power(9) == (3, 2)

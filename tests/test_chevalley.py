@@ -8,7 +8,6 @@ anyway and the first moduli where they break.
 """
 
 import itertools
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -172,12 +171,6 @@ class TestGradedMaps:
         with pytest.raises(ValueError):
             ch.graded_image(matgrp.elementary(2, 1, 2, 1), 5, 1)
 
-    def test_group_lift_section(self, t5):
-        for abar in t5.elements:
-            g = ch.lift_group_element(abar, 5, 2)
-            assert matgrp.det(g) % 25 == 1
-            assert matgrp.reduce_mod(g, 5) == abar
-
     def test_lie_coords_invert_basis(self):
         for spec, p in [(SL2, 5), (SL3, 2), (SL3, 7)]:
             basis = ch.lie_algebra_basis(spec, p)
@@ -197,10 +190,11 @@ class TestMoyPrasad:
     def test_sl3(self):
         assert ch.moy_prasad_check(SL3, 2, 2, 1).passed
 
-    def test_sampled_mode(self):
-        r = ch.moy_prasad_check(SL2, 3, 2, 1, pair_budget=10)
+    def test_formerly_sampled_instance_is_exhaustive(self):
+        # |G^1| = 5^6: the pair scan sampled here, the certificate does not
+        r = ch.moy_prasad_check(SL2, 5, 3, 1)
         assert r.passed
-        assert r.mode == "sampled"
+        assert r.mode == "exhaustive"
 
     def test_level_bounds(self):
         with pytest.raises(ValueError):
@@ -215,10 +209,129 @@ class TestCommutatorFiltration:
         assert r.passed
         assert "exhaustive" in r.mode
 
-    def test_sl3_with_sampling(self):
-        r = ch.commutator_filtration_check(SL3, 2, 2, sample_pairs=2000)
-        assert r.passed
-        assert "(0,1):sampled" in r.mode
+    def test_sl3_exhaustive(self):
+        # the pair scan sampled (0,1) on both; the certificate has no sampling
+        for p in (2, 3):
+            r = ch.commutator_filtration_check(SL3, p, 2)
+            assert r.passed
+            assert r.mode == "(0,1):exhaustive;(0,2):exhaustive;(1,1):exhaustive"
+
+
+# ---------------------------------------------------------------------------
+# generator certificates: the generating-set lemmas, and the old pair scans
+# as the oracle the certificates must agree with
+
+
+def _ids(v):
+    return str(getattr(v, "name", v))
+
+
+def closed(gens, m):
+    return set(ch.closure(matgrp.identity(len(gens[0])), gens, m)[0])
+
+
+class TestFiltrationGenerators:
+    @pytest.mark.parametrize(
+        "spec,p,k",
+        [(SL2, 2, 4), (SL2, 3, 3), (SL2, 5, 3), (SL2, 7, 2), (SL3, 2, 3), (SL3, 3, 2)],
+        ids=_ids,
+    )
+    def test_levels_close_to_filtration_elements(self, spec, p, k):
+        for i in range(1, k + 1):
+            got = closed(ch.filtration_generators(spec, p, k, i), p**k)
+            assert got == set(ch.filtration_elements(spec, p, k, i)), i
+
+    @pytest.mark.parametrize(
+        "spec,p,k", [(SL2, 2, 4), (SL2, 3, 3), (SL2, 5, 2), (SL2, 7, 2), (SL3, 2, 2)], ids=_ids
+    )
+    def test_level_zero_closes_to_the_group(self, spec, p, k):
+        got = closed(ch.filtration_generators(spec, p, k, 0), p**k)
+        assert len(got) == spec.order_mod(p**k)
+
+    def test_diagonal_part_is_needed(self):
+        # the E_rc(p) alone miss the diagonal units of G^1, so a generator
+        # set without them fails the closure tests above
+        for spec, p, k in [(SL2, 2, 3), (SL2, 3, 2), (SL3, 3, 2)]:
+            unipotent = [
+                g for g in ch.filtration_generators(spec, p, k, 1)
+                if any(g[r][c] for r in range(spec.n) for c in range(spec.n) if r != c)
+            ]
+            assert len(closed(unipotent, p**k)) < p ** (spec.dim * (k - 1))
+
+    def test_level_bounds(self):
+        with pytest.raises(ValueError):
+            ch.filtration_generators(SL2, 3, 2, 3)
+
+
+def oracle_commutators_within(gs, hs, q, target):
+    """The old pair scan: is [g, h] = I mod target for every g in gs, h in hs?"""
+    for g in gs:
+        gi = matgrp.mat_inv_mod(g, q)
+        for h in hs:
+            hi = matgrp.mat_inv_mod(h, q)
+            c = matgrp.mat_mul_mod(matgrp.mat_mul_mod(g, h, q), matgrp.mat_mul_mod(gi, hi, q), q)
+            if not ch._congruent_to_identity(c, target):
+                return False
+    return True
+
+
+def oracle_moy_prasad(levels, p, k, i):
+    """The old scans: psi_i additive on every pair of G^i, and equivariant
+    for every conjugator in G^0 against every element of G^i."""
+    q = p**k
+    level = levels[i]
+    for g in level:
+        x = ch.graded_image(g, p, i)
+        for h in level:
+            y = ch.graded_image(h, p, i)
+            want = tuple(tuple((a + b) % p for a, b in zip(r, s)) for r, s in zip(x, y))
+            if ch.graded_image(matgrp.mat_mul_mod(g, h, q), p, i) != want:
+                return False
+    for a in levels[0]:
+        ai = matgrp.mat_inv_mod(a, q)
+        abar, abar_inv = matgrp.reduce_mod(a, p), matgrp.reduce_mod(ai, p)
+        for h in level:
+            lhs = ch.graded_image(matgrp.mat_mul_mod(matgrp.mat_mul_mod(a, h, q), ai, q), p, i)
+            rhs = matgrp.mat_mul_mod(matgrp.mat_mul_mod(abar, ch.graded_image(h, p, i), p), abar_inv, p)
+            if lhs != rhs:
+                return False
+    return True
+
+
+# every pair of G^0 x G^j costs |SL_2(Z/p^k)| * |G^j| products: SL2 mod 25
+# and mod 27 would take 40 s and more, so the oracle stays on these
+PAIR_SCAN_INSTANCES = [(SL2, 2, 2), (SL2, 2, 3), (SL2, 3, 2)]
+
+
+class TestCertificatesAgainstPairScans:
+    @pytest.mark.parametrize("spec,p,k", PAIR_SCAN_INSTANCES, ids=_ids)
+    def test_commutator_containment(self, spec, p, k):
+        # generators and all pairs agree at the true target p^(i+j) and at
+        # the false one p^(i+j+1)
+        q = p**k
+        levels = [ch.enumerate_group(spec, q).elements]
+        levels += [ch.filtration_elements(spec, p, k, i) for i in range(1, k + 1)]
+        gens = [ch.filtration_generators(spec, p, k, i) for i in range(k + 1)]
+        for i in range(k + 1):
+            for j in range(max(i, 1), k + 1 - i):
+                for target in (p ** (i + j), p ** (i + j + 1)):
+                    by_gens = ch._escaping_commutator(gens[i], gens[j], q, target) is None
+                    assert by_gens == oracle_commutators_within(levels[i], levels[j], q, target)
+        assert ch.commutator_filtration_check(spec, p, k).passed
+
+    @pytest.mark.parametrize("spec,p,k", PAIR_SCAN_INSTANCES, ids=_ids)
+    def test_moy_prasad(self, spec, p, k):
+        levels = [ch.enumerate_group(spec, p**k).elements]
+        levels += [ch.filtration_elements(spec, p, k, i) for i in range(1, k + 1)]
+        for i in range(1, k):
+            assert ch.moy_prasad_check(spec, p, k, i).passed == oracle_moy_prasad(levels, p, k, i)
+
+    def test_false_target_is_caught(self):
+        for spec, p, k in [(SL2, 3, 3), (SL2, 5, 3), (SL3, 2, 3)]:
+            gens = [ch.filtration_generators(spec, p, k, i) for i in range(k + 1)]
+            for i in range(k):
+                for j in range(max(i, 1), k - i):
+                    assert ch._escaping_commutator(gens[i], gens[j], p**k, p ** (i + j + 1)), (i, j)
 
 
 class TestAdjoint:
@@ -568,13 +681,6 @@ class TestStrongApprox:
             ch.strong_approx_check(SL2, 2, 4)
         with pytest.raises(ch.BudgetExceededError):
             ch.strong_approx_check(SL3, 1, 9)
-
-
-def test_random_element_lands_in_group():
-    rng = random.Random(7)
-    for _ in range(50):
-        g = ch.random_element_mod(SL2, 25, rng)
-        assert matgrp.det(g) % 25 == 1
 
 
 def test_check_result_passed_property():
