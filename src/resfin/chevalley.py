@@ -652,55 +652,62 @@ def _congruent_to_identity(g: Mat, q: int) -> bool:
 # linear algebra mod p (small, dense, exact)
 
 
-def _rref_mod(rows: list[list[int]], p: int) -> list[list[int]]:
-    """Reduced row echelon form over F_p; returns nonzero rows."""
-    rows = [r[:] for r in rows]
-    out: list[list[int]] = []
-    pivots: list[int] = []
-    for row in rows:
-        row = [x % p for x in row]
-        for piv_row, piv_col in zip(out, pivots):
-            if row[piv_col]:
-                f = row[piv_col]
-                row = [(a - f * b) % p for a, b in zip(row, piv_row)]
-        lead = next((c for c, x in enumerate(row) if x), None)
-        if lead is None:
-            continue
-        inv = pow(row[lead], -1, p)
-        row = [x * inv % p for x in row]
-        for idx, (piv_row, piv_col) in enumerate(zip(out, pivots)):
-            if piv_row[lead]:
-                f = piv_row[lead]
-                out[idx] = [(a - f * b) % p for a, b in zip(piv_row, row)]
-        out.append(row)
-        pivots.append(lead)
-    order = sorted(range(len(out)), key=lambda t: pivots[t])
-    return [out[t] for t in order]
+class _Echelon:
+    """A semi-echelon basis over F_p, grown one vector at a time.
 
+    Pivot invariant: rows[i] is 1 at pivots[i] and 0 at pivots[j] for every
+    j < i, because it was reduced against those rows before it was stored.
+    So reducing v by the rows in insertion order, subtracting v[pivot] * row
+    only where v[pivot] != 0, never refills a pivot already cleared and
+    leaves v zero at every pivot: v lies in the span iff it reduces to 0.
+    """
 
-def _reduce_against(v: list[int], basis: list[list[int]], p: int) -> list[int]:
-    v = [x % p for x in v]
-    for b in basis:
-        lead = next(c for c, x in enumerate(b) if x)
-        if v[lead]:
-            f = v[lead]  # b is normalized with leading 1
-            v = [(a - f * bb) % p for a, bb in zip(v, b)]
-    return v
+    __slots__ = ("p", "rows", "pivots")
+
+    def __init__(self, p: int):
+        self.p = p
+        self.rows: list[list[int]] = []
+        self.pivots: list[int] = []
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, v: list[int]) -> list[int]:
+        p = self.p
+        for row, c in zip(self.rows, self.pivots):
+            f = v[c] % p
+            if f:
+                v = [a - f * b for a, b in zip(v, row)]
+        return [a % p for a in v]
+
+    def add(self, v: list[int]) -> list[int] | None:
+        """Insert v; return its stored row if v was new, None if in the span."""
+        v = self.reduce(v)
+        for c, x in enumerate(v):
+            if x:
+                break
+        else:
+            return None
+        if x != 1:
+            inv = pow(x, -1, self.p)
+            v = [a * inv % self.p for a in v]
+        self.rows.append(v)
+        self.pivots.append(c)
+        return v
 
 
 def _nullspace_mod(rows: list[list[int]], p: int, ncols: int) -> list[list[int]]:
-    """Basis of {x : M x = 0} over F_p, M given by rows."""
-    rref = _rref_mod(rows, p)
-    pivots = [next(c for c, x in enumerate(r) if x) for r in rref]
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for r, c in zip(rref, pivots):
-            v[c] = (-r[f]) % p
-        basis.append(v)
-    return basis
+    """Basis of {x : M x = 0} over F_p, M given by rows.
+
+    Every stored row of the echelon of the (M e_j, e_j) has the form
+    (M x, x); the ncols - rank(M) rows whose pivot lies past the M part are
+    the (0, x), so their x are a basis of the kernel, each with leading 1.
+    """
+    span = _Echelon(p)
+    for j in range(ncols):
+        span.add([row[j] for row in rows] + [int(c == j) for c in range(ncols)])
+    m = len(rows)
+    return [row[m:] for row, c in zip(span.rows, span.pivots) if c >= m]
 
 
 def gaussian_binomial(d: int, t: int, p: int) -> int:
@@ -738,10 +745,6 @@ def lie_algebra_basis(spec: GroupSpec, p: int) -> list[Mat]:
     return basis
 
 
-def _vec(mat_: Mat) -> list[int]:
-    return [x for row in mat_ for x in row]
-
-
 def _lie_coords(x: Mat, p: int, n: int) -> list[int]:
     """Coordinates of a trace-zero matrix in the lie_algebra_basis order."""
     coords = [x[r][c] % p for r in range(n) for c in range(n) if r != c]
@@ -763,8 +766,61 @@ def _ad_matrix(g: Mat, p: int, basis: list[Mat], n: int) -> list[list[int]]:
     return [[cols[c][r] for c in range(d)] for r in range(d)]
 
 
-def _mat_vec_mod(m: list[list[int]], v: list[int], p: int) -> list[int]:
-    return [sum(a * b for a, b in zip(row, v)) % p for row in m]
+def _nilpotent_parts(ops: list[list[list[int]]], p: int) -> list[list[list[tuple[int, int]]]]:
+    """Each op - I mod p as sparse rows: row r lists the (t, x) with x != 0."""
+    return [
+        [
+            [(t, x) for t, y in enumerate(row) if (x := (y - (r == t)) % p)]
+            for r, row in enumerate(op)
+        ]
+        for op in ops
+    ]
+
+
+def _left_mul(nil: list[list[tuple[int, int]]], v: list[int], width: int) -> list[int]:
+    """N v, for v a d x width matrix flattened by rows and N given sparsely."""
+    out = [0] * len(v)
+    for r, row in enumerate(nil):
+        o = r * width
+        for t, x in row:
+            s = t * width
+            for c in range(width):
+                out[o + c] += x * v[s + c]
+    return out
+
+
+def _spin(seed: list[int], nils, p: int, width: int) -> _Echelon:
+    """Echelon basis of the smallest subspace containing seed and closed under
+    left multiplication by every N in nils (acting as in _left_mul).
+
+    Every stored row is multiplied by every N once, in insertion order (so
+    breadth first), and the spin stops as soon as the span is everything.
+    """
+    ech = _Echelon(p)
+    ech.add(seed)
+    full = len(seed)
+    i = 0
+    while i < len(ech) < full:
+        v = ech.rows[i]
+        i += 1
+        for nil in nils:
+            if ech.add(_left_mul(nil, v, width)) is not None and len(ech) == full:
+                break
+    return ech
+
+
+def _operator_algebra_dim(nils, p: int, d: int) -> int:
+    """Dimension of the algebra generated by I and the ops inside End(F_p^d),
+    given the nilpotent parts N = op - I of the ops."""
+    return len(_spin([int(i % (d + 1) == 0) for i in range(d * d)], nils, p, d))
+
+
+def _all_lines(d: int, p: int):
+    """One representative per line of F_p^d (first nonzero coordinate 1)."""
+    for lead in range(d):
+        tail = d - lead - 1
+        for rest in itertools.product(range(p), repeat=tail):
+            yield (0,) * lead + (1,) + rest
 
 
 def _enumerate_subspaces(d: int, p: int, t: int):
@@ -785,49 +841,62 @@ def _enumerate_subspaces(d: int, p: int, t: int):
             yield rows
 
 
-def _line_closure_dim(v: list[int], ops: list[list[list[int]]], p: int, d: int) -> int:
-    """Dimension of the smallest ops-invariant subspace containing v."""
-    basis: list[list[int]] = []
-    queue = [v]
-    while queue:
-        w = _reduce_against(queue.pop(), basis, p)
-        if all(x == 0 for x in w):
-            continue
-        lead = next(c for c, x in enumerate(w) if x)
-        inv = pow(w[lead], -1, p)
-        w = [x * inv % p for x in w]
-        basis.append(w)
-        basis.sort(key=lambda b: next(c for c, x in enumerate(b) if x))
-        if len(basis) == d:
-            return d
-        for m in ops:
-            queue.append(_mat_vec_mod(m, w, p))
-    return len(basis)
+def _invariant_subspace_scan(
+    ops: list[list[list[int]]], p: int, d: int, subspace_budget: int
+) -> tuple[str, list[list[int]] | None]:
+    """Mode and a proper nonzero ops-invariant subspace of F_p^d (its basis
+    rows), or None when there is none.
+
+    Exhaustive over all proper subspaces when their count fits the budget;
+    otherwise the operator algebra first, and only if it is proper, the
+    closure of every line, whose generating line is then the first row.
+    """
+    nils = _nilpotent_parts(ops, p)
+    if sum(gaussian_binomial(d, t, p) for t in range(1, d)) <= subspace_budget:
+        for t in range(1, d):
+            for rows in _enumerate_subspaces(d, p, t):
+                span = _Echelon(p)
+                for v in rows:
+                    span.add(v)
+                if not any(any(span.reduce(_left_mul(nil, v, 1))) for nil in nils for v in rows):
+                    return "exhaustive-subspaces", rows
+        return "exhaustive-subspaces", None
+    if _operator_algebra_dim(nils, p, d) == d * d:
+        return "line-closure-scan", None
+    for v in _all_lines(d, p):
+        closure = _spin(list(v), nils, p, 1)
+        if len(closure) < d:
+            return "line-closure-scan", closure.rows
+    return "line-closure-scan-full", None
 
 
-def adjoint_irreducibility_check(
-    spec: GroupSpec,
-    p: int,
-    subspace_budget: int = 10**5,
-    sample_lines: int = 50,
-    seed: int = 0,
-) -> CheckResult:
+def adjoint_irreducibility_check(spec: GroupSpec, p: int, subspace_budget: int = 10**5) -> CheckResult:
     """Is the adjoint action of SL_n(F_p) on sl_n(F_p) irreducible with no
     Lie-algebra center, and is the kernel of Ad exactly the scalar center?
 
-    Strategy for the invariant-subspace part: exhaustive over all proper
-    subspaces when their count fits the budget; otherwise a scan over
-    one-dimensional generators, accelerated by first spanning the associative
-    algebra generated by the Ad operators (when that algebra is all of
-    End(sl_n), every line generates the full module, which is exactly what
-    the per-line closures would conclude).  A seeded sample of explicit line
-    closures is verified in either branch.
+    The invariant-subspace part (_invariant_subspace_scan) is exhaustive over
+    all proper subspaces when their count fits subspace_budget.  Otherwise it
+    spins the associative algebra A generated by I and the Ad(g), g in the
+    E_ij(+-1), and falls back to the closure of every line only when A is
+    proper.  Three facts make that complete and cheap:
+
+    - Nilpotent parts.  With N_g = Ad(g) - I, the algebra generated by I and
+      the Ad(g) is the one generated by I and the N_g, and when m is in the
+      span, span{m, Ad(g) m} = span{m, N_g m}.  So the spin multiplies only
+      by the very sparse N_g (stored as sparse rows), and it stops at d^2.
+    - No sampled lines.  The closure of a line v under the Ad(g) is A v.
+      When dim A = d^2 that is all of F_p^d for every v; when A is proper,
+      every line has been closed already.  So a sample of line closures
+      could never fail, and there is none.
+    - Pivot invariant.  Every span is an _Echelon: each row is stored with
+      its pivot, normalised to 1 there and zero at the earlier pivots, so a
+      reduction subtracts a row only where the vector's pivot entry is
+      nonzero and never searches for a leading entry.
     """
     instance = f"{spec.name},p={p}"
     n = spec.n
     d = spec.dim
     basis = lie_algebra_basis(spec, p)
-    rng = random.Random(seed)
 
     # (a) no nonzero central element of the Lie algebra
     bracket_rows = []
@@ -852,54 +921,16 @@ def adjoint_irreducibility_check(
             f"Lie algebra center has dimension {len(center_basis)} > 0",
         )
 
-    ops = [_ad_matrix(g, p, basis, n) for g in _elementary_mod(spec, p)]
-
     # (b) no proper nonzero invariant subspace
-    n_proper = sum(gaussian_binomial(d, t, p) for t in range(1, d))
-    if n_proper <= subspace_budget:
-        mode = "exhaustive-subspaces"
-        for t in range(1, d):
-            for rows in _enumerate_subspaces(d, p, t):
-                invariant = True
-                for m in ops:
-                    for v in rows:
-                        img = _mat_vec_mod(m, v, p)
-                        if any(_reduce_against(img, rows, p)):
-                            invariant = False
-                            break
-                    if not invariant:
-                        break
-                if invariant:
-                    return CheckResult(
-                        "adjoint-irreducibility", instance, "fail",
-                        f"invariant subspace of dimension {t}: rows {rows}",
-                        mode,
-                    )
-    else:
-        mode = "line-closure-scan"
-        alg = _operator_algebra_dim(ops, p, d)
-        if alg < d * d:
-            # proper operator algebra: fall back to genuine per-line closures
-            for v in _all_lines(d, p):
-                if _line_closure_dim(list(v), ops, p, d) < d:
-                    return CheckResult(
-                        "adjoint-irreducibility", instance, "fail",
-                        f"line {v} generates a proper invariant subspace",
-                        mode,
-                    )
-            mode += "-full"
-        # seeded sample of explicit line closures (also exercised when the
-        # algebra certificate already settles the scan)
-        for _ in range(sample_lines):
-            v = [rng.randrange(p) for _ in range(d)]
-            if all(x == 0 for x in v):
-                v[0] = 1
-            if _line_closure_dim(v, ops, p, d) < d:
-                return CheckResult(
-                    "adjoint-irreducibility", instance, "fail",
-                    f"sampled line {v} generates a proper invariant subspace",
-                    mode,
-                )
+    ops = [_ad_matrix(g, p, basis, n) for g in _elementary_mod(spec, p)]
+    mode, sub = _invariant_subspace_scan(ops, p, d, subspace_budget)
+    if sub is not None:
+        what = (
+            f"invariant subspace of dimension {len(sub)}: rows {sub}"
+            if mode == "exhaustive-subspaces"
+            else f"line {tuple(sub[0])} generates a proper invariant subspace"
+        )
+        return CheckResult("adjoint-irreducibility", instance, "fail", what, mode)
 
     # (c) kernel of Ad = scalar center: solve [X, sl_n] = 0 over all of M_n
     amb_rows = []
@@ -918,9 +949,7 @@ def adjoint_irreducibility_check(
                         row[u * n + v] = coef % p
                 amb_rows.append(row)
     centralizer = _nullspace_mod(amb_rows, p, n * n)
-    ident_vec = _vec(identity(n))
-    scalars_only = len(centralizer) == 1 and _rref_mod([centralizer[0]], p) == _rref_mod([ident_vec], p)
-    if not scalars_only:
+    if centralizer != [[int(r == c) for r in range(n) for c in range(n)]]:  # leading 1
         return CheckResult(
             "adjoint-irreducibility", instance, "fail",
             f"centralizer of sl_n in M_n has dimension {len(centralizer)}, not scalars",
@@ -932,49 +961,6 @@ def adjoint_irreducibility_check(
         f"no center, no invariant subspace, Ad-kernel = {n_roots} scalar(s)",
         mode,
     )
-
-
-def _operator_algebra_dim(ops: list[list[list[int]]], p: int, d: int) -> int:
-    """Dimension of the algebra generated by ops (and I) inside End(F_p^d)."""
-    basis: list[list[int]] = []
-    mats: list[list[list[int]]] = []
-
-    def insert(m: list[list[int]]) -> bool:
-        v = _reduce_against([x for row in m for x in row], basis, p)
-        if all(x == 0 for x in v):
-            return False
-        lead = next(c for c, x in enumerate(v) if x)
-        inv = pow(v[lead], -1, p)
-        basis.append([x * inv % p for x in v])
-        basis.sort(key=lambda b: next(c for c, x in enumerate(b) if x))
-        mats.append(m)
-        return True
-
-    ident_op = [[1 if r == c else 0 for c in range(d)] for r in range(d)]
-    queue = [ident_op] + [m for m in ops]
-    for m in queue:
-        insert(m)
-    frontier = list(mats)
-    while frontier and len(basis) < d * d:
-        new = []
-        for m in frontier:
-            for g in ops:
-                prod = [
-                    [sum(g[r][t] * m[t][c] for t in range(d)) % p for c in range(d)]
-                    for r in range(d)
-                ]
-                if insert(prod):
-                    new.append(prod)
-        frontier = new
-    return len(basis)
-
-
-def _all_lines(d: int, p: int):
-    """One representative per line of F_p^d (first nonzero coordinate 1)."""
-    for lead in range(d):
-        tail = d - lead - 1
-        for rest in itertools.product(range(p), repeat=tail):
-            yield (0,) * lead + (1,) + rest
 
 
 # ---------------------------------------------------------------------------

@@ -254,15 +254,15 @@ def _cmd_verify(args) -> int:
             raise ValueError("moy-prasad needs level k >= 2")
         for k in range(lo, hi + 1):
             for i in range(1, k):
-                results.append(chevalley.moy_prasad_check(spec, args.p, k, i))
+                results.append(
+                    chevalley.moy_prasad_check(spec, args.p, k, i, elem_budget=args.budget)
+                )
             results.append(chevalley.commutator_filtration_check(spec, args.p, k))
     elif args.suite == "adjoint":
         if args.p is None:
             raise ValueError("adjoint needs --p")
         _require_prime_p(args)
-        results.append(
-            chevalley.adjoint_irreducibility_check(spec, args.p, seed=args.seed)
-        )
+        results.append(chevalley.adjoint_irreducibility_check(spec, args.p))
     elif args.suite == "normal-subgroups":
         if args.modulus is None:
             raise ValueError("normal-subgroups needs --modulus")
@@ -412,8 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=64)
     p.add_argument(
         "--seed", type=int, default=0,
-        help="seeds adjoint's sampled line closures and strong-approx's random "
-        "conjugates (--level > 1); the other suites ignore it",
+        help="seeds strong-approx's random conjugates (--level > 1); "
+        "no other suite reads it",
     )
     p.add_argument("--budget", type=int, default=chevalley.DEFAULT_ENUM_BUDGET)
     add_output(p)

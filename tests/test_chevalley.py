@@ -10,7 +10,7 @@ anyway and the first moduli where they break.
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from resfin import chevalley as ch
@@ -342,8 +342,8 @@ class TestAdjoint:
             assert r.mode == "exhaustive-subspaces"
 
     def test_sl3_uses_closure_scan(self):
-        for p in (2, 5):
-            r = ch.adjoint_irreducibility_check(SL3, p)
+        for spec, p in ((SL3, 2), (SL3, 5), (SL4, 3), (SL4, 5)):
+            r = ch.adjoint_irreducibility_check(spec, p)
             assert r.passed
             assert r.mode == "line-closure-scan"
 
@@ -366,6 +366,183 @@ class TestAdjoint:
     def test_subspace_enumeration_count(self):
         got = sum(1 for _ in ch._enumerate_subspaces(4, 2, 2))
         assert got == 35
+
+    def test_scan_failure_details(self, monkeypatch):
+        # no SL_n instance reaches a failing scan, so feed one in
+        for mode, sub, detail in [
+            ("exhaustive-subspaces", [[1, 0, 2]], "invariant subspace of dimension 1: rows [[1, 0, 2]]"),
+            ("line-closure-scan", [[0, 1, 2], [0, 0, 1]], "line (0, 1, 2) generates a proper invariant subspace"),
+        ]:
+            monkeypatch.setattr(ch, "_invariant_subspace_scan", lambda *a, m=mode, s=sub: (m, s))
+            r = ch.adjoint_irreducibility_check(SL2, 5)
+            assert (r.status, r.detail, r.mode) == ("fail", detail, mode)
+
+
+# ---------------------------------------------------------------------------
+# the adjoint check's linear algebra before the echelon kernel, kept as a
+# slow oracle: a sorted echelon basis whose leading entries are searched for
+# again on every reduction, and an algebra spun by the full operators
+
+
+def oracle_reduce_against(v, basis, p):
+    v = [x % p for x in v]
+    for b in basis:
+        lead = next(c for c, x in enumerate(b) if x)
+        if v[lead]:
+            f = v[lead]  # b is normalized with leading 1
+            v = [(a - f * bb) % p for a, bb in zip(v, b)]
+    return v
+
+
+def oracle_insert(v, basis, p):
+    """Add v to the sorted echelon basis; True if it was new."""
+    v = oracle_reduce_against(v, basis, p)
+    if not any(v):
+        return False
+    lead = next(c for c, x in enumerate(v) if x)
+    inv = pow(v[lead], -1, p)
+    basis.append([x * inv % p for x in v])
+    basis.sort(key=lambda b: next(c for c, x in enumerate(b) if x))
+    return True
+
+
+def oracle_line_closure_dim(v, ops, p, d):
+    basis = []
+    queue = [list(v)]
+    while queue:
+        w = queue.pop()
+        if oracle_insert(w, basis, p):
+            if len(basis) == d:
+                return d
+            for m in ops:
+                queue.append([sum(a * b for a, b in zip(row, w)) % p for row in m])
+    return len(basis)
+
+
+def oracle_operator_algebra_dim(ops, p, d):
+    basis = []
+    frontier = [[[int(r == c) for c in range(d)] for r in range(d)]] + list(ops)
+    frontier = [m for m in frontier if oracle_insert([x for row in m for x in row], basis, p)]
+    while frontier and len(basis) < d * d:
+        new = []
+        for m in frontier:
+            for g in ops:
+                prod = [
+                    [sum(g[r][t] * m[t][c] for t in range(d)) % p for c in range(d)]
+                    for r in range(d)
+                ]
+                if oracle_insert([x for row in prod for x in row], basis, p):
+                    new.append(prod)
+        frontier = new
+    return len(basis)
+
+
+def is_proper_invariant(sub, ops, p, d):
+    basis = []
+    for v in sub:
+        oracle_insert(v, basis, p)
+    images = [[sum(a * b for a, b in zip(row, v)) % p for row in m] for m in ops for v in sub]
+    return 0 < len(basis) < d and not any(any(oracle_reduce_against(w, basis, p)) for w in images)
+
+
+def ad_ops(spec, p):
+    basis = ch.lie_algebra_basis(spec, p)
+    return [ch._ad_matrix(g, p, basis, spec.n) for g in ch._elementary_mod(spec, p)]
+
+
+ORACLE_AD = [(SL2, p) for p in (3, 5, 7, 11, 13)] + [(SL3, p) for p in (2, 5, 7)]
+
+
+# largest d per p that keeps the exhaustive subspace scan of F_p^d small
+OPSET_D_MAX = {2: 5, 3: 4, 5: 3}
+
+
+@st.composite
+def operator_sets(draw):
+    """1-3 operators on F_p^d; half the sets share a block-triangular shape,
+    so proper algebras and proper invariant subspaces occur."""
+    p = draw(st.sampled_from(sorted(OPSET_D_MAX)))
+    d = draw(st.integers(1, OPSET_D_MAX[p]))
+    split = draw(st.integers(1, d - 1)) if d > 1 and draw(st.booleans()) else 0
+    entry = st.integers(0, p - 1)
+    ops = []
+    for _ in range(draw(st.integers(1, 3))):
+        ops.append([[0 if 0 < split <= r and c < split else draw(entry) for c in range(d)]
+                    for r in range(d)])
+    return ops, p, d
+
+
+class TestEchelonKernel:
+    @pytest.mark.parametrize("spec,p", ORACLE_AD, ids=_ids)
+    def test_ad_operators_match_oracle(self, spec, p):
+        ops, d = ad_ops(spec, p), spec.dim
+        nils = ch._nilpotent_parts(ops, p)
+        assert ch._operator_algebra_dim(nils, p, d) == oracle_operator_algebra_dim(ops, p, d) == d * d
+        lines = list(itertools.islice(ch._all_lines(d, p), 12))
+        lines += [[(7 * i + j * j) % p for i in range(d)] for j in range(1, 4)]
+        for v in lines:
+            assert len(ch._spin(list(v), nils, p, 1)) == oracle_line_closure_dim(v, ops, p, d)
+
+    @given(operator_sets(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_random_operators_match_oracle(self, opset, data):
+        ops, p, d = opset
+        nils = ch._nilpotent_parts(ops, p)
+        assert ch._operator_algebra_dim(nils, p, d) == oracle_operator_algebra_dim(ops, p, d)
+        v = data.draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d))
+        span = ch._spin(v, nils, p, 1)
+        assert len(span) == oracle_line_closure_dim(v, ops, p, d)
+        for i, (row, c) in enumerate(zip(span.rows, span.pivots)):
+            assert row[c] == 1 and all(row[span.pivots[j]] == 0 for j in range(i))
+
+    @given(operator_sets())
+    @settings(max_examples=60, deadline=None)
+    def test_scan_branches_agree(self, opset):
+        ops, p, d = opset
+        assume(d > 1)  # F_p^1 has no proper subspace to count, so no line branch
+        exhaustive = ch._invariant_subspace_scan(ops, p, d, 10**5)
+        by_lines = ch._invariant_subspace_scan(ops, p, d, 0)
+        assert exhaustive[0] == "exhaustive-subspaces"
+        assert by_lines[0].startswith("line-closure-scan")
+        assert (exhaustive[1] is None) == (by_lines[1] is None)
+        for _, sub in (exhaustive, by_lines):
+            assert sub is None or is_proper_invariant(sub, ops, p, d)
+
+    @given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 5), st.integers(1, 5), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_nullspace_matches_oracle_rank(self, p, nrows, ncols, data):
+        rows = data.draw(st.lists(st.lists(st.integers(-p, 2 * p), min_size=ncols, max_size=ncols),
+                                  min_size=nrows, max_size=nrows))
+        kernel = ch._nullspace_mod(rows, p, ncols)
+        rank = []
+        for r in rows:
+            oracle_insert(r, rank, p)
+        assert len(kernel) == ncols - len(rank)
+        assert all(sum(a * b for a, b in zip(r, x)) % p == 0 for r in rows for x in kernel)
+        independent = []
+        assert all(oracle_insert(x, independent, p) for x in kernel)
+
+    def test_reducible_set_fails_on_both_branches(self):
+        p, d = 5, 4
+        ops = [  # block upper triangular: span(e0, e1) is invariant
+            [[1, 2, 3, 0], [0, 1, 4, 1], [0, 0, 1, 2], [0, 0, 0, 1]],
+            [[2, 1, 0, 4], [3, 3, 1, 0], [0, 0, 1, 1], [0, 0, 4, 2]],
+        ]
+        for budget, mode in ((10**5, "exhaustive-subspaces"), (0, "line-closure-scan")):
+            got_mode, sub = ch._invariant_subspace_scan(ops, p, d, budget)
+            assert got_mode == mode
+            assert sub is not None and is_proper_invariant(sub, ops, p, d)
+        _, sub = ch._invariant_subspace_scan(ops, p, d, 0)
+        assert sub[0] == [1, 0, 0, 0]  # the first line, closed first
+
+    def test_proper_algebra_without_invariant_subspace(self):
+        # x -> ix on F_9 = F_3^2: the algebra is F_9 (dim 2 < 4), yet no
+        # line is invariant, so the full line scan passes
+        ops, p, d = [[[0, 2], [1, 0]]], 3, 2
+        nils = ch._nilpotent_parts(ops, p)
+        assert ch._operator_algebra_dim(nils, p, d) == oracle_operator_algebra_dim(ops, p, d) == 2
+        assert ch._invariant_subspace_scan(ops, p, d, 0) == ("line-closure-scan-full", None)
+        assert ch._invariant_subspace_scan(ops, p, d, 10**5) == ("exhaustive-subspaces", None)
 
 
 class TestAnnuli:

@@ -417,6 +417,7 @@ BUDGET_CASES = [  # exit 3, one "budget:" line
     ["verify", "--suite", "strong-approx", "--group", "sl2", "--level", "1", "--modulus", "9",
      "--budget", "10"],
     ["verify", "--suite", "moy-prasad", "--group", "sl5", "--p", "5", "--k", "2"],
+    ["verify", "--suite", "moy-prasad", "--group", "sl2", "--p", "3", "--k", "3", "--budget", "10"],
     ["growth", "--group", "sl2", "--n-max", "3", "--budget", "5"],
     ["growth", "--group", "sl3", "--n-max", "2", "--budget", "5"],
     ["ring", "--ring", "f=1,0,1", "--element", "12,0", "--m-max", "3"],
