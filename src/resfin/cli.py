@@ -254,9 +254,7 @@ def _cmd_verify(args) -> int:
             raise ValueError("moy-prasad needs level k >= 2")
         for k in range(lo, hi + 1):
             for i in range(1, k):
-                results.append(
-                    chevalley.moy_prasad_check(spec, args.p, k, i, elem_budget=args.budget)
-                )
+                results.append(chevalley.moy_prasad_check(spec, args.p, k, i))
             results.append(chevalley.commutator_filtration_check(spec, args.p, k))
     elif args.suite == "adjoint":
         if args.p is None:
@@ -415,7 +413,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="seeds strong-approx's random conjugates (--level > 1); "
         "no other suite reads it",
     )
-    p.add_argument("--budget", type=int, default=chevalley.DEFAULT_ENUM_BUDGET)
+    p.add_argument(
+        "--budget", type=int, default=chevalley.DEFAULT_ENUM_BUDGET,
+        help="element budget of the group enumeration in normal-subgroups, "
+        "centerless and strong-approx; no other suite reads it",
+    )
     add_output(p)
     p.set_defaults(func=_cmd_verify)
 

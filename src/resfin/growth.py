@@ -271,14 +271,18 @@ def candidate_D_analytic(cs: CandidateSeq, k: int, allow_central: bool = False) 
     so k can be far beyond what candidate_elements can materialize.  The
     search and stop rule are matgrp.min_congruence_quotient, shared with
     congruence_D; the two agree exactly on the materializable range (a test
-    pins this for k <= 40).
+    pins this for k <= 40).  The primes of S are units in Z[1/S], so
+    SL_n(Z[1/S]) has no congruence quotient mod a power of one: they never
+    detect.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     # a nontrivial elementary image is never scalar, so with allow_central
     # the central quotient always sees it
     return matgrp.min_congruence_quotient(
-        cs.spec, lambda q, p, i: i > cs.multiplier_valuation(k, p), allow_central
+        cs.spec,
+        lambda q, p, i: p not in cs.s_primes and i > cs.multiplier_valuation(k, p),
+        allow_central,
     )
 
 

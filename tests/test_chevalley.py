@@ -13,8 +13,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from resfin import arith, matgrp
 from resfin import chevalley as ch
-from resfin import matgrp
 from resfin.chevalley import SL2, SL3, SL4
 
 
@@ -117,17 +117,51 @@ class TestCenters:
         assert diags == [1, 2, 4]
 
 
+def filtration_elements(spec, p, k, i, budget=ch.DEFAULT_ENUM_BUDGET):
+    """Oracle: G^i = ker(SL_n(Z/p^k) -> SL_n(Z/p^i)) built directly, no group
+    table and no generators.
+
+    Every entry except the last diagonal one runs over its p^(k-i) allowed
+    residues; the last diagonal entry is then the unique solution of
+    det = 1 mod p^k (see _fix_last_entry).  This realizes
+    |G^i| = p^(dim * (k-i)) exactly.
+    """
+    if not arith.is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if not 1 <= i <= k:
+        raise ValueError(f"need 1 <= i <= k, got i={i}, k={k}")
+    n = spec.n
+    q = p**k
+    step = p**i
+    count = p ** (spec.dim * (k - i))
+    if count > budget:
+        raise ch.BudgetExceededError(f"|G^{i}| = {count} exceeds budget {budget}")
+    residues = range(p ** (k - i))
+    positions = [(r, c) for r in range(n) for c in range(n) if (r, c) != (n - 1, n - 1)]
+    out = []
+    for combo in itertools.product(residues, repeat=len(positions)):
+        a = [[0] * n for _ in range(n)]
+        for (r, c), x in zip(positions, combo):
+            a[r][c] = ((1 if r == c else 0) + step * x) % q
+        g = ch._fix_last_entry(a, q)
+        # the solved entry automatically lands back in 1 + step*Z
+        assert (g[n - 1][n - 1] - 1) % step == 0
+        out.append(g)
+    assert len(out) == count
+    return out
+
+
 class TestFiltration:
     def test_direct_construction_matches_table(self, t9):
-        direct = ch.filtration_elements(SL2, 3, 2, 1)
+        direct = filtration_elements(SL2, 3, 2, 1)
         assert len(direct) == 27
         assert set(direct) == set(ch.filtration_subgroup(t9, 1))
 
     def test_sizes_follow_power_law(self):
         # |G^i| = p^(dim * (k - i))
-        assert len(ch.filtration_elements(SL2, 5, 2, 1)) == 125
-        assert len(ch.filtration_elements(SL2, 3, 3, 2)) == 27
-        assert len(ch.filtration_elements(SL2, 3, 3, 1)) == 729
+        assert len(filtration_elements(SL2, 5, 2, 1)) == 125
+        assert len(filtration_elements(SL2, 3, 3, 2)) == 27
+        assert len(filtration_elements(SL2, 3, 3, 1)) == 729
 
     def test_extreme_levels(self, t9):
         assert len(ch.filtration_subgroup(t9, 0)) == len(t9)
@@ -135,7 +169,7 @@ class TestFiltration:
 
     def test_members_have_unit_det(self):
         q = 25
-        for g in ch.filtration_elements(SL2, 5, 2, 1):
+        for g in filtration_elements(SL2, 5, 2, 1):
             assert matgrp.det(g) % q == 1
             assert matgrp.reduce_mod(g, 5) == matgrp.identity(2)
 
@@ -144,9 +178,9 @@ class TestFiltration:
         with pytest.raises(ValueError):
             ch.filtration_subgroup(t12, 1)
         with pytest.raises(ValueError):
-            ch.filtration_elements(SL2, 5, 2, 0)
+            filtration_elements(SL2, 5, 2, 0)
         with pytest.raises(ch.BudgetExceededError):
-            ch.filtration_elements(SL2, 5, 9, 1)
+            filtration_elements(SL2, 5, 9, 1)
 
 
 class TestGradedMaps:
@@ -239,7 +273,7 @@ class TestFiltrationGenerators:
     def test_levels_close_to_filtration_elements(self, spec, p, k):
         for i in range(1, k + 1):
             got = closed(ch.filtration_generators(spec, p, k, i), p**k)
-            assert got == set(ch.filtration_elements(spec, p, k, i)), i
+            assert got == set(filtration_elements(spec, p, k, i)), i
 
     @pytest.mark.parametrize(
         "spec,p,k", [(SL2, 2, 4), (SL2, 3, 3), (SL2, 5, 2), (SL2, 7, 2), (SL3, 2, 2)], ids=_ids
@@ -310,7 +344,7 @@ class TestCertificatesAgainstPairScans:
         # the false one p^(i+j+1)
         q = p**k
         levels = [ch.enumerate_group(spec, q).elements]
-        levels += [ch.filtration_elements(spec, p, k, i) for i in range(1, k + 1)]
+        levels += [filtration_elements(spec, p, k, i) for i in range(1, k + 1)]
         gens = [ch.filtration_generators(spec, p, k, i) for i in range(k + 1)]
         for i in range(k + 1):
             for j in range(max(i, 1), k + 1 - i):
@@ -322,7 +356,7 @@ class TestCertificatesAgainstPairScans:
     @pytest.mark.parametrize("spec,p,k", PAIR_SCAN_INSTANCES, ids=_ids)
     def test_moy_prasad(self, spec, p, k):
         levels = [ch.enumerate_group(spec, p**k).elements]
-        levels += [ch.filtration_elements(spec, p, k, i) for i in range(1, k + 1)]
+        levels += [filtration_elements(spec, p, k, i) for i in range(1, k + 1)]
         for i in range(1, k):
             assert ch.moy_prasad_check(spec, p, k, i).passed == oracle_moy_prasad(levels, p, k, i)
 
@@ -332,6 +366,89 @@ class TestCertificatesAgainstPairScans:
             for i in range(k):
                 for j in range(max(i, 1), k - i):
                     assert ch._escaping_commutator(gens[i], gens[j], p**k, p ** (i + j + 1)), (i, j)
+
+
+def oracle_graded_scans(spec, p, k, i):
+    """The scans the certificate replaced, over all of G^i: psi_i is trace
+    zero, its fibers are uniform, the fiber over 0 is G^(i+1), and
+    psi(g s) = psi(g) + psi(s) for every g in G^i and s in X_i.  The image
+    size if they all hold, else None."""
+    q = p**k
+    n = spec.n
+    flat = {
+        tuple(v for row in g for v in row): ch.graded_image(g, p, i)
+        for g in filtration_elements(spec, p, k, i)
+    }
+    fibers = {}
+    for x in flat.values():
+        fibers[x] = fibers.get(x, 0) + 1
+    if any(sum(x[t][t] for t in range(n)) % p for x in fibers):
+        return None
+    if len(set(fibers.values())) != 1:
+        return None
+    zero = tuple(tuple(0 for _ in range(n)) for _ in range(n))
+    kernel = {g for g, x in flat.items() if x == zero}
+    next_level = filtration_elements(spec, p, k, i + 1)
+    if kernel != {tuple(v for row in g for v in row) for g in next_level}:
+        return None
+    for s in ch.filtration_generators(spec, p, k, i):
+        act, xs = ch._right_action(s, q), ch.graded_image(s, p, i)
+        plus_s = {
+            x: tuple(tuple((a + b) % p for a, b in zip(r, t)) for r, t in zip(x, xs))
+            for x in fibers
+        }
+        for g, x in flat.items():
+            if flat.get(act(g)) != plus_s[x]:
+                return None
+    return len(fibers)
+
+
+class TestMoyPrasadAgainstLevelScans:
+    @pytest.mark.parametrize(
+        "spec,p,k",
+        [(SL2, 2, 3), (SL2, 3, 2), (SL2, 5, 2), (SL2, 3, 3), (SL3, 2, 2), (SL3, 2, 3)],
+        ids=_ids,
+    )
+    def test_certificate_matches_scans(self, spec, p, k):
+        for i in range(1, k):
+            size = oracle_graded_scans(spec, p, k, i)
+            r = ch.moy_prasad_check(spec, p, k, i)
+            assert r.passed == (size is not None), i
+            assert r.detail.startswith(f"|G^{i}/G^{i + 1}| = {size} = p^{spec.dim},"), i
+
+    def test_builds_no_group(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("moy_prasad_check enumerated a group")
+
+        monkeypatch.setattr(ch, "closure", refuse)
+        monkeypatch.setattr(ch, "enumerate_group", refuse)
+        # |G^1| = 7^16, beyond every enumeration budget
+        assert ch.moy_prasad_check(SL3, 7, 2, 1).passed
+
+    def test_missing_diagonal_generators_shrink_the_image(self, monkeypatch):
+        real = ch.filtration_generators
+
+        def no_level_diagonal(spec, p, k, i):
+            gens = real(spec, p, k, i)
+            if i == 0:
+                return gens
+            return [g for g in gens if all(g[t][t] != 1 + p**i for t in range(spec.n))]
+
+        monkeypatch.setattr(ch, "filtration_generators", no_level_diagonal)
+        r = ch.moy_prasad_check(SL3, 5, 2, 1)
+        assert (r.status, r.detail) == ("fail", f"image size {5**6} != p^dim = {5**8}")
+
+    def test_nonzero_trace_is_caught(self, monkeypatch):
+        # diag(1 + p, 1) has determinant 1 + p: psi_1 of it has trace 1
+        real = ch.filtration_generators
+        bad = ((4, 0), (0, 1))
+
+        def with_bad(spec, p, k, i):
+            return real(spec, p, k, i) + ([bad] if i else [])
+
+        monkeypatch.setattr(ch, "filtration_generators", with_bad)
+        r = ch.moy_prasad_check(SL2, 3, 2, 1)
+        assert (r.status, r.detail) == ("fail", f"image of {bad} has nonzero trace")
 
 
 class TestAdjoint:

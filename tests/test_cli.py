@@ -416,11 +416,19 @@ BUDGET_CASES = [  # exit 3, one "budget:" line
     ["verify", "--suite", "centerless", "--group", "sl2", "--modulus", "5", "--budget", "10"],
     ["verify", "--suite", "strong-approx", "--group", "sl2", "--level", "1", "--modulus", "9",
      "--budget", "10"],
-    ["verify", "--suite", "moy-prasad", "--group", "sl5", "--p", "5", "--k", "2"],
-    ["verify", "--suite", "moy-prasad", "--group", "sl2", "--p", "3", "--k", "3", "--budget", "10"],
     ["growth", "--group", "sl2", "--n-max", "3", "--budget", "5"],
     ["growth", "--group", "sl3", "--n-max", "2", "--budget", "5"],
     ["ring", "--ring", "f=1,0,1", "--element", "12,0", "--m-max", "3"],
+]
+
+# moy-prasad checks generators and builds no group, so it passes on
+# instances whose G^i is far beyond any budget, and --budget does not reach it
+CERTIFICATE_CASES = [  # exit 0, every check passes
+    ["verify", "--suite", "moy-prasad", "--group", "sl5", "--p", "5", "--k", "2"],
+    ["verify", "--suite", "moy-prasad", "--group", "sl2", "--p", "3", "--k", "3", "--budget", "10"],
+    ["verify", "--suite", "moy-prasad", "--group", "sl3", "--p", "7", "--k", "2"],
+    ["verify", "--suite", "moy-prasad", "--group", "sl3", "--p", "3", "--k", "3"],
+    ["verify", "--suite", "moy-prasad", "--group", "sl4", "--p", "3", "--k", "2"],
 ]
 
 
@@ -446,6 +454,13 @@ class TestExitCodes:
         rc, out, err = run_cli(argv)
         assert (rc, out) == (3, "")
         assert len(err.splitlines()) == 1 and err.startswith("budget: "), err
+
+    @pytest.mark.parametrize("argv", CERTIFICATE_CASES, ids=" ".join)
+    def test_exits_0(self, argv):
+        rc, out, err = run_cli(argv)
+        assert (rc, err) == (0, "")
+        rows = out.splitlines()[1:]
+        assert rows and all(",pass," in row for row in rows), out
 
     def test_bound_messages(self):
         rc, _, err = run_cli(["ring", "--ring", "f=1,0,1", "--element", "1,1", "--m-max=-5"])

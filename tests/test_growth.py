@@ -271,6 +271,29 @@ class TestCandidateDAnalytic:
                 rhs = matgrp.congruence_D(gr.candidate_elements(cs, k), cs.spec)
                 assert (lhs.modulus, lhs.quotient_order) == (rhs.modulus, rhs.quotient_order)
 
+    def test_matches_brute_force_over_units(self):
+        # SL_n(Z[1/S]) maps onto SL_n(Z/m) only for m coprime to alpha, and
+        # A_k survives mod m iff m does not divide e * r_k; every least
+        # modulus here is below 400
+        for spec in (SL2, SL3):
+            orders = {m: spec.order_mod(m) for m in range(2, 400)}
+            for s_primes, e in [((2, 3, 5), 1), ((2,), 1), ((2, 3, 5, 7, 11), 1), ((5,), 3)]:
+                cs = gr.CandidateSeq(spec, s_primes, e)
+                for k in range(1, 16):
+                    m_k = e * cs.r(k)
+                    want = min(
+                        (order, m) for m, order in orders.items()
+                        if math.gcd(m, cs.alpha) == 1 and m_k % m != 0
+                    )
+                    got = gr.candidate_D_analytic(cs, k)
+                    assert (got.quotient_order, got.modulus) == want, (spec.name, s_primes, k)
+
+    def test_s_primes_never_detect(self):
+        r = gr.candidate_D_analytic(gr.CandidateSeq(SL2, (2, 3, 5)), 1)
+        assert (r.modulus, r.quotient_order) == (7, 336)
+        r = gr.candidate_D_analytic(gr.CandidateSeq(SL3, (2, 3, 5, 7, 11)), 1)
+        assert (r.modulus, r.quotient_order) == (13, 810534816)
+
     def test_central_variant(self):
         cs = gr.CandidateSeq(SL2)
         r = gr.candidate_D_analytic(cs, 3, allow_central=True)
