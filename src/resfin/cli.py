@@ -297,32 +297,49 @@ def _cmd_verify(args) -> int:
 EXAMPLES_HEADER = ["k", "candidate", "modulus", "order", "certificate_pass"]
 
 
+def _candidate(group: str, k: int):
+    """The examples candidate for k, and its text in the candidate column."""
+    if group == "lamplighter":
+        g = counterexamples.lamp_candidate(k)
+        return g, "+".join(f"d{i}" for i in sorted(g.support))
+    if group == "semidirect":
+        g = counterexamples.semidirect_candidate(k)
+        return g, f"{g.vec[0]};{g.vec[1]}"
+    v = counterexamples.abelian_candidate(k)
+    return v, f"{v[0]};{v[1]}"
+
+
 def _cmd_examples(args) -> int:
     lo, hi = _parse_range(args.k)
+    # the largest k has the longest candidate: render it before any row, so
+    # a k past Python's integer-to-string limit fails at once (k < 2 fails
+    # at its own row)
+    if lo >= 2:
+        try:
+            _candidate(args.group, hi)
+        except ValueError:
+            raise ValueError(
+                f"--k {hi}: the candidate has more digits than Python's "
+                f"{sys.get_int_max_str_digits()}-digit integer-to-string limit"
+            ) from None
     rows = []
     inconclusive = False
     for k in range(lo, hi + 1):
+        g, cand = _candidate(args.group, k)
+        cert = None
         if args.group == "lamplighter":
-            g = counterexamples.lamp_candidate(k)
             r = counterexamples.lamp_quotient_D(k)
-            cand = "+".join(f"d{i}" for i in sorted(g.support))
-            cert = None
             if k >= 4:
                 cert = counterexamples.lamp_injectivity_certificate(
                     k, r.modulus
                 ).passed
         elif args.group == "semidirect":
-            g = counterexamples.semidirect_candidate(k)
             r = counterexamples.semidirect_quotient_D(k)
-            cand = f"{g.vec[0]};{g.vec[1]}"
             cert = counterexamples.semidirect_kernel_structure_check(
                 r.modulus
             ).passed
         else:  # abelian
-            v = counterexamples.abelian_candidate(k)
-            r = counterexamples.abelian_D(v)
-            cand = f"{v[0]};{v[1]}"
-            cert = None
+            r = counterexamples.abelian_D(g)
         if cert is False:
             inconclusive = True
         rows.append([k, cand, r.modulus, r.order, cert])

@@ -150,14 +150,17 @@ def lamp_injectivity_certificate(k: int, m: int) -> CheckResult:
 # Z^2 x| Q for the eight signed permutation matrices
 
 
+_SIGNED_PERMUTATIONS: tuple[Mat, ...] = (
+    ((1, 0), (0, 1)), ((1, 0), (0, -1)), ((0, 1), (1, 0)), ((0, 1), (-1, 0)),
+    ((0, -1), (1, 0)), ((0, -1), (-1, 0)), ((-1, 0), (0, 1)), ((-1, 0), (0, -1)),
+)
+
+
 def signed_permutations() -> tuple[Mat, ...]:
     """The order-8 subgroup of GL_2(Z) generated by diag(1,-1) and the swap:
     the matrices with one entry +-1 in each row and column, that is +-1 on
     the diagonal or on the anti-diagonal."""
-    return (
-        ((1, 0), (0, 1)), ((1, 0), (0, -1)), ((0, 1), (1, 0)), ((0, 1), (-1, 0)),
-        ((0, -1), (1, 0)), ((0, -1), (-1, 0)), ((-1, 0), (0, 1)), ((-1, 0), (0, -1)),
-    )
+    return _SIGNED_PERMUTATIONS
 
 
 def _apply(q: Mat, v: tuple[int, int]) -> tuple[int, int]:
@@ -175,7 +178,7 @@ class SemidirectElement:
     rot: Mat
 
     def __post_init__(self):
-        if self.rot not in signed_permutations():
+        if self.rot not in _SIGNED_PERMUTATIONS:
             raise ValueError("rotation part must be one of the 8 signed permutations")
 
     def __mul__(self, other: SemidirectElement) -> SemidirectElement:
@@ -252,12 +255,12 @@ def semidirect_kernel_structure_check(d: int, box: int = 2) -> CheckResult:
     if d < 1:
         raise ValueError("d must be >= 1")
     span = max(box * d, 2)
+    one = matgrp.identity(2)
     vectors = [
         (a, b)
         for a in range(-span, span + 1)
         for b in range(-span, span + 1)
-        if semidirect_fold(SemidirectElement((a, b), matgrp.identity(2)), d)[0]
-        == (0, 0)
+        if semidirect_fold(SemidirectElement((a, b), one), d)[0] == (0, 0)
     ]
     basis = _lattice_basis(vectors)
     if basis is None:
@@ -267,7 +270,7 @@ def semidirect_kernel_structure_check(d: int, box: int = 2) -> CheckResult:
     det = basis[0][0] * basis[1][1]
     contains = _in_lattice((d, 0), basis) and _in_lattice((0, d), basis)
     stable = all(
-        _in_lattice(_apply(q, v), basis) for q in signed_permutations() for v in basis
+        _in_lattice(_apply(q, v), basis) for q in _SIGNED_PERMUTATIONS for v in basis
     )
     index = d * d // det if contains else 0
     ok = contains and stable and 1 <= index <= 4

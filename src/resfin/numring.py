@@ -14,13 +14,18 @@ coordinates.  min_detecting_ideal scans all residue fields (split, inert,
 ramified alike) in order of size, so the split answer can be compared with
 the global minimum.
 
-Both scans, split_primes and the irreducibility test read one residue-field
-table per min_poly: (p, the distinct irreducible factors of f mod p) for
-the primes in increasing order, factored (Cantor-Zassenhaus for odd p) only
-when a scan first reaches p, so the table grows only as far as some scan
-reached.  Since every scan shares it, the referee is the oracle in
-tests/test_numring.py, which finds roots by evaluating f at every residue,
-factors by trial division and redoes each scan per call.
+Each scan computes only what can decide its answer, from two memos per
+min_poly keyed by p and filled only at the primes some scan asked about:
+the sorted distinct roots of f mod p (one gcd with x^p - x, then
+Cantor-Zassenhaus), and the full list of distinct irreducible factors of f
+mod p.  Both scans first skip the primes dividing the content of the
+element (the gcd of its coordinates), where it dies in every residue field.
+detect_split and split_primes read roots only.  min_detecting_ideal reads
+the full factorization only while p^2 is within its norm cap; above that
+only linear factors can count, and it reads roots.  The irreducibility test
+reads full factorizations.  Since every scan shares the memos, the referee
+is the oracle in tests/test_numring.py, which finds roots by evaluating f
+at every residue, factors by trial division and redoes each scan per call.
 """
 
 from __future__ import annotations
@@ -305,30 +310,52 @@ def factor_distinct_mod(f, p) -> list[tuple]:
     return sorted(out, key=lambda c: (len(c), c))
 
 
-# One table per min_poly: (p, factor_distinct_mod(f, p)) for the primes in
-# increasing order, as far as some scan has reached.
-_RESIDUE_TABLES: dict[tuple, list[tuple[int, list[tuple]]]] = {}
+# Two memos per min_poly, keyed by p and filled only at the primes some scan
+# asked about: the distinct irreducible factors of f mod p, and the sorted
+# distinct roots of f mod p.
+_FACTORS: dict[tuple, dict[int, list[tuple]]] = {}
+_ROOTS: dict[tuple, dict[int, tuple[int, ...]]] = {}
 
 
-def _residue_rows(f: tuple, limit: int | None = None):
-    """(p, distinct irreducible factors of f mod p) for every prime p (up to
-    limit, if given), read from the table of f and factoring only primes no
-    earlier scan reached.  A limit above the sieve cap raises at once."""
-    rows = _RESIDUE_TABLES.setdefault(f, [])
-    for k, p in enumerate(arith.primes(limit)):
-        if k == len(rows):
-            rows.append((p, factor_distinct_mod(f, p)))
-        yield rows[k]
+def _factors_mod(f: tuple, p: int) -> list[tuple]:
+    """factor_distinct_mod(f, p), computed once per (f, p)."""
+    table = _FACTORS.setdefault(f, {})
+    if p not in table:
+        table[p] = factor_distinct_mod(f, p)
+    return table[p]
 
 
-def _split_rows(ring, limit: int):
+def _roots_mod(f: tuple, p: int) -> tuple[int, ...]:
+    """The distinct roots of the monic f mod p, sorted, computed once per (f, p).
+
+    Roots from Frobenius: over F_p, x^p - x is the product of x - t over all
+    t in F_p, so gcd(f mod p, x^p - x) is the product of the distinct linear
+    factors of f mod p.  One power x^p mod f and one gcd give it, and
+    Cantor-Zassenhaus splits it only when it has degree 2 or more.  So p
+    splits completely into distinct factors exactly when f mod p has deg(f)
+    roots here, and no other factor of f mod p is ever computed."""
+    table = _ROOTS.setdefault(f, {})
+    roots = table.get(p)
+    if roots is None:
+        fbar = _pmod_coeffs(f, p)
+        frob = _psub(_ppowmod((0, 1), p, fbar, p), (0, 1), p)
+        lin = _pgcd(fbar, frob, p)
+        factors = _split_equal_degree(lin, 1, p) if len(lin) > 1 else []
+        roots = table[p] = tuple(sorted(-g[0] % p for g in factors))
+    return roots
+
+
+def _split_rows(ring, limit: int, skip: int = 1):
     """(p, sorted roots of f mod p) for the completely split p <= limit:
-    p divides neither disc(f) nor the inverted integer, and f mod p has
-    deg(f) distinct linear factors."""
-    bad = abs(ring.discriminant()) * ring.inverted
-    for p, factors in _residue_rows(ring.min_poly, limit):
-        if bad % p and len(factors) == ring.degree and len(factors[-1]) == 2:
-            yield p, sorted(-g[0] % p for g in factors)
+    p divides none of disc(f), the inverted integer and skip, and f mod p
+    has deg(f) distinct roots.  Roots are read only at primes that pass the
+    divisibility test, and a limit above the sieve cap raises at once."""
+    bad = abs(ring.discriminant()) * ring.inverted * skip
+    for p in arith.primes(limit):
+        if bad % p:
+            roots = _roots_mod(ring.min_poly, p)
+            if len(roots) == ring.degree:
+                yield p, roots
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +381,10 @@ def _is_irreducible(f: tuple) -> bool:
     degree_options = set(range(1, d))
     good = []
     # disc has finitely many prime divisors, so six good primes turn up
-    for p, factors in _residue_rows(f):
+    for p in arith.primes():
         if disc % p == 0:
             continue
+        factors = _factors_mod(f, p)
         degs = sorted(len(g) - 1 for g in factors)
         if degs == [d]:
             return True
@@ -610,7 +638,7 @@ def split_primes(ring: NumberRing, limit: int) -> list[tuple[int, tuple[int, ...
     """
     if limit < 2:
         raise ValueError("limit must be >= 2")
-    return [(p, tuple(roots)) for p, roots in _split_rows(ring, limit)]
+    return list(_split_rows(ring, limit))
 
 
 def reduce_element(a: RingElement, p: int, root: int) -> int:
@@ -640,10 +668,14 @@ def detect_split(a: RingElement, limit: int = DEFAULT_PRIME_LIMIT) -> SplitDetec
 
     Returns the smallest qualifying root as the witness.  The detecting
     quotient is the field F_p, so the reported size is just p.
+
+    Content: let c be the gcd of the coordinates of a.  A prime p dividing c
+    but not the inverted integer sends a to 0 in every residue field over
+    p, so such p are skipped before any root is computed.
     """
     if a.is_zero():
         raise UndetectableError("zero maps to zero in every quotient")
-    for p, roots in _split_rows(a.ring, limit):
+    for p, roots in _split_rows(a.ring, limit, math.gcd(*a.coords)):
         for root in roots:
             residue = reduce_element(a, p, root)
             if residue:
@@ -666,26 +698,42 @@ def min_detecting_ideal(a: RingElement, limit: int = DEFAULT_PRIME_LIMIT) -> Ide
     Scans primes in increasing order; the ideal over p with residue field
     F_{p^e} corresponds to an irreducible degree-e factor of f mod p, and
     ramified primes participate (only p dividing the inverted integer are
-    excluded, since those ideals are blown up by the localization).  The
+    excluded, since those ideals are blown up by the localization).  At
+    each p the factors are tried in (degree, coefficients) order, and the
     scan stops once the next prime already exceeds the best norm found.
+
+    Content: a prime p dividing the gcd of the coordinates of a sends a to
+    0 in every residue field over p, so it is skipped before any factor is
+    computed.
+
+    Norm cap: a degree-e factor counts only if p^e <= limit and p^e is
+    below the best norm so far.  Once p^2 exceeds that cap, only linear
+    factors can count, and they are the x - r for the roots r of f mod p;
+    only smaller p need the full factorization of f mod p.
     """
     if a.is_zero():
         raise UndetectableError("zero maps to zero in every quotient")
-    ring = a.ring
-    f0 = ring.inverted
+    f = a.ring.min_poly
+    skip = a.ring.inverted * math.gcd(*a.coords)
     best: IdealDetection | None = None
-    for p, factors in _residue_rows(ring.min_poly, limit):
+    for p in arith.primes(limit):
         if best is not None and p > best.norm:
             break
-        if f0 % p == 0:
+        if skip % p == 0:
             continue
+        cap = limit if best is None else best.norm - 1
+        if p * p > cap:
+            factors = sorted((-r % p, 1) for r in _roots_mod(f, p))
+        else:
+            factors = _factors_mod(f, p)
+        image = _pmod_coeffs(a.coords, p)
         for g in factors:
             norm = p ** (len(g) - 1)
-            if norm > limit or (best is not None and norm >= best.norm):
-                continue
-            image = _pdivmod(_pmod_coeffs(a.coords, p), g, p)[1]
-            if image:
+            if norm > cap:
+                break  # the factors come in degree order
+            if _pdivmod(image, g, p)[1]:
                 best = IdealDetection(p, g, norm)
+                break
     if best is None:
         raise RangeExhaustedError(
             f"no prime ideal of norm <= {limit} detects the element"

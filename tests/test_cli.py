@@ -382,6 +382,9 @@ USAGE_ERRORS = [  # value errors: exit 2, one "error:" line
     ["examples", "--group", "lamplighter", "--k", "1"],
     ["examples", "--group", "semidirect", "--k", "2..x"],
     ["examples", "--group", "abelian", "--k", "3..2"],
+    # candidates past the integer-to-string limit fail before any row
+    ["examples", "--group", "lamplighter", "--k", "2..9859"],
+    ["examples", "--group", "semidirect", "--k", "2..9859"],
     ["ring", "--ring", "f=", "--element", "1"],
     ["ring", "--ring", "f=1", "--element", "1"],
     ["ring", "--ring", "f=1,0,1", "--element", "1,2,3"],

@@ -245,10 +245,11 @@ def test_split_density_matches_half():
 
 
 # ---------------------------------------------------------------------------
-# Independent oracles for the shared residue-field table.  Everything below
-# works from the coefficients alone: roots by evaluating f at every residue,
-# factors by trial division over all monic polynomials, and scans that redo
-# the search on each call with neither the table nor numring's F_p[x] code.
+# Independent oracles for the shared roots and factor memos.  Everything
+# below works from the coefficients alone: roots by evaluating f at every
+# residue, factors by trial division over all monic polynomials, and scans
+# that redo the search on each call with neither memo nor numring's F_p[x]
+# code.
 
 ORACLE_RINGS = (
     ZI,
@@ -402,14 +403,20 @@ def _oracle_ideal(a, limit):
 
 class TestResidueTableOracle:
     def test_roots_match_evaluation_below_5000(self):
+        # one evaluation pass checks both memos: the roots memo, and the
+        # linear factors of the full factorization
         for f in ORACLE_POLYS:
-            for p, factors in nr._residue_rows(f, 5000):
+            for p in _sieve(5000):
+                want = _roots_by_evaluation(f, p)
+                assert nr._roots_mod(f, p) == want, (f, p)
+                factors = nr._factors_mod(f, p)
                 linear = sorted(-g[0] % p for g in factors if len(g) == 2)
-                assert tuple(linear) == _roots_by_evaluation(f, p), (f, p)
+                assert tuple(linear) == want, (f, p)
 
     def test_factors_match_trial_division_below_60(self):
         for f in ORACLE_POLYS:
-            for p, factors in nr._residue_rows(f, 60):
+            for p in _sieve(60):
+                factors = nr._factors_mod(f, p)
                 assert factors == _brute_factors(f, p), (f, p)
                 assert all(_is_irreducible_brute(g, p) for g in factors)
                 # the product of the factors is the radical: it divides f,
@@ -462,9 +469,107 @@ class TestResidueTableOracle:
                 assert nr.min_detecting_ideal(a, 5000) == _oracle_ideal(a, 5000)
 
 
+def _clear_memos(f=None):
+    """Forget the roots and factor memos of f, or of every min_poly."""
+    for memo in (nr._ROOTS, nr._FACTORS):
+        if f is None:
+            memo.clear()
+        else:
+            memo.pop(f, None)
+
+
+def _memo_primes(f):
+    return set(nr._ROOTS.get(f, ())) | set(nr._FACTORS.get(f, ()))
+
+
+def _assert_matches_oracles(a, limit):
+    want = _oracle_detect_split(a, limit)
+    if want is None:
+        with pytest.raises(RangeExhaustedError):
+            nr.detect_split(a, limit)
+    else:
+        assert nr.detect_split(a, limit) == want
+    want = _oracle_ideal(a, limit)
+    if want is None:
+        with pytest.raises(RangeExhaustedError):
+            nr.min_detecting_ideal(a, limit)
+    else:
+        assert nr.min_detecting_ideal(a, limit) == want
+
+
+class TestScanLemmas:
+    """The three lemmas that let a scan skip work, each against the oracle."""
+
+    @pytest.mark.parametrize("K", (40, 150))
+    def test_content_primes_leave_no_memo_entry(self, K):
+        rng = random.Random(K)
+        scale = math.lcm(*range(1, K + 1))
+        for ring in ORACLE_RINGS:
+            f = ring.min_poly
+            coords = [rng.randint(-99, 99) or 1 for _ in range(ring.degree)]
+            a = ring.element([c * scale for c in coords])
+            for limit in (250, 1000):
+                _clear_memos(f)
+                _assert_matches_oracles(a, limit)
+                assert all(p > K for p in _memo_primes(f)), (f, limit)
+
+    def test_shared_prime_that_would_detect(self):
+        # b is detected at q; q * b has q in its content, so both scans
+        # must move past q without reading either memo at q
+        rng = random.Random(8)
+        moved = 0
+        for ring in ORACLE_RINGS:
+            f = ring.min_poly
+            for _ in range(6):
+                coords = [rng.randint(-30, 30) for _ in range(ring.degree)]
+                if math.gcd(*coords) != 1:
+                    continue
+                b = ring.element(coords)
+                for scan in (nr.detect_split, nr.min_detecting_ideal):
+                    q = scan(b, 5000).prime
+                    a = ring.element([q * c for c in coords])
+                    _clear_memos(f)
+                    _assert_matches_oracles(a, 5000)
+                    assert scan(a, 5000).prime != q
+                    assert q not in _memo_primes(f)
+                    moved += 1
+        assert moved >= 40
+
+    # (ring, coords, p): every prime ideal of norm below p**2 kills the
+    # element, and an inert quadratic factor of f mod p keeps it alive
+    NORM_CAP_CASES = (
+        (ZI, (65, 65), 3),  # (1+i) * 5 * 13
+        (ZI, (3 * 5 * 13 * 17 * 29 * 37 * 41,) * 2, 7),  # (1+i) * 3 * 5 * ... * 41
+        (R2, (0, 7), 3),  # sqrt2 * 7
+        (R2, (0, 3 * 7 * 17 * 23), 5),  # sqrt2 * 3 * 7 * 17 * 23
+        # (x - 3) * 2*3*11*17*19*23 in Z[cbrt 2]: over 5, x - 3 dies and
+        # the quadratic factor of x^3 - 2 mod 5 decides
+        (nr.NumberRing((-2, 0, 0, 1)), (-3 * 2 * 3 * 11 * 17 * 19 * 23,
+                                        2 * 3 * 11 * 17 * 19 * 23, 0), 5),
+    )
+
+    @pytest.mark.parametrize("ring, coords, p", NORM_CAP_CASES)
+    def test_norm_cap_around_p_squared(self, ring, coords, p):
+        a = ring.element(coords)
+        for limit in (p * p - 1, p * p, p * p + 1):
+            _clear_memos(ring.min_poly)
+            want = _oracle_ideal(a, limit)
+            if limit < p * p:
+                assert want is None or want.prime != p
+            else:
+                assert (want.prime, want.norm) == (p, p * p)
+            if want is None:
+                with pytest.raises(RangeExhaustedError):
+                    nr.min_detecting_ideal(a, limit)
+            else:
+                assert nr.min_detecting_ideal(a, limit) == want
+            # the full factorization is read only where p**2 is within the cap
+            assert all(q * q <= limit for q in nr._FACTORS.get(ring.min_poly, ()))
+
+
 class TestResidueTableCoherence:
-    """The table is shared by every scan of one min_poly; no scan may see
-    more or less than a fresh table would give it."""
+    """The roots and factor memos are shared by every scan of one min_poly;
+    no scan may see more or less than fresh memos would give it."""
 
     ZI5 = nr.NumberRing((1, 0, 1), 5)
 
@@ -489,11 +594,11 @@ class TestResidueTableCoherence:
 
     def test_interleaved_scans_match_fresh_tables(self):
         calls = self._calls()
-        nr._RESIDUE_TABLES.clear()
+        _clear_memos()
         shared = [self._run(fn, args) for fn, _, args in calls]
         fresh = []
         for fn, _, args in calls:
-            nr._RESIDUE_TABLES.clear()
+            _clear_memos()
             fresh.append(self._run(fn, args))
         assert shared == fresh
 
@@ -508,14 +613,21 @@ class TestResidueTableCoherence:
         assert nr.detect_split(big, 5000).prime == 41
 
     def test_table_grows_only_as_far_as_scanned(self):
-        f = (3, 1, 0, 1)  # x^3 + x + 3, used by no other test
+        f = (3, 1, 0, 1)  # x^3 + x + 3, disc -247 = -13 * 19, used by no other test
         ring = nr.NumberRing(f)
-        nr._RESIDUE_TABLES.pop(f, None)
+        _clear_memos(f)
         nr.split_primes(ring, 100)
-        assert nr._RESIDUE_TABLES[f][-1][0] == 97
+        assert set(nr._ROOTS[f]) == set(_sieve(100)) - {13, 19}
+        assert not nr._FACTORS.get(f)
+        # a content of lcm(1..30) and limit 1000: roots only above 30, and
+        # full factorizations only where p**2 <= 1000 as well
+        _clear_memos(f)
+        nr.min_detecting_ideal(ring.element((math.lcm(*range(1, 31)), 0, 0)), 1000)
+        assert nr._ROOTS[f] and all(p > 30 for p in nr._ROOTS[f])
+        assert all(30 < p and p * p <= 1000 for p in nr._FACTORS.get(f, ()))
 
     def test_cap_checked_before_any_scan(self):
-        nr._RESIDUE_TABLES.clear()
+        _clear_memos()
         a = ZI.element((1, 0))
         for call in (
             lambda: nr.detect_split(a, 10**8 + 1),
@@ -524,4 +636,5 @@ class TestResidueTableCoherence:
         ):
             with pytest.raises(ValueError, match="exceeds cap"):
                 call()
-        assert not nr._RESIDUE_TABLES.get(ZI.min_poly)
+        assert not nr._ROOTS.get(ZI.min_poly)
+        assert not nr._FACTORS.get(ZI.min_poly)
