@@ -7,8 +7,10 @@ that bound are rejected rather than answered probabilistically.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 # Deterministic Miller-Rabin witnesses, exact for n < 3 317 044 064 679 887 385 961 981.
@@ -163,10 +165,16 @@ def least_nondivisor(m: int) -> int:
     """
     if m < 1:
         raise ValueError("least_nondivisor requires m >= 1")
-    d = 2
-    while m % d == 0:
-        d += 1
-    return d
+    # Only prime powers need testing, in blocks: q divides m exactly when it
+    # divides m mod P for a product P of prime powers that q divides, and
+    # reducing a huge m once per block beats once per q.
+    stream = prime_power_stream()
+    while True:
+        block = [q for q, _, _ in itertools.islice(stream, 64)]
+        r = m % math.prod(block)
+        for q in block:
+            if r % q:
+                return q
 
 
 def prime_powers_above(k: int, limit: int) -> list[tuple[int, int]]:
@@ -177,7 +185,7 @@ def prime_powers_above(k: int, limit: int) -> list[tuple[int, int]]:
     """
     if limit < k:
         raise ValueError("limit must be at least k")
-    return [(p, i) for q, p, i in prime_power_stream(limit) if q > k]
+    return [(p, i) for _, p, i in prime_power_stream(limit, above=k)]
 
 
 def is_prime_power(q: int) -> tuple[int, int] | None:
@@ -195,33 +203,61 @@ _PRIME_POWERS: list[tuple[int, int, int]] = []
 _SIEVED_TO = 0
 
 
-def prime_power_stream(limit: int | None = None):
-    """Every prime power as (q, p, i) with q = p**i, in increasing order;
-    endless, or only the q <= limit when a limit is given.
+def prime_power_stream(limit: int | None = None, above: int = 0):
+    """Every prime power q > above as (q, p, i) with q = p**i, in increasing
+    order; endless, or only the q <= limit when a limit is given.
 
-    Read from one cache filled straight from the sieve, which grows
-    fourfold whenever a reader runs past its end, so no q is ever
-    factorized.  A reader with a limit grows it to that limit, but at least
+    Read from one cache filled straight from the sieve, so no q is ever
+    factorized; the first q > above is found by bisecting the cache.  The
+    cache grows fourfold whenever a reader runs past its end, but never past
+    the sieve cap: only a reader that runs past a cache sitting at the cap
+    raises.  A reader with a limit grows it to that limit, but at least
     twofold, so readers with rising limits (prime_powers_above for k = 2, 3,
     ...) share O(log) sieves.  A limit above the sieve cap raises at once.
     """
     if limit is not None and limit > _SIEVE_CAP:
         raise ValueError(f"sieve limit {limit} exceeds cap {_SIEVE_CAP}")
-    k = 0
+    k = 0 if above < 2 else None  # index of the next triple, once the cache covers above
     while True:
-        if k == len(_PRIME_POWERS):
+        if k is None and _SIEVED_TO > above:
+            k = bisect.bisect_right(_PRIME_POWERS, above, key=_VALUE)
+        if k is None or k == len(_PRIME_POWERS):
             if limit is not None and _SIEVED_TO >= limit:
                 return
+            if _SIEVED_TO >= _SIEVE_CAP:
+                raise ValueError(f"prime-power stream ran past the sieve cap {_SIEVE_CAP}")
             grow = 4 * _SIEVED_TO if _SIEVED_TO else 512
             if limit is not None:
-                grow = min(grow, max(limit, 2 * _SIEVED_TO), _SIEVE_CAP)
-            prime_powers_up_to(grow)
+                grow = min(grow, max(limit, 2 * _SIEVED_TO))
+            prime_powers_up_to(min(grow, _SIEVE_CAP))
+            continue
         cache = _PRIME_POWERS
         for t in itertools.islice(cache, k, None):
             if limit is not None and t[0] > limit:
                 return
             yield t
         k = len(cache)
+
+
+_VALUE = operator.itemgetter(0)
+
+# (k, lcm(1..k)) of the last lcm_upto call.
+_LCM_MEMO = (1, 1)
+
+
+def lcm_upto(k: int) -> int:
+    """lcm(1..k), carried upward from the previous call.
+
+    lcm(1..k) = p * lcm(1..k-1) when k = p**i and equals lcm(1..k-1)
+    otherwise, so rising k (a range of rows) multiply in one prime per prime
+    power; a smaller k starts again from lcm(1..1) = 1.
+    """
+    global _LCM_MEMO
+    top, acc = _LCM_MEMO if _LCM_MEMO[0] <= k else (1, 1)
+    for _, p, _ in prime_power_stream(k, above=top):
+        acc *= p
+    _LCM_MEMO = (max(k, 1), acc)
+    return acc
 
 
 def primes(limit: int | None = None):

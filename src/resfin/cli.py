@@ -199,10 +199,10 @@ def _cmd_candidates(args) -> int:
     ) if args.s_primes else ()
     cs = growth.CandidateSeq(spec, s_primes=s_primes, e=args.multiplier)
     lo, hi = _parse_range(args.k)
-    rows = []
-    for k in range(lo, hi + 1):
-        r = growth.candidate_D_analytic(cs, k, allow_central=args.allow_central)
-        rows.append([k, cs.r_log2(k), r.modulus, r.quotient_order])
+    rows = [
+        [k, r_log2, r.modulus, r.quotient_order]
+        for k, r_log2, r in growth.candidate_sweep(cs, lo, hi, allow_central=args.allow_central)
+    ]
     _write(emit(CANDIDATES_HEADER, rows, args.format))
     return EXIT_OK
 

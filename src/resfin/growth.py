@@ -5,13 +5,15 @@ of the smallest congruence quotient detecting the element; F^k does the same
 for k-th powers.  Tables carry exact witnesses.  The candidate sequence
 E_12(e * alpha^k * lcm(1..k)) probes F along a sparse family whose minimal
 detecting modulus is computable purely from valuations, which is what lets
-the empirical exponent run to k in the thousands and recover dim(G).
+the empirical exponent run to k = 10^6 and recover dim(G).
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
-import statistics
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from resfin import arith, matgrp
@@ -74,41 +76,94 @@ def elementary_set(n: int) -> GeneratingSet:
 
 def word_ball(gens: GeneratingSet, n: int, budget: int = DEFAULT_BALL_BUDGET) -> dict[Mat, int]:
     """Exact ball of radius n: element -> true word length, by layered BFS."""
+    d = len(gens.mats[0])
+    return {
+        _nested(g, d): length
+        for length, sphere in enumerate(_spheres(gens, n, budget))
+        for g in sphere
+    }
+
+
+def _spheres(gens: GeneratingSet, n: int, budget: int) -> list[list[tuple[int, ...]]]:
+    """The spheres of radii 0..n as lists of row-major flat tuples, each in
+    discovery order of one layered BFS."""
     if n < 0:
         raise ValueError("radius must be >= 0")
-    ident = matgrp.identity(len(gens.mats[0]))
-    columns = [matgrp.sparse_columns(s) for s in gens.mats]
-    ball = {ident: 0}
-    frontier = [ident]
+    ident = tuple(itertools.chain.from_iterable(matgrp.identity(len(gens.mats[0]))))
+    products = [_right_multiplier(s) for s in gens.mats]
+    seen = {ident}
+    spheres = [[ident]]
     for length in range(1, n + 1):
         new = []
-        for g in frontier:
-            for cols in columns:
-                h = _mul_sparse(g, cols)
-                if h not in ball:
-                    ball[h] = length
+        for g in spheres[-1]:
+            for mul in products:
+                h = mul(g)
+                if h not in seen:
+                    seen.add(h)
                     new.append(h)
-                    if len(ball) > budget:
+                    if len(seen) > budget:
                         raise BudgetExceededError(
                             f"ball exceeded {budget} elements at radius {length}"
                         )
-        frontier = new
-    return ball
+        spheres.append(new)
+    return spheres
 
 
-def _mul_sparse(g: Mat, columns) -> Mat:
-    """g * s by column operations: column c of the product is the sum of
-    value * (column r of g) over the nonzero pattern of column c of s."""
-    out = []
-    for row in g:
-        new = []
-        for col in columns:
-            x = 0
-            for r, v in col:
-                x += row[r] * v
-            new.append(x)
-        out.append(tuple(new))
-    return tuple(out)
+def _right_multiplier(s: Mat):
+    """g -> g * s on row-major flat tuples, compiled once per generator.
+
+    Entry (r, c) of g * s is the sum of value * g[r, k] over the nonzero
+    (k, value) of column c of s, which is g[r, c] itself when column c is an
+    identity column.  So an E_ij(+-1) costs n additions and one tuple.
+    """
+    d = len(s)
+    cells = []
+    for r in range(0, d * d, d):
+        for col in matgrp.sparse_columns(s):
+            terms = [
+                f"g[{r + k}]" if v == 1 else f"-g[{r + k}]" if v == -1 else f"{int(v)} * g[{r + k}]"
+                for k, v in col
+            ]
+            cells.append(" + ".join(terms) or "0")
+    return _compile("g", f"({', '.join(cells)},)")
+
+
+def _detection_key(d: int):
+    """g -> matgrp.detection_gcd of the flat d x d matrix g, compiled."""
+    return _compile(
+        "g", "gcd(" + ", ".join(f"g[{t}] - 1" if t % (d + 1) == 0 else f"g[{t}]" for t in range(d * d)) + ")"
+    )
+
+
+def _product(d: int):
+    """(a, b) -> a * b on flat d x d matrices, compiled."""
+    cells = [
+        " + ".join(f"a[{r + k}] * b[{k * d + c}]" for k in range(d))
+        for r in range(0, d * d, d)
+        for c in range(d)
+    ]
+    return _compile("a, b", f"({', '.join(cells)},)")
+
+
+def _flat_power(g: tuple[int, ...], k: int, product) -> tuple[int, ...]:
+    """g^k for k >= 1 by repeated squaring."""
+    out = None
+    while True:
+        if k & 1:
+            out = g if out is None else product(out, g)
+        k >>= 1
+        if not k:
+            return out
+        g = product(g, g)
+
+
+def _compile(params: str, expr: str):
+    # expr is built here from integer literals and indices only
+    return eval(f"lambda {params}: {expr}", {"gcd": math.gcd})
+
+
+def _nested(g: tuple[int, ...], d: int) -> Mat:
+    return tuple(g[r : r + d] for r in range(0, d * d, d))
 
 
 # ---------------------------------------------------------------------------
@@ -159,39 +214,51 @@ def farb_growth(
     under allow_central.  congruence_D runs once per distinct key, on the
     first target with that key; a ball shares only a handful of keys.
 
-    Witnesses are the first maximizer in (word length, entries) order.
+    Witnesses are the first maximizer in (word length, entries) order.  The
+    spheres are read directly, with no sort of the ball: a sphere changes
+    the maximum only when its largest order beats it, and then the witness
+    is the entry-least element of the sphere reaching that order.  Entries
+    order is read on the row-major flat tuples: on matrices with rows of
+    one length, lexicographic order of the concatenated rows equals the
+    nested-tuple order, since the first differing row decides both.
     `workers` and `parallel_threshold` are accepted and ignored: growth
     tables run serially.
     """
     if k < 1:
         raise ValueError("power must be >= 1")
-    ball = word_ball(gens, n_max, budget=budget)
-    ordered = sorted(ball.items(), key=lambda kv: (kv[1], kv[0]))
+    d = len(gens.mats[0])
+    spheres = _spheres(gens, n_max, budget)
+    flat_key = _detection_key(d)
+    product = _product(d)
     by_key: dict[object, DetectionResult] = {}
 
     rows = [GrowthRow(0, 1, 0, None, None)]
     best = 0
     best_witness: Mat | None = None
     best_det: DetectionResult | None = None
-    idx = 0
+    size = 1
     for n in range(1, n_max + 1):
-        while idx < len(ordered) and ordered[idx][1] <= n:
-            g = ordered[idx][0]
-            idx += 1
-            tg = g if k == 1 else matgrp.mat_pow(g, k)
-            key = matgrp.detection_gcd(tg)
+        sphere = spheres[n]
+        size += len(sphere)
+        top, top_g, top_det = best, None, None
+        for g in sphere:
+            tg = g if k == 1 else _flat_power(g, k, product)
+            key = flat_key(tg)
             if key == 0:
                 continue  # gamma^k = 1
             if allow_central:
-                key = (key, matgrp._central_gcd(tg))
+                key = (key, matgrp._central_gcd(_nested(tg, d)))
             det = by_key.get(key)
             if det is None:
-                det = by_key[key] = matgrp.congruence_D(tg, spec, allow_central=allow_central)
-            if det.quotient_order > best:
-                best = det.quotient_order
-                best_witness = g
-                best_det = det
-        rows.append(GrowthRow(n, idx, best, best_witness, best_det))  # idx = |ball(n)|
+                det = by_key[key] = matgrp.congruence_D(
+                    _nested(tg, d), spec, allow_central=allow_central
+                )
+            order = det.quotient_order
+            if order > top or (order == top and top_g is not None and g < top_g):
+                top, top_g, top_det = order, g, det
+        if top_g is not None:
+            best, best_witness, best_det = top, _nested(top_g, d), top_det
+        rows.append(GrowthRow(n, size, best, best_witness, best_det))
     return GrowthTable(gens.name, k, allow_central, tuple(rows))
 
 
@@ -246,6 +313,12 @@ class CandidateSeq:
                 out += arith.lcm_valuation(k, p) * math.log2(p)
         return out
 
+    def survives(self, k: int, p: int, i: int) -> bool:
+        """Is A_k nontrivial mod p**i?  Only if p is not in S, as SL_n(Z[1/S])
+        has no congruence quotient mod a power of a unit, and i exceeds the
+        valuation of the multiplier."""
+        return p not in self.s_primes and i > self.multiplier_valuation(k, p)
+
     def multiplier_valuation(self, k: int, p: int) -> int:
         """v_p(e * alpha^k * lcm(1..k)) without forming the product."""
         v = arith.lcm_valuation(k, p)
@@ -280,10 +353,76 @@ def candidate_D_analytic(cs: CandidateSeq, k: int, allow_central: bool = False) 
     # a nontrivial elementary image is never scalar, so with allow_central
     # the central quotient always sees it
     return matgrp.min_congruence_quotient(
-        cs.spec,
-        lambda q, p, i: p not in cs.s_primes and i > cs.multiplier_valuation(k, p),
-        allow_central,
+        cs.spec, lambda q, p, i: cs.survives(k, p, i), allow_central
     )
+
+
+def candidate_sweep(
+    cs: CandidateSeq, lo: int, hi: int, allow_central: bool = False
+) -> Iterator[tuple[int, float, DetectionResult]]:
+    """(k, cs.r_log2(k), candidate_D_analytic(cs, k, allow_central)) for
+    k = lo..hi in one pass over the prime-power stream, equal to the per-k
+    calls (the floats bit for bit).
+
+    Lemma: lcm(1..k) = p * lcm(1..k-1) when k = p^i and equals lcm(1..k-1)
+    otherwise.  So the terms v_p(lcm(1..k)) * log2(p) of r_log2 change only
+    at k = p^i, in p's term alone; they are kept in increasing p with their
+    left-to-right prefix sums (the order r_log2 adds them in), and only the
+    suffix from p is summed again.  With S nonempty the leading term
+    k * log2(alpha) moves at every k, so every prefix is summed again.
+
+    candidate_D_analytic is the least matgrp.quotient_key over the prime
+    powers q = p^i with cs.survives(k, p, i); past the point where
+    matgrp.stop_rule holds, no q can beat it.  Survival never returns as k
+    grows, since multiplier_valuation(k, p) never falls, and it changes only
+    at prime powers k.  So the sweep keeps the keys of the survivors read so
+    far in a heap, drops dead ones as they surface, and reads the stream on
+    until stop_rule holds against the least key, which is then the answer.
+    Reading starts at the first q > lo: every q <= k divides lcm(1..k), so
+    none survives.
+    """
+    if lo < 1:
+        raise ValueError("k must be >= 1")
+    log_alpha = math.log2(cs.alpha) if cs.s_primes else 0.0
+    terms: list[float] = []  # v_p(lcm(1..k)) * log2(p), one per prime p <= k
+    where: dict[int, int] = {}  # p -> its index in terms
+    sums = [0.0]  # sums[t] = k * log2(alpha) + terms[0] + ... + terms[t - 1]
+    lcm_powers = arith.prime_power_stream()
+    q, p, i = next(lcm_powers)
+
+    dim, fnum, scale = matgrp.stop_rule(cs.spec, allow_central)
+    heap: list[tuple[tuple[int, int, bool], int, int]] = []  # (quotient_key, p, i)
+    unread = arith.prime_power_stream(above=lo)
+    q_next, p_next, i_next = next(unread)
+    det = None
+    for k in range(1, hi + 1):
+        dirty = 0 if cs.s_primes or k == lo else len(terms)
+        if k == q:
+            if i == 1:
+                where[p] = len(terms)
+                terms.append(0.0)
+                sums.append(0.0)
+            t = where[p]
+            terms[t] = i * math.log2(p)
+            dirty = min(dirty, t)
+            det = None
+            q, p, i = next(lcm_powers)
+        if k < lo:
+            continue
+        sums[0] = k * log_alpha
+        if dirty < len(terms):
+            sums[dirty:] = itertools.accumulate(terms[dirty:], initial=sums[dirty])
+        if det is None:
+            while heap and not cs.survives(k, heap[0][1], heap[0][2]):
+                heapq.heappop(heap)
+            while not heap or q_next**dim * fnum <= heap[0][0][0] * scale:
+                if cs.survives(k, p_next, i_next):
+                    key = matgrp.quotient_key(cs.spec, q_next, allow_central)
+                    heapq.heappush(heap, (key, p_next, i_next))
+                q_next, p_next, i_next = next(unread)
+            order, modulus, central = heap[0][0]
+            det = DetectionResult(modulus, order, central)
+        yield k, sums[-1], det
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +440,10 @@ def fit_exponent(pairs) -> FitResult:
     """Log-log least squares: slope is the empirical growth exponent.
 
     max_residual is the largest relative deviation |y / y_fit - 1| over the
-    input points.
+    input points.  The sums are math.fsum's correctly rounded ones, in the
+    formulas of Python 3.11's statistics.linear_regression, without
+    importing statistics (and with it fractions and decimal) into every
+    process that imports resfin.
     """
     pts = [(float(x), float(y)) for x, y in pairs]
     if len(pts) < 3:
@@ -312,7 +454,12 @@ def fit_exponent(pairs) -> FitResult:
     ys = [math.log(y) for _, y in pts]
     if max(xs) == min(xs):
         raise ValueError("degenerate fit: all x equal")
-    slope, intercept = statistics.linear_regression(xs, ys)
+    xbar = math.fsum(xs) / len(xs)
+    ybar = math.fsum(ys) / len(ys)
+    sxy = math.fsum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
+    sxx = math.fsum((x - xbar) * (x - xbar) for x in xs)
+    slope = sxy / sxx
+    intercept = ybar - slope * xbar
     max_resid = max(abs(math.exp(y - (slope * x + intercept)) - 1) for x, y in zip(xs, ys))
     return FitResult(slope, intercept, max_resid)
 
@@ -332,6 +479,10 @@ def short_unipotent_word(spec, z: int, i: int = 1, j: int = 3) -> list[str]:
     word at every such level, so length stays O((1 + log2 |z|)^2); callers
     measure the constant.  Needs rank >= 2 for the third index, so n = 2 is
     rejected.
+
+    The word for z has a length that depends on |z| alone, so each call
+    plans lengths in a memo keyed by |z| and builds only the chosen word at
+    every level.
     """
     n = spec.n
     if n < 3:
@@ -340,7 +491,7 @@ def short_unipotent_word(spec, z: int, i: int = 1, j: int = 3) -> list[str]:
         raise ValueError("z must be nonzero")
     if i == j or not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("need distinct in-range target indices")
-    return _synth(n, i, j, z)
+    return _synth(n, i, j, z, {})
 
 
 def _spare_index(n: int, i: int, j: int) -> int:
@@ -348,49 +499,62 @@ def _spare_index(n: int, i: int, j: int) -> int:
 
 
 def _invert_word(word: list[str]) -> list[str]:
-    out = []
-    for tok in reversed(word):
-        if tok.endswith("^-1"):
-            out.append(tok[:-3])
-        else:
-            out.append(tok + "^-1")
-    return out
+    inverse = {tok: tok[:-3] if tok.endswith("^-1") else tok + "^-1" for tok in set(word)}
+    return list(map(inverse.__getitem__, reversed(word)))
 
 
-def _commutator_word(n: int, i: int, l: int, j: int, a: int, b: int) -> list[str]:
+def _commutator_word(n: int, i: int, l: int, j: int, a: int, b: int, plan: dict) -> list[str]:
     # [E_il(a), E_lj(b)] = E_ij(a*b)
-    wa = _synth(n, i, l, a)
-    wb = _synth(n, l, j, b)
+    wa = _synth(n, i, l, a, plan)
+    wb = _synth(n, l, j, b, plan)
     return wa + wb + _invert_word(wa) + _invert_word(wb)
 
 
-def _synth(n: int, i: int, j: int, z: int) -> list[str]:
+def _plan(mag: int, plan: dict) -> tuple[int, int | None]:
+    """(length of the word for |z| = mag, the first commutator factor a of
+    the divisor split, or None for the binary word), memoized in plan.
+    A power of two is the split at a = 2^ceil(t/2); mag <= 3 is a plain
+    repeat.  Ties go to the split, as len(split) <= len(binary)."""
+    got = plan.get(mag)
+    if got is not None:
+        return got
+    if mag <= 3:
+        got = (mag, None)
+    elif mag & (mag - 1) == 0:
+        a = 2 ** (mag.bit_length() // 2)  # 2^ceil(t/2) for mag = 2^t
+        got = (2 * (_plan(a, plan)[0] + _plan(mag // a, plan)[0]), a)
+    else:
+        s = mag.bit_length() // 2
+        hi, lo = mag >> s, mag & ((1 << s) - 1)
+        binary = 2 * (_plan(hi, plan)[0] + _plan(1 << s, plan)[0])
+        if lo:
+            binary += _plan(lo, plan)[0]
+        got = (binary, None)
+        a = _largest_balanced_divisor(mag)
+        if a is not None:
+            split = 2 * (_plan(a, plan)[0] + _plan(mag // a, plan)[0])
+            if split <= binary:
+                got = (split, a)
+    plan[mag] = got
+    return got
+
+
+def _synth(n: int, i: int, j: int, z: int, plan: dict) -> list[str]:
     mag = abs(z)
     if mag <= 3:
         tok = f"E{i}{j}" if z > 0 else f"E{i}{j}^-1"
         return [tok] * mag
     l = _spare_index(n, i, j)
     sign = 1 if z > 0 else -1
-    if mag & (mag - 1) == 0:  # power of two
-        t = mag.bit_length() - 1
-        return _commutator_word(n, i, l, j, 2 ** ((t + 1) // 2), sign * 2 ** (t // 2))
-    binary = _binary_word(n, i, l, j, mag, sign)
-    a = _largest_balanced_divisor(mag)
+    a = _plan(mag, plan)[1]
     if a is not None:
-        split = _commutator_word(n, i, l, j, a, sign * (mag // a))
-        if len(split) <= len(binary):
-            return split
-    return binary
-
-
-def _binary_word(n: int, i: int, l: int, j: int, mag: int, sign: int) -> list[str]:
-    # z = hi * 2^s + lo
-    bits = mag.bit_length()
-    s = bits // 2
+        return _commutator_word(n, i, l, j, a, sign * (mag // a), plan)
+    # binary: z = hi * 2^s + lo
+    s = mag.bit_length() // 2
     hi, lo = mag >> s, mag & ((1 << s) - 1)
-    word = _commutator_word(n, i, l, j, sign * hi, 2**s)
+    word = _commutator_word(n, i, l, j, sign * hi, 1 << s, plan)
     if lo:
-        word = word + _synth(n, i, j, sign * lo)
+        word += _synth(n, i, j, sign * lo, plan)
     return word
 
 

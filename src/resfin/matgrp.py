@@ -14,7 +14,9 @@ powers q not dividing that gcd.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from resfin import arith
@@ -61,11 +63,8 @@ def elementary(n: int, i: int, j: int, z: int) -> Mat:
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    n = len(a)
     bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in bt) for row in a)
 
 
 def mat_mul_mod(a: Mat, b: Mat, m: int) -> Mat:
@@ -179,12 +178,7 @@ def detection_gcd(a: Mat) -> int:
     A dies in SL_n(Z/m) exactly when m divides this gcd (with the usual
     convention that every m divides 0).
     """
-    n = len(a)
-    g = 0
-    for i in range(n):
-        for j in range(n):
-            g = math.gcd(g, a[i][j] - (1 if i == j else 0))
-    return g
+    return math.gcd(*(x - 1 if i == j else x for i, row in enumerate(a) for j, x in enumerate(row)))
 
 
 @dataclass(frozen=True)
@@ -208,12 +202,11 @@ def _central_gcd(a: Mat) -> int:
     a = lambda * I mod q, and then lambda^n = det a mod q; for det a = 1 the
     last part is 0, as lambda^n = 1 comes for free.
     """
-    a11 = a[0][0]
-    h = det(a) - 1
-    for i, row in enumerate(a):
-        for j, x in enumerate(row):
-            h = math.gcd(h, x - (a11 if i == j else 0))
-    return h
+    entries = list(itertools.chain.from_iterable(a))
+    a11 = entries[0]
+    for t in range(0, len(entries), len(a) + 1):  # the diagonal
+        entries[t] -= a11
+    return math.gcd(det(a) - 1, *entries)
 
 
 def is_central_mod(a: Mat, m: int) -> bool:
@@ -231,6 +224,30 @@ def _order_floor_fraction(n: int) -> tuple[int, int]:
     return num, den
 
 
+def quotient_key(spec, q: int, allow_central: bool, central: bool = False) -> tuple[int, int, bool]:
+    """(order, q, central flag), ordered as DetectionResult.key(), of the
+    least quotient mod the prime power q seeing an element that survives
+    mod q: SL_n(Z/q), or with allow_central SL_n(Z/q) / center when the
+    center is nontrivial and the image is not `central` mod q."""
+    order = spec.order_mod(q)
+    if allow_central and not central:
+        z = spec.center_order_mod(q)
+        if z > 1:
+            return order // z, q, True
+    return order, q, False
+
+
+def stop_rule(spec, allow_central: bool) -> tuple[int, int, int]:
+    """(dim, fnum, scale) such that every quotient_key order at q and at all
+    larger prime powers exceeds `order` once q**dim * fnum > order * scale:
+    q^dim times the universal order floor fnum / fden exceeds it.  Central
+    quotients are smaller by the center order, which never exceeds 2n (n-th
+    roots of unity in a unit group with <= 2 cyclic parts), so the bound
+    then has slack 2n."""
+    fnum, fden = _order_floor_fraction(spec.n)
+    return spec.dim, fnum, fden * (2 * spec.n if allow_central else 1)
+
+
 def min_congruence_quotient(
     spec, survives, allow_central: bool = False, central=None
 ) -> DetectionResult:
@@ -241,27 +258,19 @@ def min_congruence_quotient(
 
     Prime powers suffice: SL_n(Z/m), also modulo its center, is the product
     over the prime powers exactly dividing m, and the element survives mod m
-    only if it does mod one of them.  q runs upwards until q^dim times the
-    universal order floor exceeds the best order; central quotients are
-    smaller by the center order, which never exceeds 2n (n-th roots of unity
-    in a unit group with <= 2 cyclic parts), so the bound then has slack 2n.
+    only if it does mod one of them.  q runs upwards until stop_rule holds
+    against the best order, so the result is the least quotient_key over
+    all surviving prime powers.
     """
-    fnum, fden = _order_floor_fraction(spec.n)
-    slack = 2 * spec.n if allow_central else 1
-    best: tuple[int, int, bool] | None = None  # ordered as DetectionResult.key()
+    dim, fnum, scale = stop_rule(spec, allow_central)
+    best: tuple[int, int, bool] | None = None
     for q, p, i in arith.prime_power_stream():
-        if best is not None and q**spec.dim * fnum > best[0] * fden * slack:
+        if best is not None and q**dim * fnum > best[0] * scale:
             break
-        if not survives(q, p, i):
-            continue
-        order = spec.order_mod(q)
-        cand = (order, q, False)
-        if allow_central and (central is None or not central(q, p, i)):
-            z = spec.center_order_mod(q)
-            if z > 1:
-                cand = (order // z, q, True)
-        if best is None or cand < best:
-            best = cand
+        if survives(q, p, i):
+            cand = quotient_key(spec, q, allow_central, central is not None and central(q, p, i))
+            if best is None or cand < best:
+                best = cand
     return DetectionResult(best[1], best[0], best[2])
 
 

@@ -118,6 +118,19 @@ class TestLeastNondivisor:
         assert all(m % e == 0 for e in range(2, d))
         assert arith.is_prime_power(d) is not None
 
+    def test_matches_linear_scan(self):
+        # oracle: the definition, d = 2, 3, ... until one does not divide m;
+        # the lcm cases cross the 64-prime-power blocks of the fast scan
+        def scan(m):
+            d = 2
+            while m % d == 0:
+                d += 1
+            return d
+
+        cases = list(range(1, 3000)) + [math.lcm(*range(1, k + 1)) for k in (300, 311, 320, 1000)]
+        for m in cases:
+            assert arith.least_nondivisor(m) == scan(m), m
+
     def test_of_lcm_exceeds_k(self):
         # least_nondivisor(lcm(1..k)) is the least prime power > k; checked
         # against the materialized lcm where that is cheap.
@@ -224,3 +237,41 @@ def test_is_prime_power():
     assert arith.is_prime_power(9) == (3, 2)
     assert arith.is_prime_power(12) is None
     assert arith.is_prime_power(1) is None
+
+
+def test_prime_power_stream_above_bisects_to_the_first_larger_q():
+    every = list(arith.prime_power_stream(5000))
+    for above in (-3, 0, 1, 2, 7, 8, 9, 1000, 1024, 4999, 5000):
+        want = [t for t in every if t[0] > above]
+        assert list(arith.prime_power_stream(5000, above=above)) == want, above
+
+
+def test_prime_power_stream_above_the_cache_end_grows_it_first(monkeypatch):
+    monkeypatch.setattr(arith, "_PRIME_POWERS", [])
+    monkeypatch.setattr(arith, "_SIEVED_TO", 0)
+    assert next(arith.prime_power_stream(above=5000)) == (5003, 5003, 1)
+    assert arith._SIEVED_TO == 8192
+    assert next(arith.prime_power_stream(above=8191)) == (8192, 2, 13)
+
+
+def test_endless_stream_grows_up_to_the_sieve_cap(monkeypatch):
+    # a small cap stands in for 10**8: growth is clamped to the cap, and only
+    # a reader running past a cache that sits at the cap raises
+    expect = list(arith.prime_power_stream(1000))
+    monkeypatch.setattr(arith, "_SIEVE_CAP", 1000)
+    monkeypatch.setattr(arith, "_PRIME_POWERS", [])
+    monkeypatch.setattr(arith, "_SIEVED_TO", 0)
+    stream = arith.prime_power_stream()
+    assert [next(stream) for _ in expect] == expect
+    assert arith._SIEVED_TO == 1000
+    with pytest.raises(ValueError, match="cap 1000"):
+        next(stream)
+    with pytest.raises(ValueError, match="cap 1000"):
+        next(arith.prime_power_stream(above=1000))
+    assert list(arith.prime_power_stream(1000, above=990)) == [(991, 991, 1), (997, 997, 1)]
+
+
+def test_lcm_upto_matches_math_lcm_in_any_order():
+    ks = list(range(0, 200)) + list(range(199, -1, -1)) + [500, 3, 700, 699, 1, 701]
+    for k in ks:
+        assert arith.lcm_upto(k) == math.lcm(*range(1, k + 1)), k

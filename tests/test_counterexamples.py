@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from resfin import arith
 from resfin import counterexamples as cx
 from resfin import matgrp
 from resfin.matgrp import RangeExhaustedError, UndetectableError
@@ -112,6 +113,24 @@ class TestInjectivityCertificate:
         assert r.passed and "4 distinct" in r.detail
         r = cx.lamp_injectivity_certificate(12, 13)
         assert r.passed and "9 distinct" in r.detail
+
+    def test_axis_product_matches_materialized_images(self):
+        # oracle: fold every witness (delta_n, t) and count distinct images
+        for k in range(4, 64):
+            for m in range(k + 1, k + 40):  # a detecting m exceeds k
+                if all(e <= arith.lcm_valuation(k, p) for p, e in arith.factorize(m)):
+                    continue
+                side = k // 4
+                images = {
+                    cx.lamp_fold(cx.LampElement(frozenset((n,)), t), m)
+                    for n in range(1, side + 1)
+                    for t in range(1, side + 1)
+                }
+                status = "pass" if len(images) == side * side else "fail"
+                r = cx.lamp_injectivity_certificate(k, m)
+                assert (r.status, r.detail) == (
+                    status, f"{len(images)} distinct images, expected {side * side}"
+                ), (k, m)
 
     def test_rejections(self):
         with pytest.raises(ValueError):

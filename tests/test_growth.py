@@ -8,6 +8,8 @@ all-moduli brute force before freezing.
 import itertools
 import math
 import random
+import statistics
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,9 @@ def brute_ball(gens, n):
 
 
 MINUS_I = ((-1, 0), (0, -1))
+A_MINUS_I = gr.GeneratingSet(
+    "A,-I", ("A", "A^-1", "-I"), (((-3, 2), (-2, 1)), ((1, -2), (2, -3)), MINUS_I)
+)
 
 
 def reference_D(a, spec, allow_central):
@@ -86,6 +91,51 @@ def per_element_table(gens, spec, n_max, k=1, allow_central=False):
     return gr.GrowthTable(gens.name, k, allow_central, tuple(rows))
 
 
+def reference_synth(n, i, j, z, words=None):
+    """Oracle: the word builder that builds both the binary and the divisor
+    split word in full at every level and keeps the shorter (the split on
+    ties).  `words` memoizes finished words by (i, j, z) within one call."""
+    words = {} if words is None else words
+    if (i, j, z) not in words:
+        words[i, j, z] = _reference_word(n, i, j, z, words)
+    return words[i, j, z]
+
+
+def _reference_word(n, i, j, z, words):
+    mag = abs(z)
+    if mag <= 3:
+        return [f"E{i}{j}" if z > 0 else f"E{i}{j}^-1"] * mag
+    l = next(x for x in range(1, n + 1) if x not in (i, j))
+    sign = 1 if z > 0 else -1
+
+    def commutator(a, b):
+        wa, wb = reference_synth(n, i, l, a, words), reference_synth(n, l, j, b, words)
+        inverse = [
+            [tok[:-3] if tok.endswith("^-1") else tok + "^-1" for tok in reversed(w)]
+            for w in (wa, wb)
+        ]
+        return wa + wb + inverse[0] + inverse[1]
+
+    if mag & (mag - 1) == 0:
+        t = mag.bit_length() - 1
+        return commutator(2 ** ((t + 1) // 2), sign * 2 ** (t // 2))
+    s = mag.bit_length() // 2
+    hi, lo = mag >> s, mag & ((1 << s) - 1)
+    binary = commutator(sign * hi, 2**s)
+    if lo:
+        binary = binary + reference_synth(n, i, j, sign * lo, words)
+    divisors = [1]
+    for p, e in arith.factorize(mag):
+        divisors = [d * p**t for d in divisors for t in range(e + 1)]
+    balanced = [d for d in divisors if 2 <= d <= math.isqrt(mag)]
+    if balanced:
+        a = max(balanced)
+        split = commutator(a, sign * (mag // a))
+        if len(split) <= len(binary):
+            return split
+    return binary
+
+
 class TestWordBall:
     def test_radius_zero_and_one(self):
         gens = gr.sl2_st()
@@ -104,6 +154,9 @@ class TestWordBall:
         assert gr.word_ball(gens, 3) == brute_ball(gens, 3)
         gens3 = gr.elementary_set(3)
         assert gr.word_ball(gens3, 2) == brute_ball(gens3, 2)
+        assert gr.word_ball(gr.elementary_set(4), 2) == brute_ball(gr.elementary_set(4), 2)
+        # every column of A, A^-1 and -I changes, none is an identity column
+        assert gr.word_ball(A_MINUS_I, 4) == brute_ball(A_MINUS_I, 4)
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
@@ -176,12 +229,25 @@ class TestFarbGrowth:
         # A = [[-3, 2], [-2, 1]] and -I share detection_gcd 2 and A sorts
         # first, but only -I is central mod 3: one key per gcd would give
         # -I the central order 12 of A instead of 24
-        (gr.GeneratingSet("A,-I", ("A", "A^-1", "-I"),
-                          (((-3, 2), (-2, 1)), ((1, -2), (2, -3)), MINUS_I)), SL2, 3),
+        (A_MINUS_I, SL2, 3),
     ])
     def test_keyed_table_matches_per_element_oracle(self, gens, spec, n_max, k, allow_central):
         fast = gr.farb_growth(gens, spec, n_max, k=k, allow_central=allow_central)
         assert fast == per_element_table(gens, spec, n_max, k, allow_central)
+
+    def test_witness_is_the_entry_least_of_a_tied_sphere(self):
+        # S^-1 is found first and S, T^-1, T tie with it at order 6 on
+        # sphere 1; S is the least in entries order
+        s, t = matgrp.mat([[0, -1], [1, 0]]), matgrp.elementary(2, 1, 2, 1)
+        gens = gr.GeneratingSet(
+            "S^-1,S,T^-1,T", ("S^-1", "S", "T^-1", "T"),
+            (matgrp.mat_inv(s), s, matgrp.mat_inv(t), t),
+        )
+        table = gr.farb_growth(gens, SL2, 3)
+        assert next(iter(gr.word_ball(gens, 1))) == matgrp.identity(2)
+        assert list(gr.word_ball(gens, 1))[1] == matgrp.mat_inv(s)
+        assert table.rows[1].witness == s
+        assert table == per_element_table(gens, SL2, 3)
 
     def test_worker_pool_is_deterministic(self):
         serial = gr.farb_growth(gr.sl2_st(), SL2, 3)
@@ -310,6 +376,38 @@ class TestCandidateDAnalytic:
             assert d <= (2 * k) ** 3
 
 
+class TestCandidateSweep:
+    K_MAX = 3000
+
+    @pytest.mark.parametrize("s_primes", [(), (2,), (2, 3, 5)])
+    def test_r_log2_bit_identical_at_every_k(self, s_primes):
+        cs = gr.CandidateSeq(SL3, s_primes)
+        got = [r for _, r, _ in gr.candidate_sweep(cs, 1, self.K_MAX)]
+        assert got == [cs.r_log2(k) for k in range(1, self.K_MAX + 1)]
+
+    @pytest.mark.parametrize("allow_central", [False, True])
+    @pytest.mark.parametrize("e", [1, 2, 12])
+    @pytest.mark.parametrize("s_primes", [(), (2,), (2, 3, 5)])
+    def test_detection_matches_per_k_oracle(self, s_primes, e, allow_central):
+        # per-k candidate_D_analytic at both ends of every run between prime
+        # powers (the sweep's answer can change only at a prime power) and at
+        # every k <= 300; the range starts past 1 so lo is not a prime power
+        cs = gr.CandidateSeq(SL3, s_primes, e)
+        powers = [q for q, _, _ in arith.prime_power_stream(self.K_MAX)]
+        checked = set(range(6, 301)) | {q for q in powers if q >= 6} | {q - 1 for q in powers if q > 6}
+        sweep = gr.candidate_sweep(cs, 6, self.K_MAX, allow_central)
+        for k, _, det in sweep:
+            if k in checked:
+                assert det == gr.candidate_D_analytic(cs, k, allow_central), k
+
+    def test_rows_cover_the_range_and_lo_is_checked(self):
+        cs = gr.CandidateSeq(SL2, (3,), 4)
+        rows = list(gr.candidate_sweep(cs, 40, 60, True))
+        assert [k for k, _, _ in rows] == list(range(40, 61))
+        with pytest.raises(ValueError):
+            list(gr.candidate_sweep(cs, 0, 5))
+
+
 class TestFitExponent:
     def test_exact_power_law(self):
         f = gr.fit_exponent([(k, k**8) for k in range(10, 100)])
@@ -322,6 +420,23 @@ class TestFitExponent:
         f = gr.fit_exponent(pts)
         assert abs(f.slope - 3) < 0.2
         assert 0.05 < f.max_residual < 0.25
+
+    def test_matches_statistics_linear_regression(self):
+        # Python 3.11 computes linear_regression with the same fsum formulas,
+        # so there the fit must match bit for bit; other versions differ
+        rng = random.Random(3)
+        for _ in range(300):
+            pts = [(rng.randint(1, 10**6), rng.randint(1, 10**40)) for _ in range(rng.randint(3, 60))]
+            if len({x for x, _ in pts}) < 2:
+                continue
+            f = gr.fit_exponent(pts)
+            want = tuple(statistics.linear_regression(
+                [math.log(x) for x, _ in pts], [math.log(y) for _, y in pts]
+            ))
+            if sys.version_info[:2] == (3, 11):
+                assert (f.slope, f.intercept) == want
+            else:
+                assert (f.slope, f.intercept) == pytest.approx(want, rel=1e-12)
 
     def test_rejections(self):
         with pytest.raises(ValueError):
@@ -375,6 +490,28 @@ class TestShortUnipotentWord:
         for tok in word:
             expect = matgrp.mat_mul(expect, letters[tok])
         assert gr.evaluate_word(n, word) == expect
+
+    def test_tokens_match_reference_small(self):
+        words = {}  # finished reference words, shared across the z of one n
+        for z in itertools.chain(range(-3000, 0), range(1, 3001)):
+            assert gr.short_unipotent_word(SL3, z) == reference_synth(3, 1, 3, z, words), z
+        for z in range(-200, 201, 7):
+            assert gr.short_unipotent_word(SL4, z, 4, 2) == reference_synth(4, 4, 2, z), z
+
+    def test_tokens_match_reference_seeded(self):
+        rng = random.Random(10)
+        zs = [2**t for t in range(2, 60, 3)]
+        for _ in range(20):
+            p = rng.randrange(2, 5 * 10**17)
+            while not arith.is_prime(p):
+                p += 1
+            zs.append(2 * p)
+        zs += [rng.randrange(1, 10 ** rng.randint(2, 18)) for _ in range(160)]
+        places = [(SL3, 1, 3), (SL3, 2, 1), (SL3, 3, 2), (SL4, 1, 3), (SL4, 4, 2), (SL4, 3, 1)]
+        for t, z in enumerate(zs):
+            z = z if t % 3 else -z
+            spec, i, j = places[t % len(places)]
+            assert gr.short_unipotent_word(spec, z, i, j) == reference_synth(spec.n, i, j, z), z
 
     def test_inverse_word(self):
         w = gr.short_unipotent_word(SL3, 97)
