@@ -177,17 +177,6 @@ def least_nondivisor(m: int) -> int:
                 return q
 
 
-def prime_powers_above(k: int, limit: int) -> list[tuple[int, int]]:
-    """All (p, i) with p prime and k < p**i <= limit, sorted by the value p**i.
-
-    These are exactly the prime powers q with q not dividing lcm(1..k):
-    p**i | lcm(1..k) iff p**i <= k.
-    """
-    if limit < k:
-        raise ValueError("limit must be at least k")
-    return [(p, i) for _, p, i in prime_power_stream(limit, above=k)]
-
-
 def is_prime_power(q: int) -> tuple[int, int] | None:
     """(p, i) with q = p**i if q is a prime power, else None."""
     if q < 2:
@@ -212,11 +201,13 @@ def prime_power_stream(limit: int | None = None, above: int = 0):
     cache grows fourfold whenever a reader runs past its end, but never past
     the sieve cap: only a reader that runs past a cache sitting at the cap
     raises.  A reader with a limit grows it to that limit, but at least
-    twofold, so readers with rising limits (prime_powers_above for k = 2, 3,
-    ...) share O(log) sieves.  A limit above the sieve cap raises at once.
+    twofold, so readers with rising limits share O(log) sieves.  A limit
+    above the sieve cap, or below `above`, raises at once.
     """
     if limit is not None and limit > _SIEVE_CAP:
         raise ValueError(f"sieve limit {limit} exceeds cap {_SIEVE_CAP}")
+    if limit is not None and limit < above:
+        raise ValueError("limit must be at least above")
     k = 0 if above < 2 else None  # index of the next triple, once the cache covers above
     while True:
         if k is None and _SIEVED_TO > above:
@@ -250,10 +241,10 @@ def lcm_upto(k: int) -> int:
 
     lcm(1..k) = p * lcm(1..k-1) when k = p**i and equals lcm(1..k-1)
     otherwise, so rising k (a range of rows) multiply in one prime per prime
-    power; a smaller k starts again from lcm(1..1) = 1.
+    power; a smaller k starts again from the empty lcm(1..0) = 1.
     """
     global _LCM_MEMO
-    top, acc = _LCM_MEMO if _LCM_MEMO[0] <= k else (1, 1)
+    top, acc = _LCM_MEMO if _LCM_MEMO[0] <= k else (0, 1)
     for _, p, _ in prime_power_stream(k, above=top):
         acc *= p
     _LCM_MEMO = (max(k, 1), acc)

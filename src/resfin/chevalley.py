@@ -114,7 +114,12 @@ class GroupSpec:
         return out
 
     def center_order_mod(self, m: int) -> int:
-        """Number of scalars lambda mod m with lambda^n = 1 (= |Z(SL_n(Z/m))|)."""
+        """Number of scalars lambda mod m with lambda^n = 1 (= |Z(SL_n(Z/m))|),
+        multiplicative over prime powers; cached like order_mod."""
+        key = (self.n, m)
+        cached = _CENTER_CACHE.get(key)
+        if cached is not None:
+            return cached
         out = 1
         for p, e in arith.factorize(m):
             q = p**e
@@ -128,6 +133,7 @@ class GroupSpec:
             else:
                 cnt = math.gcd(self.n, q // p * (p - 1))
             out *= cnt
+        _CENTER_CACHE[key] = out
         return out
 
     def elementary_generators(self) -> list[Mat]:
@@ -142,6 +148,7 @@ class GroupSpec:
 
 
 _ORDER_CACHE: dict[tuple[int, int], int] = {}
+_CENTER_CACHE: dict[tuple[int, int], int] = {}
 
 SL2 = GroupSpec(2)
 SL3 = GroupSpec(3)

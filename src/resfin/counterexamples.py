@@ -12,7 +12,10 @@ itself: detection growth is not stable under finite index.
 
 Both families come with the certificates that make the lower bounds checkable
 on concrete quotients: injectivity of the witness set for the lamplighter,
-and the kernel-lattice index bound for the semidirect product.
+and the kernel-lattice index bound for the semidirect product.  The kernel
+certificate scans no vectors: the fold is additive on translations, so the
+kernel lattice is the solution set of a u1 + b u2 = 0 for the folds u1, u2
+of the two unit vectors, and its Hermite basis comes from u1 and u2 in O(d).
 """
 
 from __future__ import annotations
@@ -116,8 +119,7 @@ def lamp_quotient_D(k: int, corrected: bool = True) -> LampDetection:
     if k < 2:
         raise ValueError("k must be >= 2")
     if corrected:
-        p, i = arith.prime_powers_above(k, 2 * k + 2)[0]
-        m = p**i
+        m = next(arith.prime_power_stream(above=k))[0]
     else:
         m = arith.least_nondivisor(max(arith.lcm_upto(k) - 1, 1))
     return LampDetection(m, m * 2**m)
@@ -244,34 +246,25 @@ def semidirect_quotient_D(k: int) -> SemidirectDetection:
     the lcm, i.e. the least prime power above k, with quotient order 8 d^2."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    p, i = arith.prime_powers_above(k, 2 * k + 2)[0]
-    d = p**i
+    d = next(arith.prime_power_stream(above=k))[0]
     return SemidirectDetection(d, 8 * d * d)
 
 
-def semidirect_kernel_structure_check(d: int, box: int = 2) -> CheckResult:
+def semidirect_kernel_structure_check(d: int) -> CheckResult:
     """For the fold over d, confirm ker cap Z^2 is a Q-stable lattice that
     contains d Z x d Z with index at most 4.
 
-    The kernel vectors are found by scanning the box [-box*d, box*d]^2
-    through the actual fold map, a lattice basis is extracted, and the
-    containment, the index, and Q-stability are each verified on the basis.
+    Lemma: on translations the fold is additive, so (a, b) folds to
+    a u1 + b u2 in (Z/d)^2, where u1 and u2 are the folds of e_1 and e_2,
+    and the kernel is {(a, b) : a u1 + b u2 = 0}.  _kernel_basis gives its
+    Hermite basis from u1 and u2 alone, and the containment, the index and
+    Q-stability are each verified on that basis.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    span = max(box * d, 2)
     one = matgrp.identity(2)
-    vectors = [
-        (a, b)
-        for a in range(-span, span + 1)
-        for b in range(-span, span + 1)
-        if semidirect_fold(SemidirectElement((a, b), one), d)[0] == (0, 0)
-    ]
-    basis = _lattice_basis(vectors)
-    if basis is None:
-        return CheckResult(
-            "semidirect_kernel_structure", f"d={d}", "fail", "kernel lattice not of rank 2"
-        )
+    u1, u2 = (semidirect_fold(SemidirectElement(e, one), d)[0] for e in ((1, 0), (0, 1)))
+    basis = _kernel_basis(d, u1, u2)
     det = basis[0][0] * basis[1][1]
     contains = _in_lattice((d, 0), basis) and _in_lattice((0, d), basis)
     stable = all(
@@ -287,27 +280,23 @@ def semidirect_kernel_structure_check(d: int, box: int = 2) -> CheckResult:
     )
 
 
-def _lattice_basis(vectors) -> tuple[tuple[int, int], tuple[int, int]] | None:
-    """Reduce integer vectors to a basis ((g, y), (0, c)) with g, c > 0."""
-    vs = [list(v) for v in vectors if v != (0, 0)]
-    while True:
-        nz = [v for v in vs if v[0] != 0]
-        if len(nz) <= 1:
-            break
-        nz.sort(key=lambda v: abs(v[0]))
-        pivot = nz[0]
-        for v in nz[1:]:
-            q = v[0] // pivot[0]
-            v[0] -= q * pivot[0]
-            v[1] -= q * pivot[1]
-    first = next((v for v in vs if v[0] != 0), None)
-    rest = [v[1] for v in vs if v[0] == 0 and v[1] != 0]
-    if first is None or not rest:
-        return None
-    if first[0] < 0:
-        first = [-first[0], -first[1]]
-    c = math.gcd(*rest) if len(rest) > 1 else abs(rest[0])
-    return (first[0], first[1] % c), (0, c)
+def _kernel_basis(
+    d: int, u1: tuple[int, int], u2: tuple[int, int]
+) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Hermite basis ((g, y), (0, c)) of {(a, b) : a u1 + b u2 = 0 in (Z/d)^2}.
+
+    The kernel vectors (0, b) are those with c | b, for c = d / gcd(d, u2)
+    the order of u2.  The first coordinates of kernel vectors are the a with
+    -a u1 in <u2>, the multiples of the least such g >= 1 (g <= d, as
+    d u1 = 0), and y in [0, c) is the multiple of u2 that reaches -g u1.
+    O(d) steps.
+    """
+    c = d // math.gcd(d, *u2)
+    multiples = {(y * u2[0] % d, y * u2[1] % d): y for y in range(c)}
+    g = 1
+    while (target := (-g * u1[0] % d, -g * u1[1] % d)) not in multiples:
+        g += 1
+    return (g, multiples[target]), (0, c)
 
 
 def _in_lattice(v: tuple[int, int], basis) -> bool:

@@ -469,29 +469,57 @@ def fit_exponent(pairs) -> FitResult:
 
 
 def short_unipotent_word(spec, z: int, i: int = 1, j: int = 3) -> list[str]:
-    """A word in the E_ab(+-1) generators multiplying to exactly E_ij(z).
+    """A word in the E_ab(+-1) generators multiplying to exactly E_ij(z), of
+    length l(z) <= C ln|z| + C' with C = 5 / ln(phi) < 10.4 and C' = 11.
 
-    Built from the commutator identity [E_il(a), E_lj(b)] = E_ij(ab) with
-    balanced splits: powers of two split in half, composites split at the
-    largest divisor <= sqrt when that beats the binary (Horner) fallback,
-    and everything else goes binary.  Taking the divisor split gated on an
-    actual length comparison keeps z = 2 * (large prime) from doubling the
-    word at every such level, so length stays O((1 + log2 |z|)^2); callers
-    measure the constant.  Needs rank >= 2 for the third index, so n = 2 is
+    Lemma.  Let l be the spare index and B = E_jl(1) E_lj(1).  The products
+    E(a, b) = E_ij(a) E_il(b) form an abelian group U = Z^2, and B acts on
+    the columns (j, l) as A = [[2, 1], [1, 1]], so B^-1 E(v) B = E(vA).  A
+    has char. polynomial x^2 - 3x + 1, the minimal polynomial of
+    lam = phi^2, so iota(x) = e_1 x(A) is a Z[phi]-module isomorphism
+    Z[lam] = Z[phi] -> Z^2 (the basis 1, lam goes to (1, 0), (2, 1)), with
+    iota(m) = (m, 0).  Hence m = sum c_t lam^t over t in [-S, T] gives, by
+    Horner,
+        E_ij(m) = prod_t B^-t E_ij(c_t) B^t
+                = B^S E_ij(c_-S) B^-1 E_ij(c_1-S) B^-1 ... E_ij(c_T) B^T.
+
+    Digits.  Bergman's greedy base-phi expansion m = sum d_k phi^k, with
+    digits 0 or 1, no two adjacent, is finite for an integer m >= 1.  It
+    runs exactly in Z[phi] (see _golden_digits), from K = floor(log_phi m)
+    down to some -L.  Regrouped through phi^(2t+1) = lam^(t+1) - lam^t, the
+    digit c_t = d_2t + d_(2t-1) - d_(2t+1) lies in {-1, 0, 1}, with
+    T = ceil(K / 2) and S = ceil(L / 2).
+
+    Length.  l(m) = 4(S + T) + sum |c_t| <= 5(S + T) + 1.  Conjugation
+    phi -> -1/phi fixes m; under it the digits k >= 0 sum to a number in
+    (-1, phi), and the digits k < 0 to one of size above
+    phi^L - phi^(L-1) = phi^(L-2), as no two are adjacent.  So
+    phi^(L-2) < m + 1 < phi^(K+2), L <= K + 3, S + T <= K + 2 and
+    l(m) <= 5K + 11 <= C ln m + C'.  Near |z| = 10^18 the length is 9.2 to
+    10.1 ln|z| (about 400 letters).  |z| <= 3 is a plain repeat, and z < 0
+    negates every digit.  Needs rank >= 2 for the spare index, so n = 2 is
     rejected.
-
-    The word for z has a length that depends on |z| alone, so each call
-    plans lengths in a memo keyed by |z| and builds only the chosen word at
-    every level.
     """
     n = spec.n
     if n < 3:
-        raise ValueError("word synthesis needs n >= 3 (a spare index for commutators)")
+        raise ValueError("word synthesis needs n >= 3 (a spare index)")
     if z == 0:
         raise ValueError("z must be nonzero")
     if i == j or not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("need distinct in-range target indices")
-    return _synth(n, i, j, z, {})
+    letter = {1: [f"E{i}{j}"], 0: [], -1: [f"E{i}{j}^-1"]}
+    sign = 1 if z > 0 else -1
+    if abs(z) <= 3:
+        return letter[sign] * abs(z)
+    l = _spare_index(n, i, j)
+    b = [f"E{j}{l}", f"E{l}{j}"]
+    b_inv = _invert_word(b)
+    digits = _golden_digits(abs(z))
+    bottom, top = min(digits), max(digits)
+    word = b * -bottom + letter[sign * digits[bottom]]
+    for t in range(bottom + 1, top + 1):
+        word += b_inv + letter[sign * digits.get(t, 0)]
+    return word + b * top
 
 
 def _spare_index(n: int, i: int, j: int) -> int:
@@ -503,72 +531,40 @@ def _invert_word(word: list[str]) -> list[str]:
     return list(map(inverse.__getitem__, reversed(word)))
 
 
-def _commutator_word(n: int, i: int, l: int, j: int, a: int, b: int, plan: dict) -> list[str]:
-    # [E_il(a), E_lj(b)] = E_ij(a*b)
-    wa = _synth(n, i, l, a, plan)
-    wb = _synth(n, l, j, b, plan)
-    return wa + wb + _invert_word(wa) + _invert_word(wb)
+def _golden_digits(m: int) -> dict[int, int]:
+    """{t: c_t} with m = sum c_t phi^(2t) and every c_t in {-1, 0, 1}, for
+    m >= 1: Bergman's greedy base-phi digits, regrouped to base phi^2.
+
+    phi^k is carried as the pair (a, b) = a + b phi.  The climb goes up by
+    phi^(k+1) = phi^k + phi^(k-1) and the greedy steps down by
+    phi^(k-1) = phi^(k+1) - phi^k, so every number stays exact in Z[phi].
+    Taking phi^k <= x < phi^(k+1) leaves x - phi^k < phi^(k-1), so the next
+    digit is at most k - 2: no two digits are adjacent.
+    """
+    k, cur, nxt = 0, (1, 0), (0, 1)  # phi^k, phi^(k+1)
+    while _nonnegative(m - nxt[0], -nxt[1]):
+        k, cur, nxt = k + 1, nxt, (cur[0] + nxt[0], cur[1] + nxt[1])
+    digits: dict[int, int] = {}
+    x = (m, 0)
+    while x != (0, 0):
+        if _nonnegative(x[0] - cur[0], x[1] - cur[1]):
+            x = (x[0] - cur[0], x[1] - cur[1])
+            t, odd = divmod(k, 2)
+            digits[t + odd] = digits.get(t + odd, 0) + 1
+            if odd:  # phi^(2t+1) = lam^(t+1) - lam^t
+                digits[t] = digits.get(t, 0) - 1
+        k, cur, nxt = k - 1, (nxt[0] - cur[0], nxt[1] - cur[1]), cur
+    return digits
 
 
-def _plan(mag: int, plan: dict) -> tuple[int, int | None]:
-    """(length of the word for |z| = mag, the first commutator factor a of
-    the divisor split, or None for the binary word), memoized in plan.
-    A power of two is the split at a = 2^ceil(t/2); mag <= 3 is a plain
-    repeat.  Ties go to the split, as len(split) <= len(binary)."""
-    got = plan.get(mag)
-    if got is not None:
-        return got
-    if mag <= 3:
-        got = (mag, None)
-    elif mag & (mag - 1) == 0:
-        a = 2 ** (mag.bit_length() // 2)  # 2^ceil(t/2) for mag = 2^t
-        got = (2 * (_plan(a, plan)[0] + _plan(mag // a, plan)[0]), a)
-    else:
-        s = mag.bit_length() // 2
-        hi, lo = mag >> s, mag & ((1 << s) - 1)
-        binary = 2 * (_plan(hi, plan)[0] + _plan(1 << s, plan)[0])
-        if lo:
-            binary += _plan(lo, plan)[0]
-        got = (binary, None)
-        a = _largest_balanced_divisor(mag)
-        if a is not None:
-            split = 2 * (_plan(a, plan)[0] + _plan(mag // a, plan)[0])
-            if split <= binary:
-                got = (split, a)
-    plan[mag] = got
-    return got
-
-
-def _synth(n: int, i: int, j: int, z: int, plan: dict) -> list[str]:
-    mag = abs(z)
-    if mag <= 3:
-        tok = f"E{i}{j}" if z > 0 else f"E{i}{j}^-1"
-        return [tok] * mag
-    l = _spare_index(n, i, j)
-    sign = 1 if z > 0 else -1
-    a = _plan(mag, plan)[1]
-    if a is not None:
-        return _commutator_word(n, i, l, j, a, sign * (mag // a), plan)
-    # binary: z = hi * 2^s + lo
-    s = mag.bit_length() // 2
-    hi, lo = mag >> s, mag & ((1 << s) - 1)
-    word = _commutator_word(n, i, l, j, sign * hi, 1 << s, plan)
-    if lo:
-        word += _synth(n, i, j, sign * lo, plan)
-    return word
-
-
-def _largest_balanced_divisor(m: int) -> int | None:
-    """Largest divisor a of m with 2 <= a <= sqrt(m), None if m is prime."""
-    root = math.isqrt(m)
-    best = None
-    divisors = [1]
-    for p, e in arith.factorize(m):
-        divisors = [d * p**t for d in divisors for t in range(e + 1)]
-    for d in divisors:
-        if 2 <= d <= root and (best is None or d > best):
-            best = d
-    return best
+def _nonnegative(a: int, b: int) -> bool:
+    """a + b phi >= 0, by integers: 2(a + b phi) = p + b sqrt(5), p = 2a + b."""
+    p = 2 * a + b
+    if p >= 0 and b >= 0:
+        return True
+    if p <= 0 and b <= 0:
+        return False
+    return (p > 0) == (p * p > 5 * b * b)
 
 
 def evaluate_word(n: int, word: list[str]) -> Mat:

@@ -138,15 +138,13 @@ class TestLeastNondivisor:
             l = math.lcm(*range(1, k + 1))
             d = arith.least_nondivisor(l)
             assert d > k
-            p, i = arith.prime_powers_above(k, 2 * k + 2)[0]
-            assert d == p**i
+            assert d == next(arith.prime_power_stream(2 * k + 2, above=k))[0]
 
     def test_of_lcm_via_valuations_large_k(self):
         # For k up to 2000, the least nondivisor of lcm(1..k) must equal the
         # first prime power above k, computed without materializing the lcm.
         for k in (100, 500, 1000, 1999):
-            p, i = arith.prime_powers_above(k, 2 * k + 2)[0]
-            q = p**i
+            q = next(arith.prime_power_stream(2 * k + 2, above=k))[0]
             assert q > k
             # every integer in [2, q) divides lcm(1..k)
             for d in range(max(2, q - 5), q):
@@ -154,25 +152,30 @@ class TestLeastNondivisor:
                     assert pp**e <= k
 
 
+def prime_powers_above(k, limit):
+    """(p, i) for the prime powers k < p**i <= limit, read off the stream."""
+    return [(p, i) for _, p, i in arith.prime_power_stream(limit, above=k)]
+
+
 class TestPrimePowersAbove:
     def test_example_six_twelve(self):
-        assert arith.prime_powers_above(6, 12) == [(7, 1), (2, 3), (3, 2), (11, 1)]
+        assert prime_powers_above(6, 12) == [(7, 1), (2, 3), (3, 2), (11, 1)]
 
     def test_example_one_five(self):
-        got = arith.prime_powers_above(1, 5)
+        got = prime_powers_above(1, 5)
         assert got == [(2, 1), (3, 1), (2, 2), (5, 1)]
 
     def test_example_four_five(self):
-        assert arith.prime_powers_above(4, 5) == [(5, 1)]
+        assert prime_powers_above(4, 5) == [(5, 1)]
 
     def test_sorted_by_value(self):
-        vals = [p**i for p, i in arith.prime_powers_above(10, 200)]
+        vals = [q for q, _, _ in arith.prime_power_stream(200, above=10)]
         assert vals == sorted(vals)
 
     def test_matches_lcm_divisibility(self):
         for k in (3, 10, 17):
             l = math.lcm(*range(1, k + 1))
-            got = {p**i for p, i in arith.prime_powers_above(k, 60)}
+            got = {q for q, _, _ in arith.prime_power_stream(60, above=k)}
             expect = {
                 q
                 for q in range(2, 61)
@@ -182,7 +185,7 @@ class TestPrimePowersAbove:
 
     def test_limit_below_k_rejected(self):
         with pytest.raises(ValueError):
-            arith.prime_powers_above(10, 5)
+            next(arith.prime_power_stream(5, above=10))
 
 
 def test_prime_powers_up_to():
@@ -223,13 +226,22 @@ def test_prime_powers_above_reads_the_prime_power_cache(monkeypatch):
     sieved = []
     sieve = arith.primes_up_to
     monkeypatch.setattr(arith, "primes_up_to", lambda n: sieved.append(n) or sieve(n))
+    first = {}
     for k in range(2, 3000):
-        p, i = arith.prime_powers_above(k, 2 * k + 2)[0]
+        p, i = first[k] = prime_powers_above(k, 2 * k + 2)[0]
         assert k < p**i <= 2 * k + 2
     assert sieved == [512, 1024, 2048, 4096, 8192]
     sieved.clear()
-    assert arith.prime_powers_above(2000, 5000)[0] == (2003, 1)
+    assert next(arith.prime_power_stream(5000, above=2000)) == (2003, 2003, 1)
     assert sieved == []
+    # the first prime power above k alone, as the counterexample rows read it
+    monkeypatch.setattr(arith, "_PRIME_POWERS", [])
+    monkeypatch.setattr(arith, "_SIEVED_TO", 0)
+    sieved.clear()
+    for k in range(2, 3000):
+        q, p, i = next(arith.prime_power_stream(above=k))
+        assert (p, i) == first[k]
+    assert sieved == [512, 2048, 8192]
 
 
 def test_is_prime_power():

@@ -68,9 +68,18 @@ class TestGroupSpec:
             ch.GroupSpec(1)
 
     def test_center_order_matches_scalar_scan(self):
-        for spec in (SL2, SL3):
-            for m in range(2, 61):
+        for spec in (SL2, SL3, SL4):
+            for m in range(2, 201):
                 assert spec.center_order_mod(m) == len(ch.center_scalars(spec, m)), m
+
+    def test_center_order_repeat_reads_the_cache(self, monkeypatch):
+        first = {m: SL3.center_order_mod(m) for m in (12, 97, 360, 10**12 + 39)}
+
+        def refuse(m):
+            raise AssertionError(f"factorized {m} again")
+
+        monkeypatch.setattr(arith, "factorize", refuse)
+        assert {m: SL3.center_order_mod(m) for m in first} == first
 
     def test_generators(self):
         gens = SL2.elementary_generators()

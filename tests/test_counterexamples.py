@@ -5,6 +5,7 @@ quotient in the family (the scan oracles below); the abelian values are
 checked against literal enumeration of finite-index subgroups.
 """
 
+import itertools
 import math
 import random
 
@@ -13,6 +14,7 @@ import pytest
 from resfin import arith
 from resfin import counterexamples as cx
 from resfin import matgrp
+from resfin.chevalley import CheckResult
 from resfin.matgrp import RangeExhaustedError, UndetectableError
 
 
@@ -219,12 +221,100 @@ class TestSemidirectDetection:
             assert 4 * r.order >= r.modulus**2
 
 
+def scan_kernel_structure_check(d, box=2):
+    """Oracle: the kernel vectors of the box [-box*d, box*d]^2, found
+    through the actual fold map and reduced to a basis, then checked as
+    semidirect_kernel_structure_check checks its certificate's basis."""
+    span = max(box * d, 2)
+    one = matgrp.identity(2)
+    vectors = [
+        (a, b)
+        for a in range(-span, span + 1)
+        for b in range(-span, span + 1)
+        if cx.semidirect_fold(cx.SemidirectElement((a, b), one), d)[0] == (0, 0)
+    ]
+    basis = lattice_basis(vectors)
+    if basis is None:
+        return CheckResult(
+            "semidirect_kernel_structure", f"d={d}", "fail", "kernel lattice not of rank 2"
+        )
+    det = basis[0][0] * basis[1][1]
+    contains = cx._in_lattice((d, 0), basis) and cx._in_lattice((0, d), basis)
+    stable = all(
+        cx._in_lattice(cx._apply(q, v), basis) for q in cx.signed_permutations() for v in basis
+    )
+    index = d * d // det if contains else 0
+    ok = contains and stable and 1 <= index <= 4
+    return CheckResult(
+        "semidirect_kernel_structure",
+        f"d={d}",
+        "pass" if ok else "fail",
+        f"basis={basis}, index of dZxdZ = {index}, Q-stable={stable}",
+    )
+
+
+def lattice_basis(vectors):
+    """Oracle: reduce integer vectors to a basis ((g, y), (0, c)) with
+    g, c > 0 and 0 <= y < c, or None when they do not span rank 2."""
+    vs = [list(v) for v in vectors if v != (0, 0)]
+    while True:
+        nz = [v for v in vs if v[0] != 0]
+        if len(nz) <= 1:
+            break
+        nz.sort(key=lambda v: abs(v[0]))
+        pivot = nz[0]
+        for v in nz[1:]:
+            q = v[0] // pivot[0]
+            v[0] -= q * pivot[0]
+            v[1] -= q * pivot[1]
+    first = next((v for v in vs if v[0] != 0), None)
+    rest = [v[1] for v in vs if v[0] == 0 and v[1] != 0]
+    if first is None or not rest:
+        return None
+    if first[0] < 0:
+        first = [-first[0], -first[1]]
+    c = math.gcd(*rest) if len(rest) > 1 else abs(rest[0])
+    return (first[0], first[1] % c), (0, c)
+
+
 class TestKernelStructure:
     def test_family_kernels_are_exact(self):
         for d in (1, 2, 5, 7):
             r = cx.semidirect_kernel_structure_check(d)
             assert r.passed
             assert "index of dZxdZ = 1" in r.detail
+
+    def test_certificate_matches_box_scan(self):
+        # a scan costs (2 box d + 1)^2 folds: every box up to d = 30, then
+        # box 1 at the prime powers, the moduli the semidirect rows use
+        for d in range(1, 101):
+            boxes = (1, 2, 3) if d <= 30 else (1,) if arith.is_prime_power(d) else ()
+            for box in boxes:
+                assert cx.semidirect_kernel_structure_check(d) == scan_kernel_structure_check(
+                    d, box
+                ), (d, box)
+
+    def test_kernel_basis_matches_brute_force(self):
+        # every (u1, u2) in (Z/d)^2 x (Z/d)^2 for d <= 6, seeded ones to 30
+        rng = random.Random(7)
+        cases = [
+            (d, (a, b), (c, e))
+            for d in range(1, 7)
+            for a, b, c, e in itertools.product(range(d), repeat=4)
+        ]
+        for d in range(7, 31):
+            cases += [
+                (d, (rng.randrange(d), rng.randrange(d)), (rng.randrange(d), rng.randrange(d)))
+                for _ in range(40)
+            ]
+        for d, u1, u2 in cases:
+            kernel = [
+                (a, b)
+                for a in range(-d, d + 1)
+                for b in range(-d, d + 1)
+                if (a * u1[0] + b * u2[0]) % d == 0 and (a * u1[1] + b * u2[1]) % d == 0
+            ]
+            assert cx._kernel_basis(d, u1, u2) == lattice_basis(kernel), (d, u1, u2)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -92,8 +92,9 @@ def per_element_table(gens, spec, n_max, k=1, allow_central=False):
 
 
 def reference_synth(n, i, j, z, words=None):
-    """Oracle: the word builder that builds both the binary and the divisor
-    split word in full at every level and keeps the shorter (the split on
+    """Length baseline: the O((1 + log2 |z|)^2) commutator word for E_ij(z),
+    from [E_il(a), E_lj(b)] = E_ij(ab), built as both the binary and the
+    divisor split in full at every level, keeping the shorter (the split on
     ties).  `words` memoizes finished words by (i, j, z) within one call."""
     words = {} if words is None else words
     if (i, j, z) not in words:
@@ -447,13 +448,34 @@ class TestFitExponent:
             gr.fit_exponent([(2, 1), (2, 8), (2, 27)])
 
 
+# l(z) <= WORD_C * ln|z| + WORD_C0, the constants of the lemma in
+# short_unipotent_word's docstring
+WORD_C = 5 / math.log((1 + math.sqrt(5)) / 2)
+WORD_C0 = 11
+
+
+def check_word(spec, z, i, j, baseline=None):
+    """The word for E_ij(z) is exact, within the lemma's length bound, and
+    for 100 <= |z| <= 3000 no longer than the commutator baseline (whose
+    length, like the word's, depends on |z| alone)."""
+    w = gr.short_unipotent_word(spec, z, i, j)
+    assert gr.evaluate_word(spec.n, w) == matgrp.elementary(spec.n, i, j, z), z
+    assert len(w) <= WORD_C * math.log(abs(z)) + WORD_C0, z
+    if 100 <= abs(z) <= 3000:
+        assert len(w) <= len(reference_synth(spec.n, i, j, abs(z), baseline)), z
+    return w
+
+
 class TestShortUnipotentWord:
     def test_single_generator(self):
         assert gr.short_unipotent_word(SL3, 1) == ["E13"]
+        assert gr.short_unipotent_word(SL3, -3) == ["E13^-1"] * 3
 
-    def test_four_splits_as_two_by_two(self):
+    def test_four_is_eleven_letters(self):
+        # 4 = lam + 1 + lam^-1 for lam = phi^2: B E13 B^-1 E13 B^-1 E13 B
         w = gr.short_unipotent_word(SL3, 4)
-        assert len(w) == 8
+        assert w == ["E32", "E23", "E13", "E23^-1", "E32^-1", "E13",
+                     "E23^-1", "E32^-1", "E13", "E32", "E23"]
         assert gr.evaluate_word(3, w) == matgrp.elementary(3, 1, 3, 4)
 
     def test_highly_composite(self):
@@ -491,12 +513,13 @@ class TestShortUnipotentWord:
             expect = matgrp.mat_mul(expect, letters[tok])
         assert gr.evaluate_word(n, word) == expect
 
+    # check_word compares these z with reference_synth on length only
     def test_tokens_match_reference_small(self):
-        words = {}  # finished reference words, shared across the z of one n
+        baseline = {}  # finished reference words, shared across the z of one n
         for z in itertools.chain(range(-3000, 0), range(1, 3001)):
-            assert gr.short_unipotent_word(SL3, z) == reference_synth(3, 1, 3, z, words), z
+            check_word(SL3, z, 1, 3, baseline)
         for z in range(-200, 201, 7):
-            assert gr.short_unipotent_word(SL4, z, 4, 2) == reference_synth(4, 4, 2, z), z
+            check_word(SL4, z, 4, 2)
 
     def test_tokens_match_reference_seeded(self):
         rng = random.Random(10)
@@ -511,7 +534,29 @@ class TestShortUnipotentWord:
         for t, z in enumerate(zs):
             z = z if t % 3 else -z
             spec, i, j = places[t % len(places)]
-            assert gr.short_unipotent_word(spec, z, i, j) == reference_synth(spec.n, i, j, z), z
+            check_word(spec, z, i, j)
+
+    def test_lcm_targets(self):
+        for k in range(1, 301):
+            w = check_word(SL3, arith.lcm_upto(k), 1, 3)
+        assert len(w) == 2843
+
+    def test_golden_digits_expand_m(self):
+        # sum c_t e_1 A^t = (m, 0) for A = [[2, 1], [1, 1]], with A^-1 for t < 0
+        def act(v, a):
+            return (v[0] * a[0][0] + v[1] * a[1][0], v[0] * a[0][1] + v[1] * a[1][1])
+
+        for m in range(1, 1500):
+            digits = gr._golden_digits(m)
+            assert set(digits.values()) <= {-1, 0, 1}, m
+            total = [0, 0]
+            for t, c in digits.items():
+                v = (1, 0)
+                for _ in range(abs(t)):
+                    v = act(v, ((2, 1), (1, 1)) if t > 0 else ((1, -1), (-1, 2)))
+                total[0] += c * v[0]
+                total[1] += c * v[1]
+            assert total == [m, 0], m
 
     def test_inverse_word(self):
         w = gr.short_unipotent_word(SL3, 97)
