@@ -18,10 +18,14 @@ no sampling mode.
 
 Finite groups are enumerated once: `closure` walks the generators mod m
 breadth first and records the right Cayley graph, and a FiniteGroupTable is
-the elements in BFS order plus that graph.  Left multiplication replays the
-BFS tree through the graph, so conjugacy classes, centers and the
-class-product table behind the normal-subgroup lattice are integer-array
-lookups, not matrix products.
+the elements in BFS order plus that graph.  The walk reads tables, not
+products: row r of x * s is (row r of x) * s, so on elements coded as ints
+(the base-m digits of their rows) right multiplication by s is two lookups
+in tables of at most m^(n ceil(n/2)) < |SL_n(Z/m)| entries.  Groups are
+walked over the E_ij(1) alone.  Left multiplication replays the BFS tree
+through the graph, so conjugacy classes, centers and the class-product
+table behind the normal-subgroup lattice are integer-array lookups, not
+matrix products.
 
 Conventions: "good" primes are p >= 5; p in {2, 3} are excluded from the
 center-sensitive statements, and two checks exist specifically to document
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from array import array
 from dataclasses import dataclass
@@ -136,15 +141,11 @@ class GroupSpec:
         _CENTER_CACHE[key] = out
         return out
 
-    def elementary_generators(self) -> list[Mat]:
-        """All E_ij(+-1), i != j: the standard generating set of SL_n(Z)."""
-        gens = []
-        for i in range(1, self.n + 1):
-            for j in range(1, self.n + 1):
-                if i != j:
-                    gens.append(matgrp.elementary(self.n, i, j, 1))
-                    gens.append(matgrp.elementary(self.n, i, j, -1))
-        return gens
+    def elementary_generators(self, signs: tuple[int, ...] = (1, -1)) -> list[Mat]:
+        """All E_ij(c), i != j, c in signs: by default the E_ij(+-1), the
+        standard generating set of SL_n(Z)."""
+        pairs = itertools.permutations(range(1, self.n + 1), 2)
+        return [matgrp.elementary(self.n, i, j, c) for i, j in pairs for c in signs]
 
 
 _ORDER_CACHE: dict[tuple[int, int], int] = {}
@@ -179,72 +180,72 @@ def closure(
     order of a group containing the closure and wants only the count); right
     then covers only the elements walked.
 
-    The walk runs on row-major flat tuples, which build and hash faster than
-    rows of rows, and converts to matrices at the end.
+    Row lemma: row r of x * s is (row r of x) * s.  So the walk codes an
+    element as one int, the base-m digits of its entries in row-major order
+    (a row is a code below size = m^n), and gives each s two block tables
+    built from its row table on (Z/m)^n: hi on the top ceil(n/2) rows,
+    pre-scaled by low = m^(n floor(n/2)), and lo on the bottom floor(n/2)
+    rows.  With (a, b) = divmod(x, low), x * s is hi[a] + lo[b].  The
+    elements are decoded at the end, sharing one tuple per row vector.
+
+    Table bound: hi has m^(n ceil(n/2)) entries, fewer than |SL_n(Z/m)| =
+    m^(n^2 - 1) prod_(p | m) prod_(i = 2..n) (1 - p^-i) for n, m >= 2: the
+    exponent falls short by 1 for n = 2, where each p | m gives
+    p (1 - p^-2) > 1, and by at least 2 for n >= 3, where the product
+    exceeds prod_(i >= 2) 1/zeta(i) > 0.43.  Tables past `budget` raise
+    BudgetExceededError before the walk.
     """
     n = len(start)
-    acts = [_right_action(s, m) for s in gens]
-    first = tuple(x % m for row in start for x in row)
-    flat = [first]
-    index = {first: 0}
-    right = [array("i") for _ in gens]
-    parent = array("i", [-1])
-    via = array("i", [-1])
-    for x, g in enumerate(flat):  # the list grows while it is walked
-        for s, (act, row) in enumerate(zip(acts, right)):
-            h = act(g)
-            y = index.get(h)
-            if y is None:
-                y = len(flat)
+    size = m**n  # row codes
+    top = (n + 1) // 2
+    low = size ** (n - top)
+    if size**top > budget:
+        raise BudgetExceededError(f"closure tables of {size**top} entries exceed budget {budget}")
+    vecs = list(itertools.product(range(m), repeat=n))  # row code -> row vector
+    places = [m ** (n - 1 - c) for c in range(n)]
+    steps = []
+    for s, gen in enumerate(gens):
+        cols = list(zip(zip(*gen), places))
+        images = [sum(sum(map(operator.mul, v, col)) % m * w for col, w in cols) for v in vecs]
+        steps.append((s, _block_table(images, size, top, low), _block_table(images, size, n - top, 1), []))
+    first = 0
+    for x in itertools.chain.from_iterable(start):
+        first = first * m + x % m
+    codes, parent, via = [first], [-1], [-1]
+    seen = {first: 0}.setdefault  # code -> index, inserting the next index
+    count = 1
+    for x, g in enumerate(codes):  # the list grows while it is walked
+        a, b = divmod(g, low)
+        for s, hi, lo, row in steps:
+            h = hi[a] + lo[b]
+            y = seen(h, count)
+            if y == count:
                 if y >= budget:
                     raise BudgetExceededError(f"closure exceeded {budget} elements")
-                index[h] = y
-                flat.append(h)
+                count += 1
+                codes.append(h)
                 parent.append(x)
                 via.append(s)
             row.append(y)
-        if len(flat) == stop_at:
+        if count == stop_at:
             break
-    del index  # frees each flat tuple as it is replaced by its matrix
-    rows = [slice(r, r + n) for r in range(0, n * n, n)]
-    for x, g in enumerate(flat):
-        flat[x] = tuple(map(g.__getitem__, rows))
-    return flat, right, parent, via
+    del seen
+    rows = [[vecs[g // w % size] for g in codes] for w in (size**r for r in reversed(range(n)))]
+    right = [array("i", row) for *_, row in steps]
+    return list(zip(*rows)), right, array("i", parent), array("i", via)
 
 
-def _right_action(s: Mat, m: int):
-    """x -> x * s mod m on row-major flat tuples reduced mod m.  An
-    elementary s = I + c e_ij is the column operation column j += c * column
-    i; any other s multiplies by its sparse columns."""
-    n = len(s)
-    moved = [(r, c) for r in range(n) for c in range(n) if s[r][c] != (1 if r == c else 0)]
-    if len(moved) == 1 and moved[0][0] != moved[0][1]:
-        i, j = moved[0]
-        c = s[i][j]
-        pairs = [(r * n + j, r * n + i) for r in range(n)]
-
-        def column_op(x):
-            y = list(x)
-            for t, u in pairs:
-                y[t] = (y[t] + c * y[u]) % m
-            return tuple(y)
-
-        return column_op
-    # entry (r, c) of x * s sums x[r][k] * v over the (k, v) of column c of s
-    terms = [[(r * n + k, v) for k, v in col] for r in range(n) for col in matgrp.sparse_columns(s)]
-
-    def sparse_product(x):
-        out = []
-        for t in terms:
-            acc = 0
-            for k, v in t:
-                acc += x[k] * v
-            out.append(acc % m)
-        return tuple(out)
-
-    return sparse_product
+def _block_table(images: list[int], size: int, rows: int, scale: int) -> list[int]:
+    """x -> scale * (code of x * s) on blocks x of `rows` consecutive rows,
+    coded like elements, given the codes of the row images under s."""
+    table = [0]
+    for _ in range(rows):
+        table = [u + t for u in [scale * v for v in images] for t in table]
+        scale *= size
+    return table
 
 
+@dataclass(eq=False, repr=False)
 class FiniteGroupTable:
     """A fully enumerated SL_n(Z/m): the elements in deterministic BFS order
     plus the right Cayley graph of the generators (see closure).
@@ -254,24 +255,18 @@ class FiniteGroupTable:
     `conjugations` is conjugation by each generator.
     """
 
-    def __init__(
-        self,
-        spec: GroupSpec,
-        modulus: int,
-        elements: list[Mat],
-        generators: list[Mat],
-        right: list[array],
-        parent: array,
-        via: array,
-    ):
-        self.spec = spec
-        self.modulus = modulus
-        self.elements = elements
-        self.generators = generators
-        self.right = right
-        self.parent = parent
-        self.via = via
-        self.index = {g: i for i, g in enumerate(elements)}
+    spec: GroupSpec
+    modulus: int
+    elements: list[Mat]
+    generators: list[Mat]
+    right: list[array]
+    parent: array
+    via: array
+
+    @cached_property
+    def index(self) -> dict[Mat, int]:
+        """Element -> its index, built on first use."""
+        return {g: i for i, g in enumerate(self.elements)}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -306,7 +301,11 @@ class FiniteGroupTable:
 
 
 def enumerate_group(spec: GroupSpec, m: int, budget: int = DEFAULT_ENUM_BUDGET) -> FiniteGroupTable:
-    """The closure of the elementary generators mod m, as a table.
+    """The closure of the E_ij(1) mod m, as a table: they generate SL_n(Z/m)
+    as a monoid (see strong_approx_check).  The BFS order, and with it every
+    index, is theirs, not that of the E_ij(+-1); classes, centers and the
+    second center, each defined through a generating set, are unchanged as
+    sets of matrices.
 
     The expected order is checked against the budget up front, using the
     closed formula; the enumeration itself is independent of that formula and
@@ -317,15 +316,15 @@ def enumerate_group(spec: GroupSpec, m: int, budget: int = DEFAULT_ENUM_BUDGET) 
         raise BudgetExceededError(
             f"|SL{spec.n}(Z/{m})| = {expected} exceeds budget {budget}"
         )
-    gens = _elementary_mod(spec, m)
+    gens = _elementary_mod(spec, m, signs=(1,))
     elements, right, parent, via = closure(identity(spec.n), gens, m, budget)
     return FiniteGroupTable(spec, m, elements, gens, right, parent, via)
 
 
-def _elementary_mod(spec: GroupSpec, m: int) -> list[Mat]:
-    """The E_ij(+-1) reduced mod m, in elementary_generators order, each
-    residue once (E_ij(1) = E_ij(-1) mod 2)."""
-    return list(dict.fromkeys(reduce_mod(g, m) for g in spec.elementary_generators()))
+def _elementary_mod(spec: GroupSpec, m: int, signs: tuple[int, ...] = (1, -1)) -> list[Mat]:
+    """spec.elementary_generators(signs) reduced mod m, each residue once
+    (E_ij(1) = E_ij(-1) mod 2)."""
+    return list(dict.fromkeys(reduce_mod(g, m) for g in spec.elementary_generators(signs)))
 
 
 def center_scalars(spec: GroupSpec, m: int) -> list[Mat]:
@@ -1178,11 +1177,14 @@ def strong_approx_check(
 ) -> CheckResult:
     """Does the level-N congruence subgroup of SL_n(Z) surject onto SL_n(Z/m)?
 
-    For N = 1 this is exact: the elementary generators must close to the full
-    group.  For N > 1 (with gcd(N, m) = 1) the kernel of reduction mod N is
-    sampled by seeded random conjugates w E_ij(N)^(+-1) w^(-1); reaching the
-    full order proves surjectivity, falling short is inconclusive rather than
-    a failure.
+    For N = 1 this is exact: the E_ij(1) must close to the full group.  For
+    N > 1 (with gcd(N, m) = 1) the kernel of reduction mod N is sampled by
+    seeded random conjugates w E_ij(N)^(+-1) w^(-1); reaching the full order
+    proves surjectivity, falling short is inconclusive rather than a failure.
+
+    Lemma: in a finite group x^-1 = x^(ord x - 1), so the closure of X
+    under products is <X>.  So E_ij(1) stands for E_ij(-1) = E_ij(1)^(m-1),
+    and no sampled conjugate needs its inverse beside it.
     """
     if math.gcd(N, m) != 1:
         raise ValueError(f"need gcd(N, m) = 1, got N={N}, m={m}")
@@ -1190,16 +1192,16 @@ def strong_approx_check(
     if expected > budget:
         raise BudgetExceededError(f"target order {expected} exceeds budget {budget}")
     instance = f"{spec.name},N={N},m={m}"
-    base_gens = [reduce_mod(g, m) for g in spec.elementary_generators()]
     if N == 1:
-        gens = base_gens
+        gens = _elementary_mod(spec, m, signs=(1,))
         mode = "exact"
     else:
         mode = "probabilistic"
+        # every E_ij(+-1), duplicates kept: the seeded draws index this list
+        base_gens = [reduce_mod(g, m) for g in spec.elementary_generators()]
         rng = random.Random(seed)
-        pairs = [(i, j) for i in range(1, spec.n + 1) for j in range(1, spec.n + 1) if i != j]
-        gens = []
-        seen = set()
+        pairs = list(itertools.permutations(range(1, spec.n + 1), 2))
+        conjugates = {}  # insertion-ordered, each once
         for _ in range(trials):
             i, j = pairs[rng.randrange(len(pairs))]
             sign = 1 if rng.randrange(2) == 0 else -1
@@ -1208,11 +1210,8 @@ def strong_approx_check(
             for _ in range(rng.randrange(0, 13)):
                 w = mat_mul_mod(w, base_gens[rng.randrange(len(base_gens))], m)
             winv = mat_inv_mod(w, m)
-            conj = mat_mul_mod(mat_mul_mod(w, core, m), winv, m)
-            for c in (conj, mat_inv_mod(conj, m)):
-                if c not in seen:
-                    seen.add(c)
-                    gens.append(c)
+            conjugates[mat_mul_mod(mat_mul_mod(w, core, m), winv, m)] = None
+        gens = list(conjugates)
     reached, _, _, _ = closure(identity(spec.n), gens, m, budget, stop_at=expected)
     if len(reached) == expected:
         return CheckResult(

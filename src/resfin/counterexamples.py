@@ -15,7 +15,8 @@ on concrete quotients: injectivity of the witness set for the lamplighter,
 and the kernel-lattice index bound for the semidirect product.  The kernel
 certificate scans no vectors: the fold is additive on translations, so the
 kernel lattice is the solution set of a u1 + b u2 = 0 for the folds u1, u2
-of the two unit vectors, and its Hermite basis comes from u1 and u2 in O(d).
+of the two unit vectors, and its Hermite basis comes from u1 and u2 by
+extended gcds, in O(log d).
 """
 
 from __future__ import annotations
@@ -283,20 +284,41 @@ def semidirect_kernel_structure_check(d: int) -> CheckResult:
 def _kernel_basis(
     d: int, u1: tuple[int, int], u2: tuple[int, int]
 ) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Hermite basis ((g, y), (0, c)) of {(a, b) : a u1 + b u2 = 0 in (Z/d)^2}.
+    """Hermite basis ((g, y), (0, c)) of {(a, b) : a u1 + b u2 = 0 in (Z/d)^2},
+    with g, c >= 1 and 0 <= y < c, in O(log d) steps.
 
-    The kernel vectors (0, b) are those with c | b, for c = d / gcd(d, u2)
-    the order of u2.  The first coordinates of kernel vectors are the a with
-    -a u1 in <u2>, the multiples of the least such g >= 1 (g <= d, as
-    d u1 = 0), and y in [0, c) is the multiple of u2 that reaches -g u1.
-    O(d) steps.
+    Write U for the matrix with columns u1 and u2, so the kernel is
+    {x in Z^2 : U x = 0 mod d}.  With s x2 + t y2 = h = gcd(x2, y2) for
+    u2 = (x2, y2), the rows (s, t) and (y2 / h, -x2 / h) form a unimodular
+    matrix (the identity when h = 0), and multiplying U by it on the left
+    keeps the kernel and turns U into [[p, h], [r, 0]].  So (a, b) lies in
+    the kernel iff a r = 0 mod d and b h = -a p mod d.  The second has a
+    solution b iff e = gcd(h, d) divides a p, so the first coordinates form
+    g Z with g = lcm(d / gcd(d, r), e / gcd(e, p)).  The b with (0, b) in
+    the kernel are the multiples of c = d / e, and y solves
+    y (h / e) = -g p / e mod c, where h / e is a unit mod c.
     """
-    c = d // math.gcd(d, *u2)
-    multiples = {(y * u2[0] % d, y * u2[1] % d): y for y in range(c)}
-    g = 1
-    while (target := (-g * u1[0] % d, -g * u1[1] % d)) not in multiples:
-        g += 1
-    return (g, multiples[target]), (0, c)
+    (x1, y1), (x2, y2) = u1, u2
+    h, s, t = _extended_gcd(x2, y2)
+    if h:
+        p, r = s * x1 + t * y1, (y2 * x1 - x2 * y1) // h
+    else:
+        p, r = x1, y1
+    e = math.gcd(h, d)
+    g = math.lcm(d // math.gcd(d, r), e // math.gcd(e, p))
+    c = d // e
+    y = -g * p // e * pow(h // e, -1, c) % c
+    return (g, y), (0, c)
+
+
+def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(h, s, t) with s a + t b = h = gcd(a, b) >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, (a, b) = a // b, (b, a % b)
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
 
 
 def _in_lattice(v: tuple[int, int], basis) -> bool:

@@ -346,14 +346,15 @@ def candidate_D_analytic(cs: CandidateSeq, k: int, allow_central: bool = False) 
     congruence_D; the two agree exactly on the materializable range (a test
     pins this for k <= 40).  The primes of S are units in Z[1/S], so
     SL_n(Z[1/S]) has no congruence quotient mod a power of one: they never
-    detect.
+    detect.  Every q <= k divides lcm(1..k) and so kills A_k: the search
+    starts above k.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     # a nontrivial elementary image is never scalar, so with allow_central
     # the central quotient always sees it
     return matgrp.min_congruence_quotient(
-        cs.spec, lambda q, p, i: cs.survives(k, p, i), allow_central
+        cs.spec, lambda q, p, i: cs.survives(k, p, i), allow_central, above=k
     )
 
 

@@ -69,9 +69,7 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 
 def mat_mul_mod(a: Mat, b: Mat, m: int) -> Mat:
     bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) % m for col in bt) for row in a
-    )
+    return tuple(tuple(sum(map(operator.mul, row, col)) % m for col in bt) for row in a)
 
 
 def sparse_columns(s: Mat) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -249,7 +247,7 @@ def stop_rule(spec, allow_central: bool) -> tuple[int, int, int]:
 
 
 def min_congruence_quotient(
-    spec, survives, allow_central: bool = False, central=None
+    spec, survives, allow_central: bool = False, central=None, above: int = 0
 ) -> DetectionResult:
     """The least (order, modulus) congruence quotient of `spec` seeing an
     element known only through survives(q, p, i): is its image mod q = p**i
@@ -258,13 +256,14 @@ def min_congruence_quotient(
 
     Prime powers suffice: SL_n(Z/m), also modulo its center, is the product
     over the prime powers exactly dividing m, and the element survives mod m
-    only if it does mod one of them.  q runs upwards until stop_rule holds
-    against the best order, so the result is the least quotient_key over
-    all surviving prime powers.
+    only if it does mod one of them.  q runs upwards from the first prime
+    power past `above` until stop_rule holds against the best order, so the
+    result is the least quotient_key over all surviving prime powers when
+    the caller knows that no q <= above survives.
     """
     dim, fnum, scale = stop_rule(spec, allow_central)
     best: tuple[int, int, bool] | None = None
-    for q, p, i in arith.prime_power_stream():
+    for q, p, i in arith.prime_power_stream(above=above):
         if best is not None and q**dim * fnum > best[0] * scale:
             break
         if survives(q, p, i):

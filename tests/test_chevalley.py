@@ -384,30 +384,26 @@ def oracle_graded_scans(spec, p, k, i):
     size if they all hold, else None."""
     q = p**k
     n = spec.n
-    flat = {
-        tuple(v for row in g for v in row): ch.graded_image(g, p, i)
-        for g in filtration_elements(spec, p, k, i)
-    }
+    images = {g: ch.graded_image(g, p, i) for g in filtration_elements(spec, p, k, i)}
     fibers = {}
-    for x in flat.values():
+    for x in images.values():
         fibers[x] = fibers.get(x, 0) + 1
     if any(sum(x[t][t] for t in range(n)) % p for x in fibers):
         return None
     if len(set(fibers.values())) != 1:
         return None
     zero = tuple(tuple(0 for _ in range(n)) for _ in range(n))
-    kernel = {g for g, x in flat.items() if x == zero}
-    next_level = filtration_elements(spec, p, k, i + 1)
-    if kernel != {tuple(v for row in g for v in row) for g in next_level}:
+    kernel = {g for g, x in images.items() if x == zero}
+    if kernel != set(filtration_elements(spec, p, k, i + 1)):
         return None
     for s in ch.filtration_generators(spec, p, k, i):
-        act, xs = ch._right_action(s, q), ch.graded_image(s, p, i)
+        xs = ch.graded_image(s, p, i)
         plus_s = {
             x: tuple(tuple((a + b) % p for a, b in zip(r, t)) for r, t in zip(x, xs))
             for x in fibers
         }
-        for g, x in flat.items():
-            if flat.get(act(g)) != plus_s[x]:
+        for g, x in images.items():
+            if images.get(matgrp.mat_mul_mod(g, s, q)) != plus_s[x]:
                 return None
     return len(fibers)
 
@@ -751,22 +747,21 @@ class TestNormalSubgroups:
 # slow oracles: the tuple-product engine the table lookups replaced
 
 
-def oracle_enumerate(spec, m):
-    """BFS of the elementary generators mod m by full matrix products."""
-    gens = []
-    for g in spec.elementary_generators():
-        gm = matgrp.reduce_mod(g, m)
-        if gm not in gens:
-            gens.append(gm)
-    start = matgrp.reduce_mod(matgrp.identity(spec.n), m)
-    elements, seen = [start], {start}
-    for g in elements:
-        for s in gens:
-            h = matgrp.mat_mul_mod(g, s, m)
-            if h not in seen:
-                seen.add(h)
+def oracle_closure(start, gens, m):
+    """(elements, right, parent, via) of closure, by mat_mul_mod."""
+    first = matgrp.reduce_mod(start, m)
+    elements, index = [first], {first: 0}
+    right, parent, via = [[] for _ in gens], [-1], [-1]
+    for x, g in enumerate(elements):
+        for s, gen in enumerate(gens):
+            h = matgrp.mat_mul_mod(g, gen, m)
+            if h not in index:
+                index[h] = len(elements)
                 elements.append(h)
-    return elements
+                parent.append(x)
+                via.append(s)
+            right[s].append(index[h])
+    return elements, right, parent, via
 
 
 def oracle_classes(table):
@@ -875,7 +870,7 @@ class TestEngineAgainstOracles:
     @pytest.mark.parametrize("spec,m", ORACLE_INSTANCES, ids=lambda v: str(getattr(v, "name", v)))
     def test_lookups_match_tuple_products(self, spec, m):
         table = table_for(spec, m)
-        assert table.elements == oracle_enumerate(spec, m)
+        assert table.elements == oracle_closure(matgrp.identity(spec.n), table.generators, m)[0]
         assert ch.conjugacy_classes(table) == oracle_classes(table)
         assert ch.center_of(table) == oracle_center(table)
         second = [table.elements[g] for g in ch._second_center_indices(table, ch._center_indices(table))]
@@ -933,6 +928,119 @@ class TestEngineAgainstOracles:
         assert len(t1) == SL2.order_mod(1) == 1
         assert ch.strong_approx_check(SL2, 1, 1).passed
         assert ch.centerless_quotient_check(t1).detail == "second center equals center (order 1)"
+
+
+# ---------------------------------------------------------------------------
+# the table-driven closure against oracle_closure
+
+
+def as_lists(result):
+    elements, right, parent, via = result
+    return elements, [list(row) for row in right], list(parent), list(via)
+
+
+def strong_approx_generators(monkeypatch, spec, N, m):
+    """The generator list strong_approx_check hands to closure."""
+    calls = []
+    real = ch.closure
+
+    def spy(start, gens, m, *args, **kwargs):
+        calls.append(gens)
+        return real(start, gens, m, *args, **kwargs)
+
+    monkeypatch.setattr(ch, "closure", spy)
+    assert ch.strong_approx_check(spec, N, m, seed=0).passed
+    return calls[0]
+
+
+TABLE_INSTANCES = [(SL2, m) for m in (1, 2, 3, 4, 9, 13)] + [(SL3, 2), (SL3, 3), (SL4, 2)]
+
+
+class TestTableClosure:
+    @pytest.mark.parametrize("spec,m", TABLE_INSTANCES, ids=_ids)
+    def test_matches_matrix_product_bfs(self, spec, m):
+        gens = ch._elementary_mod(spec, m, signs=(1,))
+        got = ch.closure(matgrp.identity(spec.n), gens, m)
+        assert as_lists(got) == oracle_closure(matgrp.identity(spec.n), gens, m)
+        assert len(got[0]) == spec.order_mod(m)
+        # rows are shared: one tuple per row vector, at most m^n of them
+        assert len({id(row) for g in got[0] for row in g}) <= m**spec.n
+
+    @pytest.mark.parametrize("spec,m", [(SL2, 4), (SL2, 9), (SL3, 2)], ids=_ids)
+    def test_signed_generators_match(self, spec, m):
+        gens = ch._elementary_mod(spec, m)
+        start = matgrp.identity(spec.n)
+        assert as_lists(ch.closure(start, gens, m)) == oracle_closure(start, gens, m)
+
+    def test_coset_start(self):
+        # G^1 of SL_2(Z/9) walked from E_12(1) and from a start given
+        # unreduced: the coset E_12(1) G^1, with start first
+        gens = ch.filtration_generators(SL2, 3, 2, 1)
+        for start in (matgrp.elementary(2, 1, 2, 1), ((10, -8), (9, 1))):
+            got = ch.closure(start, gens, 9)
+            assert as_lists(got) == oracle_closure(start, gens, 9)
+            assert got[0][0] == matgrp.reduce_mod(start, 9)
+            assert len(got[0]) == 3**SL2.dim
+
+    @pytest.mark.parametrize("N,m", [(5, 9), (3, 8)])
+    def test_strong_approx_conjugates(self, monkeypatch, N, m):
+        gens = strong_approx_generators(monkeypatch, SL2, N, m)
+        assert not all(g in ch._elementary_mod(SL2, m) for g in gens)
+        start = matgrp.identity(2)
+        got = ch.closure(start, gens, m)
+        assert as_lists(got) == oracle_closure(start, gens, m)
+        # the finite-group lemma: adding the inverses closes to the same set
+        with_inverses = gens + [matgrp.mat_inv_mod(g, m) for g in gens]
+        assert set(ch.closure(start, with_inverses, m)[0]) == set(got[0])
+
+    def test_budget_boundary(self):
+        gens = ch._elementary_mod(SL2, 13, signs=(1,))
+        order = SL2.order_mod(13)
+        assert len(ch.closure(matgrp.identity(2), gens, 13, budget=order)[0]) == order
+        with pytest.raises(ch.BudgetExceededError, match="closure exceeded"):
+            ch.closure(matgrp.identity(2), gens, 13, budget=order - 1)
+
+    def test_stop_at_ends_the_walk(self):
+        gens = ch._elementary_mod(SL3, 3, signs=(1,))
+        order = SL3.order_mod(3)
+        elements, right, parent, via = ch.closure(matgrp.identity(3), gens, 3, stop_at=order)
+        full = ch.closure(matgrp.identity(3), gens, 3)
+        assert elements == full[0] and parent == full[2] and via == full[3]
+        walked = len(right[0])
+        assert walked < order
+        assert all(list(row) == list(f[:walked]) for row, f in zip(right, full[1]))
+
+    def test_table_guard(self):
+        # a one-element closure still needs tables of m^(n ceil(n/2))
+        # entries, and they are checked before the walk
+        one = [matgrp.identity(3)]
+        assert len(ch.closure(matgrp.identity(3), one, 5, budget=5**6)[0]) == 1
+        with pytest.raises(ch.BudgetExceededError, match="tables"):
+            ch.closure(matgrp.identity(3), one, 5, budget=5**6 - 1)
+
+    def test_table_bound_below_group_order(self):
+        for n in range(2, 7):
+            for m in range(2, 60):
+                assert m ** (n * ((n + 1) // 2)) < ch.GroupSpec(n).order_mod(m), (n, m)
+
+    def test_enumeration_walks_the_positive_generators(self):
+        for spec, m in [(SL2, 2), (SL2, 7), (SL3, 3)]:
+            table = ch.enumerate_group(spec, m)
+            n = spec.n
+            want = [
+                matgrp.reduce_mod(matgrp.elementary(n, i, j, 1), m)
+                for i in range(1, n + 1) for j in range(1, n + 1) if i != j
+            ]
+            assert table.generators == want
+        # mod 2 the signed list has the same residues, each once
+        assert ch.enumerate_group(SL2, 2).generators == ch._elementary_mod(SL2, 2)
+
+    def test_index_is_built_on_first_use(self):
+        table = ch.enumerate_group(SL2, 7)
+        assert len(table) == SL2.order_mod(7)
+        assert "index" not in vars(table)
+        assert table.elements[5] in table
+        assert table.index == {g: x for x, g in enumerate(table.elements)}
 
 
 class TestCenterlessAndReduction:

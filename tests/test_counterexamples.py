@@ -277,6 +277,19 @@ def lattice_basis(vectors):
     return (first[0], first[1] % c), (0, c)
 
 
+def kernel_basis_scan(d, u1, u2):
+    """Oracle: the O(d) Hermite basis of {(a, b) : a u1 + b u2 = 0 mod d}.
+    c = d / gcd(d, u2) is the order of u2; the least g >= 1 with -g u1 a
+    multiple of u2 is found by walking g up, and y by a table of the c
+    multiples of u2."""
+    c = d // math.gcd(d, *u2)
+    multiples = {(y * u2[0] % d, y * u2[1] % d): y for y in range(c)}
+    g = 1
+    while (target := (-g * u1[0] % d, -g * u1[1] % d)) not in multiples:
+        g += 1
+    return (g, multiples[target]), (0, c)
+
+
 class TestKernelStructure:
     def test_family_kernels_are_exact(self):
         for d in (1, 2, 5, 7):
@@ -315,6 +328,18 @@ class TestKernelStructure:
                 if (a * u1[0] + b * u2[0]) % d == 0 and (a * u1[1] + b * u2[1]) % d == 0
             ]
             assert cx._kernel_basis(d, u1, u2) == lattice_basis(kernel), (d, u1, u2)
+
+    def test_kernel_basis_matches_scan(self):
+        # every (u1, u2) in (Z/d)^2 x (Z/d)^2 for d <= 12, seeded ones to 500
+        for d in range(1, 13):
+            for a, b, c, e in itertools.product(range(d), repeat=4):
+                assert cx._kernel_basis(d, (a, b), (c, e)) == kernel_basis_scan(d, (a, b), (c, e))
+        rng = random.Random(12)
+        for _ in range(300):
+            d = rng.randint(1, 500)
+            u1 = (rng.randrange(d), rng.randrange(d))
+            u2 = (rng.randrange(d), rng.randrange(d))
+            assert cx._kernel_basis(d, u1, u2) == kernel_basis_scan(d, u1, u2), (d, u1, u2)
 
     def test_validation(self):
         with pytest.raises(ValueError):

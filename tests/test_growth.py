@@ -368,6 +368,19 @@ class TestCandidateDAnalytic:
         rhs = matgrp.congruence_D(gr.candidate_elements(cs, 3), SL2, allow_central=True)
         assert r == rhs
 
+    @pytest.mark.parametrize("spec", [SL2, SL3, SL4], ids=lambda s: s.name)
+    def test_search_above_k_matches_search_from_two(self, spec):
+        # every q <= k kills A_k, so starting the stream above k changes
+        # nothing; the full search from q = 2 is the oracle
+        for s_primes in ((), (2, 3)):
+            cs = gr.CandidateSeq(spec, s_primes)
+            for allow_central in (False, True):
+                for k in range(1, 301):
+                    from_two = matgrp.min_congruence_quotient(
+                        spec, lambda q, p, i: cs.survives(k, p, i), allow_central
+                    )
+                    assert gr.candidate_D_analytic(cs, k, allow_central) == from_two, (s_primes, k)
+
     def test_growth_sandwich(self):
         # order of the detecting quotient sits between (3/4) k^3 and (2k)^3
         cs = gr.CandidateSeq(SL2)
