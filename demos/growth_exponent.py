@@ -10,7 +10,7 @@ from resfin import growth, matgrp
 from resfin.chevalley import GroupSpec
 
 print("exact table for SL2(Z) with the S,T generators")
-table = growth.farb_growth(growth.sl2_st(), GroupSpec(2), 6, workers=2)
+table = growth.farb_growth(growth.sl2_st(), GroupSpec(2), 6)
 print(f"  family {table.family}")
 for row in table.rows:
     if row.n == 0:

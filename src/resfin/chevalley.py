@@ -361,15 +361,6 @@ def _prime_power_modulus(m: int) -> tuple[int, int]:
     return pe
 
 
-def filtration_subgroup(table: FiniteGroupTable, i: int) -> list[Mat]:
-    """G^i inside an enumerated SL_n(Z/p^k): elements congruent to I mod p^i."""
-    p, k = _prime_power_modulus(table.modulus)
-    if not 0 <= i <= k:
-        raise ValueError(f"filtration level {i} outside 0..{k}")
-    q = p**i
-    return [g for g in table.elements if _congruent_to_identity(g, q)]
-
-
 def _fix_last_entry(a: list[list[int]], q: int) -> Mat:
     """a with its last diagonal entry replaced by the unique t that makes
     det = 1 mod q.  The determinant is linear in that entry with coefficient
@@ -1078,15 +1069,22 @@ def normal_subgroups_containing_center(table: FiniteGroupTable) -> list[frozense
 
 
 def filtration_center_subgroups(table: FiniteGroupTable) -> list[frozenset[int]]:
-    """The predicted normal subgroups G^i Z(G) for i = 0..k, as index sets."""
+    """The predicted normal subgroups G^i Z(G) for i = 0..k, as index sets.
+
+    One pass: g lies in G^i exactly when its level, v_p of gcd(p^k, entries
+    of g - I), is at least i; so G^i Z = G^(i+1) Z + Z (level-i elements)."""
     p, k = _prime_power_modulus(table.modulus)
+    level_of = {p**i: i for i in range(k + 1)}
+    levels: list[list[int]] = [[] for _ in range(k + 1)]
+    for x, g in enumerate(table.elements):
+        gap = (v - (r == c) for r, row in enumerate(g) for c, v in enumerate(row))
+        levels[level_of[math.gcd(p**k, *gap)]].append(x)
     by_center = [table.left(z) for z in _center_indices(table)]  # g -> z * g = g * z
-    out = []
-    for i in range(k + 1):
-        level = [table.index[g] for g in filtration_subgroup(table, i)]
-        sub = frozenset(lz[x] for x in level for lz in by_center)
-        if sub not in out:
-            out.append(sub)
+    sub: set[int] = set()
+    out = set()
+    for level in reversed(levels):
+        sub.update(lz[x] for x in level for lz in by_center)
+        out.add(frozenset(sub))
     return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 

@@ -203,8 +203,6 @@ def farb_growth(
     k: int = 1,
     allow_central: bool = False,
     budget: int = DEFAULT_BALL_BUDGET,
-    workers: int = 1,
-    parallel_threshold: int = 512,
 ) -> GrowthTable:
     """The table n -> F^k(n) for n <= n_max, maximizing D(gamma^k) over the
     ball and skipping gamma with gamma^k = 1 (all gamma != 1 when k = 1).
@@ -221,8 +219,6 @@ def farb_growth(
     order is read on the row-major flat tuples: on matrices with rows of
     one length, lexicographic order of the concatenated rows equals the
     nested-tuple order, since the first differing row decides both.
-    `workers` and `parallel_threshold` are accepted and ignored: growth
-    tables run serially.
     """
     if k < 1:
         raise ValueError("power must be >= 1")

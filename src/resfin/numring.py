@@ -14,18 +14,20 @@ coordinates.  min_detecting_ideal scans all residue fields (split, inert,
 ramified alike) in order of size, so the split answer can be compared with
 the global minimum.
 
-Each scan computes only what can decide its answer, from two memos per
-min_poly keyed by p and filled only at the primes some scan asked about:
-the sorted distinct roots of f mod p (one gcd with x^p - x, then
-Cantor-Zassenhaus), and the full list of distinct irreducible factors of f
-mod p.  Both scans first skip the primes dividing the content of the
-element (the gcd of its coordinates), where it dies in every residue field.
-detect_split and split_primes read roots only.  min_detecting_ideal reads
-the full factorization only while p^2 is within its norm cap; above that
-only linear factors can count, and it reads roots.  The irreducibility test
-reads full factorizations.  Since every scan shares the memos, the referee
-is the oracle in tests/test_numring.py, which finds roots by evaluating f
-at every residue, factors by trial division and redoes each scan per call.
+Each scan computes only what can decide its answer, from memos per min_poly
+keyed by p and filled only at the primes some scan asked about.  Both scans
+first skip the primes dividing the content of the element (the gcd of its
+coordinates), where it dies in every residue field.  detect_split and
+split_primes then skip the odd p at which disc(f) is not a square (sign
+test), split f into roots only where x^p = x mod f (fixed-point test), and
+keep the verdict in the split memo: the roots where p splits, () elsewhere.
+min_detecting_ideal reads the full factorization only while p^2 is within
+its norm cap; above that only linear factors can count, and it reads the
+roots of f mod p (one gcd with x^p - x, then Cantor-Zassenhaus).  The
+irreducibility test reads full factorizations, once per f.  Since every
+scan shares the memos, the referee is the oracle in tests/test_numring.py,
+which finds roots by evaluating f at every residue, factors by trial
+division and redoes each scan per call.
 """
 
 from __future__ import annotations
@@ -310,11 +312,13 @@ def factor_distinct_mod(f, p) -> list[tuple]:
     return sorted(out, key=lambda c: (len(c), c))
 
 
-# Two memos per min_poly, keyed by p and filled only at the primes some scan
-# asked about: the distinct irreducible factors of f mod p, and the sorted
-# distinct roots of f mod p.
+# Memos per min_poly, keyed by p and filled only at the primes some scan
+# asked about: the factors of f mod p, its roots, the split memo (the roots
+# if p splits completely, else ()) and x^p mod f, which the last two share.
 _FACTORS: dict[tuple, dict[int, list[tuple]]] = {}
 _ROOTS: dict[tuple, dict[int, tuple[int, ...]]] = {}
+_SPLIT: dict[tuple, dict[int, tuple[int, ...]]] = {}
+_FROBENIUS: dict[tuple, dict[int, tuple[int, ...]]] = {}
 
 
 def _factors_mod(f: tuple, p: int) -> list[tuple]:
@@ -325,36 +329,60 @@ def _factors_mod(f: tuple, p: int) -> list[tuple]:
     return table[p]
 
 
+def _frobenius(f: tuple, p: int) -> tuple[int, ...]:
+    """x^p mod (f, p), computed once per (f, p)."""
+    table = _FROBENIUS.setdefault(f, {})
+    if p not in table:
+        table[p] = _ppowmod((0, 1), p, _pmod_coeffs(f, p), p)
+    return table[p]
+
+
 def _roots_mod(f: tuple, p: int) -> tuple[int, ...]:
     """The distinct roots of the monic f mod p, sorted, computed once per (f, p).
 
     Roots from Frobenius: over F_p, x^p - x is the product of x - t over all
     t in F_p, so gcd(f mod p, x^p - x) is the product of the distinct linear
     factors of f mod p.  One power x^p mod f and one gcd give it, and
-    Cantor-Zassenhaus splits it only when it has degree 2 or more.  So p
-    splits completely into distinct factors exactly when f mod p has deg(f)
-    roots here, and no other factor of f mod p is ever computed."""
+    Cantor-Zassenhaus splits it only when it has degree 2 or more."""
     table = _ROOTS.setdefault(f, {})
     roots = table.get(p)
     if roots is None:
         fbar = _pmod_coeffs(f, p)
-        frob = _psub(_ppowmod((0, 1), p, fbar, p), (0, 1), p)
+        frob = _psub(_frobenius(f, p), (0, 1), p)
         lin = _pgcd(fbar, frob, p)
         factors = _split_equal_degree(lin, 1, p) if len(lin) > 1 else []
         roots = table[p] = tuple(sorted(-g[0] % p for g in factors))
     return roots
 
 
+def _split_roots(f: tuple, p: int) -> tuple[int, ...]:
+    """The deg(f) sorted roots of f mod p if p splits completely, else ().
+
+    Fixed points: for p not dividing disc(f), f mod p is squarefree, so it
+    splits into distinct linear factors exactly when it divides x^p - x, that
+    is when x^p = x mod f (x reduced mod f: 0 for f = x).  Only then does
+    _roots_mod run, and its gcd with x^p - x = 0 is f itself."""
+    if _frobenius(f, p) != _pdivmod((0, 1), _pmod_coeffs(f, p), p)[1]:
+        return ()
+    return _roots_mod(f, p)
+
+
 def _split_rows(ring, limit: int, skip: int = 1):
-    """(p, sorted roots of f mod p) for the completely split p <= limit:
-    p divides none of disc(f), the inverted integer and skip, and f mod p
-    has deg(f) distinct roots.  Roots are read only at primes that pass the
-    divisibility test, and a limit above the sieve cap raises at once."""
-    bad = abs(ring.discriminant()) * ring.inverted * skip
+    """(p, sorted roots of f mod p) for the completely split p <= limit not
+    dividing disc(f), the inverted integer or skip.  A limit above the sieve
+    cap raises at once.  Sign test (Stickelberger; Swan, Pacific J. Math. 12,
+    1962): for odd p not dividing D = disc(f), (D/p) = (-1)^(d - r), where r
+    is the number of irreducible factors of f mod p, and a split p has r = d;
+    so one pow skips every odd p with (D/p) = -1 before any memo is read."""
+    disc = ring.discriminant()
+    bad = abs(disc) * ring.inverted * skip
+    table = _SPLIT.setdefault(ring.min_poly, {})
     for p in arith.primes(limit):
-        if bad % p:
-            roots = _roots_mod(ring.min_poly, p)
-            if len(roots) == ring.degree:
+        if bad % p and (p == 2 or pow(disc, (p - 1) // 2, p) == 1):
+            roots = table.get(p)
+            if roots is None:
+                roots = table[p] = _split_roots(ring.min_poly, p)
+            if roots:
                 yield p, roots
 
 
@@ -362,6 +390,7 @@ def _split_rows(ring, limit: int, skip: int = 1):
 # irreducibility over Q (monic integer polynomials)
 
 
+@functools.lru_cache(maxsize=None)
 def _is_irreducible(f: tuple) -> bool:
     d = len(f) - 1
     if d < 1:

@@ -195,8 +195,8 @@ def test_criterion_07_split_prime_detection_is_log_size():
 
 
 def test_criterion_08_exact_growth_table():
-    plain = growth.farb_growth(growth.sl2_st(), SL2, 8, workers=2)
-    squared = growth.farb_growth(growth.sl2_st(), SL2, 4, k=2, workers=2)
+    plain = growth.farb_growth(growth.sl2_st(), SL2, 8)
+    squared = growth.farb_growth(growth.sl2_st(), SL2, 4, k=2)
     values = [row.f_value for row in plain.rows]
     ok = (
         plain.f(1) == 6

@@ -126,6 +126,15 @@ class TestCenters:
         assert diags == [1, 2, 4]
 
 
+def filtration_subgroup(table, i):
+    """Oracle: G^i inside an enumerated SL_n(Z/p^k), by scanning every
+    element for g = I mod p^i."""
+    p, k = ch._prime_power_modulus(table.modulus)
+    if not 0 <= i <= k:
+        raise ValueError(f"filtration level {i} outside 0..{k}")
+    return [g for g in table.elements if ch._congruent_to_identity(g, p**i)]
+
+
 def filtration_elements(spec, p, k, i, budget=ch.DEFAULT_ENUM_BUDGET):
     """Oracle: G^i = ker(SL_n(Z/p^k) -> SL_n(Z/p^i)) built directly, no group
     table and no generators.
@@ -164,7 +173,7 @@ class TestFiltration:
     def test_direct_construction_matches_table(self, t9):
         direct = filtration_elements(SL2, 3, 2, 1)
         assert len(direct) == 27
-        assert set(direct) == set(ch.filtration_subgroup(t9, 1))
+        assert set(direct) == set(filtration_subgroup(t9, 1))
 
     def test_sizes_follow_power_law(self):
         # |G^i| = p^(dim * (k - i))
@@ -173,8 +182,8 @@ class TestFiltration:
         assert len(filtration_elements(SL2, 3, 3, 1)) == 729
 
     def test_extreme_levels(self, t9):
-        assert len(ch.filtration_subgroup(t9, 0)) == len(t9)
-        assert ch.filtration_subgroup(t9, 2) == [matgrp.identity(2)]
+        assert len(filtration_subgroup(t9, 0)) == len(t9)
+        assert filtration_subgroup(t9, 2) == [matgrp.identity(2)]
 
     def test_members_have_unit_det(self):
         q = 25
@@ -185,7 +194,7 @@ class TestFiltration:
     def test_rejections(self):
         t12 = ch.enumerate_group(SL2, 12)
         with pytest.raises(ValueError):
-            ch.filtration_subgroup(t12, 1)
+            filtration_subgroup(t12, 1)
         with pytest.raises(ValueError):
             filtration_elements(SL2, 5, 2, 0)
         with pytest.raises(ch.BudgetExceededError):
@@ -741,6 +750,26 @@ class TestNormalSubgroups:
         filt = ch.filtration_center_subgroups(t9)
         assert [len(s) for s in filt] == [2, 54, 648]
         assert all(f in subs for f in filt)
+
+    @pytest.mark.parametrize(
+        "n, m", [(2, 4), (2, 8), (2, 9), (2, 25), (2, 27), (3, 2), (3, 3), (3, 4)]
+    )
+    def test_one_pass_levels_match_filtration_subgroups(self, n, m):
+        # oracle: each G^i from filtration_subgroup's congruence scan, times
+        # every central matrix by matrix products
+        table = ch.enumerate_group(ch.GroupSpec(n), m)
+        k = arith.is_prime_power(m)[1]
+        center = ch.center_of(table)
+        want = {
+            frozenset(
+                table.index[matgrp.mat_mul_mod(z, g, m)]
+                for g in filtration_subgroup(table, i)
+                for z in center
+            )
+            for i in range(k + 1)
+        }
+        want = sorted(want, key=lambda s: (len(s), sorted(s)))
+        assert ch.filtration_center_subgroups(table) == want
 
 
 # ---------------------------------------------------------------------------

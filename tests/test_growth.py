@@ -250,13 +250,6 @@ class TestFarbGrowth:
         assert table.rows[1].witness == s
         assert table == per_element_table(gens, SL2, 3)
 
-    def test_worker_pool_is_deterministic(self):
-        serial = gr.farb_growth(gr.sl2_st(), SL2, 3)
-        parallel = gr.farb_growth(
-            gr.sl2_st(), SL2, 3, workers=2, parallel_threshold=1
-        )
-        assert serial == parallel
-
     def test_bad_power(self):
         with pytest.raises(ValueError):
             gr.farb_growth(gr.sl2_st(), SL2, 2, k=0)

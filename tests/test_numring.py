@@ -6,6 +6,7 @@ cyclotomic) before freezing; detection values were derived by evaluating
 the residue maps by hand.
 """
 
+import bisect
 import functools
 import itertools
 import math
@@ -54,6 +55,14 @@ class TestConstruction:
         ):
             with pytest.raises(ValueError):
                 nr.NumberRing(coeffs)
+
+    def test_reducible_quartic_rejected_again_from_the_memo(self):
+        # x^4 + 4 = (x^2 + 2x + 2)(x^2 - 2x + 2): no rational root, so the
+        # first construction reaches the factor search and the second reads
+        # the memoized verdict
+        for _ in range(2):
+            with pytest.raises(ValueError, match="reducible"):
+                nr.NumberRing((4, 0, 0, 0, 1))
 
     def test_accepts_irreducible_quartics(self):
         # x^4+1 is reducible mod every prime, so the lift-and-recombine
@@ -469,9 +478,58 @@ class TestResidueTableOracle:
                 assert nr.min_detecting_ideal(a, 5000) == _oracle_ideal(a, 5000)
 
 
+def _jacobi(a, n):
+    """The Jacobi symbol (a/n) for odd n > 0, by quadratic reciprocity."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _roots_by_values(f, limit):
+    """{p: sorted roots of f mod p} for every prime p <= limit, from the
+    integer values f(r): r in [0, p) is a root of f mod p exactly when p
+    divides f(r), so one gcd of f(r) with the product of the primes in
+    (r, limit] finds every p at which r is a root, and limit evaluations
+    serve every prime at once."""
+    ev = _evaluator(f)
+    primes = _sieve(limit)
+    roots = {p: [] for p in primes}
+    rest = math.prod(primes)
+    for r in range(limit):
+        if r in roots:
+            rest //= r  # primes <= r leave the product
+        g = math.gcd(rest, ev(r))
+        if g > 1:
+            for p in itertools.islice(primes, bisect.bisect_right(primes, r), None):
+                if g % p == 0:
+                    roots[p].append(r)
+                    g //= p
+                    if g == 1:
+                        break
+    return {p: tuple(rs) for p, rs in roots.items()}
+
+
+# the oracle rings and x^3 + x + 3 (disc -247 = -13 * 19)
+LEMMA_POLYS = ORACLE_POLYS + ((3, 1, 0, 1),)
+
+
+def _good_odd_primes(f, limit):
+    disc = nr._discriminant(f)
+    return disc, [p for p in _sieve(limit)[1:] if disc % p]
+
+
 def _clear_memos(f=None):
-    """Forget the roots and factor memos of f, or of every min_poly."""
-    for memo in (nr._ROOTS, nr._FACTORS):
+    """Forget every per-f memo of f, or of every min_poly."""
+    for memo in (nr._ROOTS, nr._FACTORS, nr._SPLIT, nr._FROBENIUS):
         if f is None:
             memo.clear()
         else:
@@ -479,7 +537,8 @@ def _clear_memos(f=None):
 
 
 def _memo_primes(f):
-    return set(nr._ROOTS.get(f, ())) | set(nr._FACTORS.get(f, ()))
+    memos = (nr._ROOTS, nr._FACTORS, nr._SPLIT, nr._FROBENIUS)
+    return set().union(*(memo.get(f, ()) for memo in memos))
 
 
 def _assert_matches_oracles(a, limit):
@@ -498,7 +557,50 @@ def _assert_matches_oracles(a, limit):
 
 
 class TestScanLemmas:
-    """The three lemmas that let a scan skip work, each against the oracle."""
+    """The lemmas that let a scan skip work, each against the oracle."""
+
+    def test_sign_test_matches_factor_count(self):
+        # Stickelberger: (disc/p) = (-1)^(d - r) for odd p not dividing disc
+        for f in LEMMA_POLYS:
+            d = len(f) - 1
+            disc, primes = _good_odd_primes(f, 5000)
+            for p in primes:
+                r = len(nr._factors_mod(f, p))
+                assert _jacobi(disc, p) == (-1) ** (d - r), (f, p)
+
+    def test_fixed_point_test_matches_evaluation(self):
+        # x^p = x mod f exactly when f has deg(f) roots mod p
+        for f in LEMMA_POLYS:
+            d = len(f) - 1
+            by_values = _roots_by_values(f, 5000)
+            _, primes = _good_odd_primes(f, 5000)
+            for p in primes:
+                roots = by_values[p]
+                fbar = nr._pmod_coeffs(f, p)
+                fixed = nr._ppowmod((0, 1), p, fbar, p) == tuple(_rem([0, 1], f, p))
+                assert fixed == (len(roots) == d), (f, p)
+                assert nr._split_roots(f, p) == (roots if fixed else ()), (f, p)
+
+    @pytest.mark.parametrize("f, limit", (((1, -1, 0, 0, 0, 1), 20000), ((0, 1), 100)))
+    def test_split_primes_match_values_oracle(self, f, limit):
+        _clear_memos(f)
+        want = [(p, rs) for p, rs in _roots_by_values(f, limit).items() if len(rs) == len(f) - 1]
+        assert nr.split_primes(nr.NumberRing(f), limit) == want
+
+    def test_non_residue_primes_leave_no_split_entry(self):
+        rng = random.Random(9)
+        for ring in ORACLE_RINGS:
+            f = ring.min_poly
+            disc = ring.discriminant()
+            _clear_memos(f)
+            nr.split_primes(ring, 3000)
+            for _ in range(5):
+                coords = [rng.randint(-10**6, 10**6) or 1 for _ in range(ring.degree)]
+                nr.detect_split(ring.element(coords), 20000)
+            assert nr._SPLIT[f]
+            # nor does the split scan power x^p at such a prime
+            for memo in (nr._SPLIT, nr._FROBENIUS, nr._ROOTS):
+                assert all(p == 2 or _jacobi(disc, p) == 1 for p in memo.get(f, ())), f
 
     @pytest.mark.parametrize("K", (40, 150))
     def test_content_primes_leave_no_memo_entry(self, K):
@@ -617,7 +719,12 @@ class TestResidueTableCoherence:
         ring = nr.NumberRing(f)
         _clear_memos(f)
         nr.split_primes(ring, 100)
-        assert set(nr._ROOTS[f]) == set(_sieve(100)) - {13, 19}
+        # only the primes that pass the sign test get a split memo entry and
+        # a power x^p, and only the split ones get roots
+        assert set(nr._SPLIT[f]) == set(nr._FROBENIUS[f]) == {
+            p for p in _sieve(100) if p == 2 or _jacobi(-247, p) == 1
+        }
+        assert set(nr._ROOTS[f]) == {p for p, roots in nr._SPLIT[f].items() if roots}
         assert not nr._FACTORS.get(f)
         # a content of lcm(1..30) and limit 1000: roots only above 30, and
         # full factorizations only where p**2 <= 1000 as well
