@@ -327,24 +327,6 @@ def _elementary_mod(spec: GroupSpec, m: int, signs: tuple[int, ...] = (1, -1)) -
     return list(dict.fromkeys(reduce_mod(g, m) for g in spec.elementary_generators(signs)))
 
 
-def center_scalars(spec: GroupSpec, m: int) -> list[Mat]:
-    """The scalar matrices lambda*I with lambda^n = 1 mod m, by direct scan."""
-    if m > 10**6:
-        raise BudgetExceededError(f"center scan mod {m} too large")
-    out = []
-    for lam in range(m):
-        if math.gcd(lam, m) == 1 and pow(lam, spec.n, m) == 1 % m:
-            out.append(tuple(tuple(lam if i == j else 0 for j in range(spec.n)) for i in range(spec.n)))
-    if m == 1:
-        out = [identity(spec.n)]
-    return out
-
-
-def center_of(table: FiniteGroupTable) -> list[Mat]:
-    """Elements commuting with all generators (hence with everything)."""
-    return [table.elements[x] for x in _center_indices(table)]
-
-
 def _center_indices(table: FiniteGroupTable) -> list[int]:
     """Indices of the elements fixed by conjugation by every generator."""
     conj = table.conjugations
@@ -359,19 +341,6 @@ def _prime_power_modulus(m: int) -> tuple[int, int]:
     if pe is None:
         raise ValueError(f"modulus {m} is not a prime power")
     return pe
-
-
-def _fix_last_entry(a: list[list[int]], q: int) -> Mat:
-    """a with its last diagonal entry replaced by the unique t that makes
-    det = 1 mod q.  The determinant is linear in that entry with coefficient
-    the leading (n-1)-minor, a unit whenever a = I mod p; so t is
-    (1 - det with the entry set to 0) / minor."""
-    n = len(a)
-    cof = matgrp.det(tuple(tuple(row[: n - 1]) for row in a[: n - 1])) % q
-    a[n - 1][n - 1] = 0
-    d0 = matgrp.det(matgrp.mat(a)) % q
-    a[n - 1][n - 1] = (1 - d0) * pow(cof, -1, q) % q
-    return matgrp.mat(a)
 
 
 def filtration_generators(spec: GroupSpec, p: int, k: int, i: int) -> list[Mat]:
@@ -429,29 +398,6 @@ def graded_image(g: Mat, p: int, i: int) -> Mat:
             row.append(diff // q % p)
         out.append(tuple(row))
     return tuple(out)
-
-
-def lift_from_lie(spec: GroupSpec, p: int, k: int, i: int, xbar: Mat) -> Mat:
-    """A group element g = 1 + p^i * xbar + O(p^(i+1)) in SL_n(Z/p^k).
-
-    Requires trace(xbar) = 0 mod p; the det = 1 correction is absorbed into
-    the last diagonal entry (_fix_last_entry) and is automatically
-    O(p^(i+1)), so the graded image of the result is exactly xbar.
-    """
-    n = spec.n
-    if sum(xbar[t][t] for t in range(n)) % p != 0:
-        raise ValueError("lift requires a trace-zero Lie algebra element")
-    q = p**k
-    step = p**i
-    a = [
-        [((1 if r == c else 0) + step * (xbar[r][c] % p)) % q for c in range(n)]
-        for r in range(n)
-    ]
-    corner = a[n - 1][n - 1]
-    g = _fix_last_entry(a, q)
-    assert (g[n - 1][n - 1] - corner) % (step * p) == 0
-    assert graded_image(g, p, i) == reduce_mod(xbar, p)
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -893,70 +839,6 @@ def adjoint_irreducibility_check(spec: GroupSpec, p: int, subspace_budget: int =
 
 
 # ---------------------------------------------------------------------------
-# annuli witnesses
-
-
-def annuli_witness(spec: GroupSpec, p: int, k: int, g: Mat, i: int) -> Mat:
-    """An h in G^1 whose commutator with g lands in G^(i+1) but outside
-    G^(i+2) Z(G), certifying that g sits in the annulus G^i minus G^(i+1) Z.
-
-    Constructive, following the graded picture: for i = 0 pick a basis
-    element of sl_n moved by conjugation by the image of g mod p; for i >= 1
-    pick one that fails to commute with psi_i(g).  Lift it to the group and
-    verify the commutator's position exactly.
-    """
-    if p in EXCLUDED_PRIMES:
-        raise ValueError(f"annuli analysis requires a good prime, not {p}")
-    if not 0 <= i <= k - 2:
-        raise ValueError(f"annulus level i={i} needs 0 <= i <= k-2 (k={k})")
-    q = p**k
-    g = reduce_mod(g, q)
-    if matgrp.det(g) % q != 1 % q:
-        raise ValueError("element is not in SL_n of the requested quotient")
-    target = p**i
-    if not _congruent_to_identity(g, target):
-        raise ValueError(f"element is not in G^{i}")
-    centers = center_scalars(spec, q)
-    for z in centers:
-        zi = mat_inv_mod(z, q)
-        if _congruent_to_identity(mat_mul_mod(g, zi, q), p ** (i + 1)):
-            raise ValueError(f"element lies in G^{i + 1} Z, not the open annulus")
-
-    basis = lie_algebra_basis(spec, p)
-    ybar = None
-    if i == 0:
-        gbar = reduce_mod(g, p)
-        gbar_inv = mat_inv_mod(gbar, p)
-        for b in basis:
-            moved = mat_mul_mod(mat_mul_mod(gbar, b, p), gbar_inv, p)
-            if moved != b:
-                ybar = b
-                break
-    else:
-        xbar = graded_image(g, p, i)
-        for b in basis:
-            lhs = mat_mul_mod(xbar, b, p)
-            rhs = mat_mul_mod(b, xbar, p)
-            if lhs != rhs:
-                ybar = b
-                break
-    if ybar is None:
-        raise ValueError("no witness direction exists; element acts centrally")
-
-    h = lift_from_lie(spec, p, k, 1, ybar)
-    comm = mat_mul_mod(
-        mat_mul_mod(h, g, q), mat_mul_mod(mat_inv_mod(h, q), mat_inv_mod(g, q), q), q
-    )
-    assert _congruent_to_identity(comm, p ** (i + 1)), "commutator missed G^(i+1)"
-    for z in centers:
-        zi = mat_inv_mod(z, q)
-        assert not _congruent_to_identity(
-            mat_mul_mod(comm, zi, q), p ** (i + 2)
-        ), "commutator fell into G^(i+2) Z"
-    return h
-
-
-# ---------------------------------------------------------------------------
 # normal subgroups above the center
 
 
@@ -1140,25 +1022,6 @@ def _second_center_indices(table: FiniteGroupTable, center: list[int]) -> list[i
         if all(c[g] in coset for c in conj):
             out.append(g)
     return out
-
-
-def center_reduction_check(spec: GroupSpec, p: int, k: int) -> CheckResult:
-    """Z(G mod p^k) -> Z(G mod p^(k-1)) should be a bijection (good primes)."""
-    if k < 2:
-        raise ValueError("need k >= 2")
-    instance = f"{spec.name},p={p},k={k}"
-    upper = center_scalars(spec, p**k)
-    lower = center_scalars(spec, p ** (k - 1))
-    images = [reduce_mod(z, p ** (k - 1)) for z in upper]
-    if len(set(images)) == len(upper) and set(images) == set(lower):
-        return CheckResult(
-            "center-reduction", instance, "pass",
-            f"bijection on {len(upper)} central scalars",
-        )
-    return CheckResult(
-        "center-reduction", instance, "fail",
-        f"|Z(mod p^{k})| = {len(upper)} maps onto {len(set(images))} of {len(lower)}",
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,11 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import os
 import sys
+from collections.abc import Iterator
 
 from . import arith, counterexamples, growth, matgrp, numring
 from . import chevalley
@@ -34,17 +36,33 @@ JSON_INT_LIMIT = 2**53 - 1
 def emit(header: list[str], rows: list[list], fmt: str) -> bytes:
     """CSV: the documented header, LF endings, no trailing separator.
     JSON: list of objects in header order, big integers as decimal strings."""
+    return "".join(_emit_parts(header, rows, fmt)).encode("utf-8")
+
+
+def _emit_parts(header: list[str], rows, fmt: str) -> Iterator[str]:
+    """emit's text in parts of up to 1024 rows, reading rows once from any
+    iterable.  The JSON is json.dumps(list of objects, indent=2) a chunk of
+    objects at a time: the text of a nonempty chunk between its "[\n" and
+    "\n]" is its objects at the indent they have in the whole list."""
+    rows = iter(rows)
+    chunks = iter(lambda: list(itertools.islice(rows, 1024)), [])
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_csv_cell(v) for v in row])
-        return buf.getvalue().encode("utf-8")
-    payload = [
-        {key: _json_value(v) for key, v in zip(header, row)} for row in rows
-    ]
-    return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+        yield _csv_text([header])
+        for chunk in chunks:
+            yield _csv_text([_csv_cell(v) for v in row] for row in chunk)
+        return
+    sep = "[\n"
+    for chunk in chunks:
+        objs = [{key: _json_value(v) for key, v in zip(header, row)} for row in chunk]
+        yield sep + json.dumps(objs, indent=2)[2:-2]
+        sep = ",\n"
+    yield "[]\n" if sep == "[\n" else "\n]\n"
+
+
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def _csv_cell(v):
@@ -199,11 +217,14 @@ def _cmd_candidates(args) -> int:
     ) if args.s_primes else ()
     cs = growth.CandidateSeq(spec, s_primes=s_primes, e=args.multiplier)
     lo, hi = _parse_range(args.k)
-    rows = [
+    rows = (
         [k, r_log2, r.modulus, r.quotient_order]
         for k, r_log2, r in growth.candidate_sweep(cs, lo, hi, allow_central=args.allow_central)
-    ]
-    _write(emit(CANDIDATES_HEADER, rows, args.format))
+    )
+    # all parts before any is written: a sweep that fails part way prints
+    # nothing, and only one copy of the output is held
+    parts = list(_emit_parts(CANDIDATES_HEADER, rows, args.format))
+    sys.stdout.writelines(parts)
     return EXIT_OK
 
 

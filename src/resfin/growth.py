@@ -135,6 +135,29 @@ def _detection_key(d: int):
     )
 
 
+def _central_key(d: int, det_one: bool):
+    """g -> matgrp._central_gcd of the flat d x d matrix g, compiled: the gcd
+    of the off-diagonal entries, of the g_ii - g_11 and of det g - 1.
+
+    Lemma: det is multiplicative, so when every generator has det 1, every
+    element of the ball and its powers have det 1, and the det g - 1 term is
+    0 and left out (det_one).  Otherwise det g is compiled too, by Leibniz.
+    """
+    terms = [f"g[{t}]" for t in range(d * d) if t % (d + 1)]
+    terms += [f"g[{t}] - g[0]" for t in range(d + 1, d * d, d + 1)]
+    if not det_one:
+        det = " ".join(
+            ("-" if _inversions(perm) % 2 else "+") + " * ".join(f"g[{r * d + c}]" for r, c in enumerate(perm))
+            for perm in itertools.permutations(range(d))
+        )
+        terms.append(f"{det} - 1")
+    return _compile("g", f"gcd({', '.join(terms)})")
+
+
+def _inversions(perm: tuple[int, ...]) -> int:
+    return sum(a > b for a, b in itertools.combinations(perm, 2))
+
+
 def _product(d: int):
     """(a, b) -> a * b on flat d x d matrices, compiled."""
     cells = [
@@ -209,8 +232,10 @@ def farb_growth(
 
     D depends on a target only through its detection key (see
     matgrp.congruence_D): g = detection_gcd, paired with the central gcd h
-    under allow_central.  congruence_D runs once per distinct key, on the
-    first target with that key; a ball shares only a handful of keys.
+    under allow_central.  Both are compiled once per table on the flat
+    tuples (_detection_key, _central_key).  congruence_D runs once per
+    distinct key, on the first target with that key; a ball shares only a
+    handful of keys.
 
     Witnesses are the first maximizer in (word length, entries) order.  The
     spheres are read directly, with no sort of the ball: a sphere changes
@@ -225,6 +250,8 @@ def farb_growth(
     d = len(gens.mats[0])
     spheres = _spheres(gens, n_max, budget)
     flat_key = _detection_key(d)
+    if allow_central:
+        central_key = _central_key(d, all(matgrp.det(s) == 1 for s in gens.mats))
     product = _product(d)
     by_key: dict[object, DetectionResult] = {}
 
@@ -243,7 +270,7 @@ def farb_growth(
             if key == 0:
                 continue  # gamma^k = 1
             if allow_central:
-                key = (key, matgrp._central_gcd(_nested(tg, d)))
+                key = (key, central_key(tg))
             det = by_key.get(key)
             if det is None:
                 det = by_key[key] = matgrp.congruence_D(

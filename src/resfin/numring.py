@@ -28,6 +28,13 @@ irreducibility test reads full factorizations, once per f.  Since every
 scan shares the memos, the referee is the oracle in tests/test_numring.py,
 which finds roots by evaluating f at every residue, factors by trial
 division and redoes each scan per call.
+
+Every power in F_p[x]/(m) (x^p mod f, the distinct-degree and radical
+powers, and the Cantor-Zassenhaus r^((p^g - 1)/2) mod h) runs in
+straight-line code compiled once per degree of m, with p and the low
+coefficients of m as arguments, so one kernel serves every prime and every
+monic modulus of that degree.  The interpreted square and multiply it
+replaced is the oracle in the tests.
 """
 
 from __future__ import annotations
@@ -106,33 +113,86 @@ def _pgcd(a, b, p):
 
 
 def _ppowmod(base, e, mod, p):
-    """base**e modulo the monic polynomial mod over F_p."""
+    """base**e modulo mod over F_p, trimmed; mod must be monic of degree >= 1.
+
+    The powers run in the straight-line kernels of _powmod_kernels, one pair
+    per degree, with x^n = low(x) mod mod and p passed at run time."""
+    if not e:
+        return (1,)
     n = len(mod) - 1
-    low = [-c for c in mod[:n]]  # x^n = low(x) modulo mod
+    low = [-c % p for c in mod[:n]]
+    x_power, power = _powmod_kernels(n)
+    if base == (0, 1):
+        out = x_power(e, low, p)
+    else:
+        base = _pdivmod(base, mod, p)[1]
+        if not base:
+            return ()
+        out = power([c % p for c in base] + [0] * (n - len(base)), e, low, p)
+    return out if out[-1] else _ptrim(out)
 
-    def mulmod(a, b):
-        # product folded down with x^n = low(x), over Z until the final mod p
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        for k in range(len(out) - 1, n - 1, -1):
-            c = out[k] % p
-            if c:
-                for j, y in enumerate(low):
-                    out[k - n + j] += c * y
-        return _ptrim(x % p for x in out[:n])
 
-    result = (1,)
-    base = _pdivmod(base, mod, p)[1]
-    while e:
-        if e & 1:
-            result = mulmod(result, base)
-        e >>= 1
-        if e:
-            base = mulmod(base, base)
-    return result
+@functools.lru_cache(maxsize=None)
+def _powmod_kernels(n: int):
+    """(x_power, power) for monic moduli of degree n: x_power(e, low, p) is
+    x^e and power(b, e, low, p) is b^e for a reduced base b of length n,
+    both modulo x^n - low(x) over F_p, for e >= 1, as untrimmed n-tuples.
+
+    Left-to-right square and multiply, with every loop over coefficients
+    unrolled into code text built from integer indices only.  A square
+    takes the n(n+1)/2 products c_i c_j with i <= j.  A product's
+    coefficients t_k of x^k, k = 2n-2 down to n, fold down from the top
+    through x^k = x^(k-n) low(x), one % p each, then the n kept
+    coefficients take one % p each.  Multiplying by x is a shift plus one
+    fold of the top coefficient."""
+    def names(letter):
+        return ", ".join(f"{letter}{i}" for i in range(n))
+
+    def assign(exprs):
+        return f"({names('c')},) = ({', '.join(exprs)},)"
+
+    def reduced(terms):
+        # terms[k] is the text of the product's coefficient of x^k
+        top = len(terms) - 1
+
+        def folded(k):
+            return " + ".join([terms[k]] + [
+                f"t{j} * l{k - j + n}" for j in range(max(k + 1, n), min(top, k + n) + 1)
+            ])
+
+        lines = [f"t{k} = ({folded(k)}) % p" for k in range(top, n - 1, -1)]
+        return lines + [assign(f"({folded(k)}) % p" for k in range(n))]
+
+    def square(k):
+        pairs = [f"c{i} * c{k - i}" for i in range(max(0, k - n + 1), (k + 1) // 2)]
+        half = [f"c{k // 2} * c{k // 2}"] if k % 2 == 0 else []
+        return " + ".join(([f"2 * ({' + '.join(pairs)})"] if pairs else []) + half)
+
+    def product(k):
+        return " + ".join(f"c{i} * b{k - i}" for i in range(max(0, k - n + 1), min(k, n - 1) + 1))
+
+    squared = reduced([square(k) for k in range(2 * n - 1)])
+    multiplied = reduced([product(k) for k in range(2 * n - 1)])
+    shifted = [assign(
+        f"(c{i - 1} + c{n - 1} * l{i}) % p" if i else f"c{n - 1} * l0 % p" for i in range(n)
+    )]
+    x_init = "l0" if n == 1 else ", ".join(["0", "1"] + ["0"] * (n - 2))
+
+    def kernel(head, start, multiply):
+        body = [f"({names('l')},) = low", *head, f"({names('c')},) = ({start},)",
+                "for bit in bin(e)[3:]:", *(f"    {s}" for s in squared),
+                '    if bit == "1":', *(f"        {s}" for s in multiply),
+                f"return ({names('c')},)"]
+        return "\n    ".join(body)
+
+    bs = names("b")
+    namespace: dict = {}
+    exec(  # the text holds integer indices and fixed names only
+        f"def x_power(e, low, p):\n    {kernel([], x_init, shifted)}\n"
+        f"def power(b, e, low, p):\n    {kernel([f'({bs},) = b'], bs, multiplied)}\n",
+        namespace,
+    )
+    return namespace["x_power"], namespace["power"]
 
 
 def _pderiv(a, p):
@@ -373,14 +433,17 @@ def _split_rows(ring, limit: int, skip: int = 1):
     cap raises at once.  Sign test (Stickelberger; Swan, Pacific J. Math. 12,
     1962): for odd p not dividing D = disc(f), (D/p) = (-1)^(d - r), where r
     is the number of irreducible factors of f mod p, and a split p has r = d;
-    so one pow skips every odd p with (D/p) = -1 before any memo is read."""
+    so one pow skips every odd p with (D/p) = -1 that the split memo does not
+    hold, and such p never enter it."""
     disc = ring.discriminant()
     bad = abs(disc) * ring.inverted * skip
     table = _SPLIT.setdefault(ring.min_poly, {})
     for p in arith.primes(limit):
-        if bad % p and (p == 2 or pow(disc, (p - 1) // 2, p) == 1):
+        if bad % p:
             roots = table.get(p)
             if roots is None:
+                if p != 2 and pow(disc, (p - 1) // 2, p) != 1:
+                    continue
                 roots = table[p] = _split_roots(ring.min_poly, p)
             if roots:
                 yield p, roots

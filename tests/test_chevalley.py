@@ -8,6 +8,7 @@ anyway and the first moduli where they break.
 """
 
 import itertools
+import math
 
 import pytest
 from hypothesis import assume, given, settings
@@ -31,6 +32,55 @@ def t9():
 @pytest.fixture(scope="module")
 def sl3_f2():
     return ch.enumerate_group(SL3, 2)
+
+
+def center_scalars(spec, m):
+    """Oracle: the scalar matrices lambda*I with lambda^n = 1 mod m, by
+    direct scan."""
+    n = spec.n
+    if m == 1:
+        return [matgrp.identity(n)]
+    return [
+        tuple(tuple(lam if i == j else 0 for j in range(n)) for i in range(n))
+        for lam in range(m)
+        if math.gcd(lam, m) == 1 and pow(lam, n, m) == 1
+    ]
+
+
+def fix_last_entry(a, q):
+    """a with its last diagonal entry replaced by the unique t that makes
+    det = 1 mod q.  The determinant is linear in that entry with coefficient
+    the leading (n-1)-minor, a unit whenever a = I mod p; so t is
+    (1 - det with the entry set to 0) / minor."""
+    n = len(a)
+    cof = matgrp.det(tuple(tuple(row[: n - 1]) for row in a[: n - 1])) % q
+    a[n - 1][n - 1] = 0
+    d0 = matgrp.det(matgrp.mat(a)) % q
+    a[n - 1][n - 1] = (1 - d0) * pow(cof, -1, q) % q
+    return matgrp.mat(a)
+
+
+def lift_from_lie(spec, p, k, i, xbar):
+    """A group element g = 1 + p^i * xbar + O(p^(i+1)) in SL_n(Z/p^k).
+
+    Requires trace(xbar) = 0 mod p; the det = 1 correction is absorbed into
+    the last diagonal entry (fix_last_entry) and is automatically
+    O(p^(i+1)), so the graded image of the result is exactly xbar.
+    """
+    n = spec.n
+    if sum(xbar[t][t] for t in range(n)) % p != 0:
+        raise ValueError("lift requires a trace-zero Lie algebra element")
+    q = p**k
+    step = p**i
+    a = [
+        [((1 if r == c else 0) + step * (xbar[r][c] % p)) % q for c in range(n)]
+        for r in range(n)
+    ]
+    corner = a[n - 1][n - 1]
+    g = fix_last_entry(a, q)
+    assert (g[n - 1][n - 1] - corner) % (step * p) == 0
+    assert ch.graded_image(g, p, i) == matgrp.reduce_mod(xbar, p)
+    return g
 
 
 class TestGroupSpec:
@@ -70,7 +120,7 @@ class TestGroupSpec:
     def test_center_order_matches_scalar_scan(self):
         for spec in (SL2, SL3, SL4):
             for m in range(2, 201):
-                assert spec.center_order_mod(m) == len(ch.center_scalars(spec, m)), m
+                assert spec.center_order_mod(m) == len(center_scalars(spec, m)), m
 
     def test_center_order_repeat_reads_the_cache(self, monkeypatch):
         first = {m: SL3.center_order_mod(m) for m in (12, 97, 360, 10**12 + 39)}
@@ -112,17 +162,23 @@ class TestEnumerate:
         assert matgrp.mat_mul_mod(g, t5.inv(g), 5) == matgrp.identity(2)
 
 
+def center_of(table):
+    """The elements of the table commuting with all generators (hence with
+    everything), read from the library's center indices."""
+    return [table.elements[x] for x in ch._center_indices(table)]
+
+
 class TestCenters:
     def test_center_is_scalars(self, t5, t9):
-        assert set(ch.center_of(t9)) == set(ch.center_scalars(SL2, 9))
-        assert len(ch.center_of(t9)) == 2
-        assert set(ch.center_of(t5)) == {matgrp.identity(2), ((4, 0), (0, 4))}
+        assert set(center_of(t9)) == set(center_scalars(SL2, 9))
+        assert len(center_of(t9)) == 2
+        assert set(center_of(t5)) == {matgrp.identity(2), ((4, 0), (0, 4))}
 
     def test_trivial_center_mod_2(self):
-        assert ch.center_scalars(SL2, 2) == [matgrp.identity(2)]
+        assert center_scalars(SL2, 2) == [matgrp.identity(2)]
 
     def test_sl3_cube_roots_mod_7(self):
-        diags = [z[0][0] for z in ch.center_scalars(SL3, 7)]
+        diags = [z[0][0] for z in center_scalars(SL3, 7)]
         assert diags == [1, 2, 4]
 
 
@@ -141,7 +197,7 @@ def filtration_elements(spec, p, k, i, budget=ch.DEFAULT_ENUM_BUDGET):
 
     Every entry except the last diagonal one runs over its p^(k-i) allowed
     residues; the last diagonal entry is then the unique solution of
-    det = 1 mod p^k (see _fix_last_entry).  This realizes
+    det = 1 mod p^k (see fix_last_entry).  This realizes
     |G^i| = p^(dim * (k-i)) exactly.
     """
     if not arith.is_prime(p):
@@ -161,7 +217,7 @@ def filtration_elements(spec, p, k, i, budget=ch.DEFAULT_ENUM_BUDGET):
         a = [[0] * n for _ in range(n)]
         for (r, c), x in zip(positions, combo):
             a[r][c] = ((1 if r == c else 0) + step * x) % q
-        g = ch._fix_last_entry(a, q)
+        g = fix_last_entry(a, q)
         # the solved entry automatically lands back in 1 + step*Z
         assert (g[n - 1][n - 1] - 1) % step == 0
         out.append(g)
@@ -212,12 +268,12 @@ class TestGradedMaps:
                 )
                 for r in range(2)
             )
-            g = ch.lift_from_lie(SL2, 5, 3, 1, x)
+            g = lift_from_lie(SL2, 5, 3, 1, x)
             assert ch.graded_image(g, 5, 1) == x
 
     def test_lift_rejects_nonzero_trace(self):
         with pytest.raises(ValueError):
-            ch.lift_from_lie(SL2, 5, 2, 1, ((1, 0), (0, 0)))
+            lift_from_lie(SL2, 5, 2, 1, ((1, 0), (0, 0)))
 
     def test_graded_image_requires_congruence(self):
         with pytest.raises(ValueError):
@@ -676,6 +732,53 @@ class TestEchelonKernel:
         assert ch._invariant_subspace_scan(ops, p, d, 10**5) == ("exhaustive-subspaces", None)
 
 
+def annuli_witness(spec, p, k, g, i):
+    """An h in G^1 whose commutator with g lands in G^(i+1) but outside
+    G^(i+2) Z(G), certifying that g sits in the annulus G^i minus G^(i+1) Z.
+
+    Constructive, following the graded picture: for i = 0 pick a basis
+    element of sl_n moved by conjugation by the image of g mod p; for i >= 1
+    pick one that fails to commute with psi_i(g).  Lift it to the group and
+    verify the commutator's position exactly.
+    """
+    mul, inv = matgrp.mat_mul_mod, matgrp.mat_inv_mod
+    if p in ch.EXCLUDED_PRIMES:
+        raise ValueError(f"annuli analysis requires a good prime, not {p}")
+    if not 0 <= i <= k - 2:
+        raise ValueError(f"annulus level i={i} needs 0 <= i <= k-2 (k={k})")
+    q = p**k
+    g = matgrp.reduce_mod(g, q)
+    if matgrp.det(g) % q != 1 % q:
+        raise ValueError("element is not in SL_n of the requested quotient")
+    if not ch._congruent_to_identity(g, p**i):
+        raise ValueError(f"element is not in G^{i}")
+    centers = center_scalars(spec, q)
+    for z in centers:
+        if ch._congruent_to_identity(mul(g, inv(z, q), q), p ** (i + 1)):
+            raise ValueError(f"element lies in G^{i + 1} Z, not the open annulus")
+
+    basis = ch.lie_algebra_basis(spec, p)
+    if i == 0:
+        gbar = matgrp.reduce_mod(g, p)
+        gbar_inv = inv(gbar, p)
+        moved = (b for b in basis if mul(mul(gbar, b, p), gbar_inv, p) != b)
+    else:
+        xbar = ch.graded_image(g, p, i)
+        moved = (b for b in basis if mul(xbar, b, p) != mul(b, xbar, p))
+    ybar = next(moved, None)
+    if ybar is None:
+        raise ValueError("no witness direction exists; element acts centrally")
+
+    h = lift_from_lie(spec, p, k, 1, ybar)
+    comm = mul(mul(h, g, q), mul(inv(h, q), inv(g, q), q), q)
+    assert ch._congruent_to_identity(comm, p ** (i + 1)), "commutator missed G^(i+1)"
+    for z in centers:
+        assert not ch._congruent_to_identity(
+            mul(comm, inv(z, q), q), p ** (i + 2)
+        ), "commutator fell into G^(i+2) Z"
+    return h
+
+
 class TestAnnuli:
     def verify_certificate(self, spec, p, k, g, i, h):
         q = p**k
@@ -686,39 +789,39 @@ class TestAnnuli:
         )
         c = matgrp.mat_mul_mod(hg, inv, q)
         assert ch._congruent_to_identity(c, p ** (i + 1))
-        for z in ch.center_scalars(spec, q):
+        for z in center_scalars(spec, q):
             cz = matgrp.mat_mul_mod(c, matgrp.mat_inv_mod(z, q), q)
             assert not ch._congruent_to_identity(cz, p ** (i + 2))
 
     def test_witness_mod_125_outer_shell(self):
         g = matgrp.elementary(2, 1, 2, 1)
-        h = ch.annuli_witness(SL2, 5, 3, g, 0)
+        h = annuli_witness(SL2, 5, 3, g, 0)
         self.verify_certificate(SL2, 5, 3, g, 0, h)
 
     def test_witness_mod_125_middle_shell(self):
         g = matgrp.elementary(2, 1, 2, 5)
-        h = ch.annuli_witness(SL2, 5, 3, g, 1)
+        h = annuli_witness(SL2, 5, 3, g, 1)
         self.verify_certificate(SL2, 5, 3, g, 1, h)
 
     def test_witness_mod_49(self):
         g = ((5, 1), (4, 1))  # E_12(1)*E_21(4), in the outer shell
-        h = ch.annuli_witness(SL2, 7, 2, g, 0)
+        h = annuli_witness(SL2, 7, 2, g, 0)
         self.verify_certificate(SL2, 7, 2, g, 0, h)
 
     def test_non_unimodular_rejected(self):
         with pytest.raises(ValueError):
-            ch.annuli_witness(SL2, 5, 3, ((2, 0), (0, 1)), 0)
+            annuli_witness(SL2, 5, 3, ((2, 0), (0, 1)), 0)
 
     def test_rejections(self):
         e = matgrp.elementary(2, 1, 2, 1)
         with pytest.raises(ValueError):
-            ch.annuli_witness(SL2, 3, 3, e, 0)  # excluded prime
+            annuli_witness(SL2, 3, 3, e, 0)  # excluded prime
         with pytest.raises(ValueError):
-            ch.annuli_witness(SL2, 5, 3, e, 2)  # level too deep for k
+            annuli_witness(SL2, 5, 3, e, 2)  # level too deep for k
         with pytest.raises(ValueError):
-            ch.annuli_witness(SL2, 5, 3, ((-1, 0), (0, -1)), 0)  # central
+            annuli_witness(SL2, 5, 3, ((-1, 0), (0, -1)), 0)  # central
         with pytest.raises(ValueError):
-            ch.annuli_witness(SL2, 5, 3, matgrp.elementary(2, 1, 2, 25), 1)
+            annuli_witness(SL2, 5, 3, matgrp.elementary(2, 1, 2, 25), 1)
 
 
 class TestNormalSubgroups:
@@ -759,7 +862,7 @@ class TestNormalSubgroups:
         # every central matrix by matrix products
         table = ch.enumerate_group(ch.GroupSpec(n), m)
         k = arith.is_prime_power(m)[1]
-        center = ch.center_of(table)
+        center = center_of(table)
         want = {
             frozenset(
                 table.index[matgrp.mat_mul_mod(z, g, m)]
@@ -901,7 +1004,7 @@ class TestEngineAgainstOracles:
         table = table_for(spec, m)
         assert table.elements == oracle_closure(matgrp.identity(spec.n), table.generators, m)[0]
         assert ch.conjugacy_classes(table) == oracle_classes(table)
-        assert ch.center_of(table) == oracle_center(table)
+        assert center_of(table) == oracle_center(table)
         second = [table.elements[g] for g in ch._second_center_indices(table, ch._center_indices(table))]
         assert second == oracle_second_center(table)
         assert ch.normal_subgroups_containing_center(table) == oracle_normal_subgroups(table)
@@ -1072,6 +1175,25 @@ class TestTableClosure:
         assert table.index == {g: x for x, g in enumerate(table.elements)}
 
 
+def center_reduction_check(spec, p, k):
+    """Z(G mod p^k) -> Z(G mod p^(k-1)) should be a bijection (good primes)."""
+    if k < 2:
+        raise ValueError("need k >= 2")
+    instance = f"{spec.name},p={p},k={k}"
+    upper = center_scalars(spec, p**k)
+    lower = center_scalars(spec, p ** (k - 1))
+    images = [matgrp.reduce_mod(z, p ** (k - 1)) for z in upper]
+    if len(set(images)) == len(upper) and set(images) == set(lower):
+        return ch.CheckResult(
+            "center-reduction", instance, "pass",
+            f"bijection on {len(upper)} central scalars",
+        )
+    return ch.CheckResult(
+        "center-reduction", instance, "fail",
+        f"|Z(mod p^{k})| = {len(upper)} maps onto {len(set(images))} of {len(lower)}",
+    )
+
+
 class TestCenterlessAndReduction:
     def test_good_primes_pass(self, t5, t9):
         assert ch.centerless_quotient_check(t5).passed
@@ -1090,12 +1212,12 @@ class TestCenterlessAndReduction:
         assert "8" in r.detail and "4" in r.detail
 
     def test_center_reduction(self):
-        assert ch.center_reduction_check(SL2, 5, 2).passed
-        assert ch.center_reduction_check(SL2, 7, 3).passed
-        r = ch.center_reduction_check(SL2, 2, 2)
+        assert center_reduction_check(SL2, 5, 2).passed
+        assert center_reduction_check(SL2, 7, 3).passed
+        r = center_reduction_check(SL2, 2, 2)
         assert r.status == "fail"
         with pytest.raises(ValueError):
-            ch.center_reduction_check(SL2, 5, 1)
+            center_reduction_check(SL2, 5, 1)
 
 
 class TestStrongApprox:

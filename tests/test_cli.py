@@ -2,6 +2,7 @@
 exit codes, and byte-level determinism."""
 
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -523,3 +524,35 @@ def test_emit_quoting_and_endings():
     assert data == b"a\n"
     rows = json.loads(cli.emit(["v"], [[2**60]], "json"))
     assert rows == [{"v": str(2**60)}]
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [[1, "x,y"], [2, None]],
+    [[2**60, -(2**60), 3.5], [True, False, "line\nbreak é"]],
+    [[[1, [2, 3]], {"k": [4]}, 0.1]],
+    [[1]],  # shorter than the header: zip drops the missing keys
+    [[k, k / 7, str(k)] for k in range(2049)],  # over two full chunks
+])
+def test_emit_json_streams_json_dumps(rows):
+    # the chunked writer against json.dumps of the whole list
+    header = ["a", "b", "c"]
+    payload = [{key: cli._json_value(v) for key, v in zip(header, row)} for row in rows]
+    assert cli.emit(header, rows, "json") == (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("exc,code,prefix", [
+    (ValueError("sweep failed"), 2, "error: "),
+    (cli.BudgetExceededError("sweep ran out"), 3, "budget: "),
+])
+def test_candidates_failing_part_way_prints_nothing(monkeypatch, fmt, exc, code, prefix):
+    real = cli.growth.candidate_sweep
+
+    def failing(*args, **kwargs):
+        yield from itertools.islice(real(*args, **kwargs), 3)
+        raise exc
+
+    monkeypatch.setattr(cli.growth, "candidate_sweep", failing)
+    rc, out, err = run_cli(["candidates", "--group", "sl2", "--k", "2..10", "--format", fmt])
+    assert (rc, out, err) == (code, "", f"{prefix}{exc}\n")

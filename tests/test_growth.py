@@ -37,6 +37,16 @@ MINUS_I = ((-1, 0), (0, -1))
 A_MINUS_I = gr.GeneratingSet(
     "A,-I", ("A", "A^-1", "-I"), (((-3, 2), (-2, 1)), ((1, -2), (2, -3)), MINUS_I)
 )
+# R = diag(-1, 1) and -I_3 have det -1, so the central key keeps its det - 1
+# term for these sets
+R_T = gr.GeneratingSet(
+    "R,T", ("R", "T", "T^-1"),
+    (((-1, 0), (0, 1)), matgrp.elementary(2, 1, 2, 1), matgrp.elementary(2, 1, 2, -1)),
+)
+E3_MINUS_I = gr.GeneratingSet(
+    "E(3),-I", gr.elementary_set(3).labels + ("-I",),
+    gr.elementary_set(3).mats + (((-1, 0, 0), (0, -1, 0), (0, 0, -1)),),
+)
 
 
 def reference_D(a, spec, allow_central):
@@ -222,7 +232,7 @@ class TestFarbGrowth:
         assert t.f(2) == 24
         assert t.rows[2].detection.central_quotient is False
 
-    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("allow_central", [False, True])
     @pytest.mark.parametrize("gens,spec,n_max", [
         (gr.sl2_st(), SL2, 8),
@@ -231,10 +241,26 @@ class TestFarbGrowth:
         # first, but only -I is central mod 3: one key per gcd would give
         # -I the central order 12 of A instead of 24
         (A_MINUS_I, SL2, 3),
+        (R_T, SL2, 6),
+        (E3_MINUS_I, SL3, 2),
     ])
     def test_keyed_table_matches_per_element_oracle(self, gens, spec, n_max, k, allow_central):
         fast = gr.farb_growth(gens, spec, n_max, k=k, allow_central=allow_central)
         assert fast == per_element_table(gens, spec, n_max, k, allow_central)
+
+    @pytest.mark.parametrize("gens,radius", [
+        (gr.sl2_st(), 6), (gr.elementary_set(3), 2), (A_MINUS_I, 4), (R_T, 6), (E3_MINUS_I, 2),
+    ])
+    def test_central_key_matches_central_gcd(self, gens, radius):
+        # -I_3 has off-diagonal and diagonal-difference gcd 0; only its
+        # det - 1 term makes its central gcd 2
+        d = len(gens.mats[0])
+        key = gr._central_key(d, all(matgrp.det(s) == 1 for s in gens.mats))
+        for g in gr.word_ball(gens, radius):
+            power = g
+            for _ in range(3):
+                assert key(sum(power, ())) == matgrp._central_gcd(power), power
+                power = matgrp.mat_mul(power, g)
 
     def test_witness_is_the_entry_least_of_a_tied_sphere(self):
         # S^-1 is found first and S, T^-1, T tie with it at order 6 on

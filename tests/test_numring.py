@@ -412,11 +412,10 @@ def _oracle_ideal(a, limit):
 
 class TestResidueTableOracle:
     def test_roots_match_evaluation_below_5000(self):
-        # one evaluation pass checks both memos: the roots memo, and the
-        # linear factors of the full factorization
+        # one pass of the values oracle checks both memos: the roots memo,
+        # and the linear factors of the full factorization
         for f in ORACLE_POLYS:
-            for p in _sieve(5000):
-                want = _roots_by_evaluation(f, p)
+            for p, want in _roots_by_values(f, 5000).items():
                 assert nr._roots_mod(f, p) == want, (f, p)
                 factors = nr._factors_mod(f, p)
                 linear = sorted(-g[0] % p for g in factors if len(g) == 2)
@@ -745,3 +744,84 @@ class TestResidueTableCoherence:
                 call()
         assert not nr._ROOTS.get(ZI.min_poly)
         assert not nr._FACTORS.get(ZI.min_poly)
+
+
+def _ppowmod_oracle(base, e, mod, p):
+    """base**e modulo the monic polynomial mod over F_p, by the interpreted
+    square and multiply that the compiled kernels replaced."""
+    n = len(mod) - 1
+    low = [-c for c in mod[:n]]  # x^n = low(x) modulo mod
+
+    def mulmod(a, b):
+        # product folded down with x^n = low(x), over Z until the final mod p
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        for k in range(len(out) - 1, n - 1, -1):
+            c = out[k] % p
+            if c:
+                for j, y in enumerate(low):
+                    out[k - n + j] += c * y
+        return nr._ptrim(x % p for x in out[:n])
+
+    result = (1,)
+    base = nr._pdivmod(base, mod, p)[1]
+    while e:
+        if e & 1:
+            result = mulmod(result, base)
+        e >>= 1
+        if e:
+            base = mulmod(base, base)
+    return result
+
+
+class TestPowmodKernel:
+    """The compiled kernels against the interpreted square and multiply."""
+
+    @staticmethod
+    def _check(base, e, mod, p):
+        assert nr._ppowmod(base, e, mod, p) == _ppowmod_oracle(base, e, mod, p), (base, e, mod, p)
+
+    def test_every_exponent_and_base_below_200(self):
+        # zero, x and a random base mod the oracle moduli and random monic
+        # ones of degree 1..8, for the exponents of every caller; the random
+        # base's length runs through 0..n+2 as p does (longer ones are
+        # reduced first)
+        rng = random.Random(11)
+        for t, p in enumerate(_sieve(200)):
+            moduli = [nr._pmod_coeffs(f, p) for f in ORACLE_POLYS]
+            moduli += [tuple(rng.randrange(p) for _ in range(d)) + (1,) for d in range(1, 9)]
+            exps = {0, 1, 2, 3, p, p * p} | {(p**g - 1) // 2 for g in (1, 2, 3)}
+            for mod in moduli:
+                n = len(mod) - 1
+                drawn = nr._ptrim(rng.randrange(p) for _ in range(t % (n + 3)))
+                for base in ((), (0, 1), drawn):
+                    for e in exps:
+                        self._check(base, e, mod, p)
+
+    def test_frobenius_and_splitting_powers_below_2000(self):
+        # x^p and x^(p^2) as the Frobenius and distinct-degree scans take
+        # them, and a random base to (p^g - 1)/2 as Cantor-Zassenhaus does
+        rng = random.Random(12)
+        for p in _sieve(2000):
+            moduli = [nr._pmod_coeffs(f, p) for f in ORACLE_POLYS]
+            moduli.append(tuple(rng.randrange(p) for _ in range(p % 8 + 1)) + (1,))
+            for mod in moduli:
+                n = len(mod) - 1
+                base = nr._ptrim(rng.randrange(p) for _ in range(n))
+                for e in (p, p * p):
+                    self._check((0, 1), e, mod, p)
+                    self._check(base, e, mod, p)
+                self._check(base, (p ** rng.randint(1, 3) - 1) // 2, mod, p)
+
+    def test_one_kernel_pair_per_degree(self):
+        nr._powmod_kernels.cache_clear()
+        for p in (2, 3, 101):
+            for d in range(1, 9):
+                mod = tuple(range(d)) + (1,)
+                self._check((0, 1), p, mod, p)
+                self._check((1, 1), p + 2, mod, p)
+        info = nr._powmod_kernels.cache_info()
+        assert info.currsize == info.misses == 8
