@@ -90,12 +90,6 @@ class Factorization:
             out *= p**e
         return out
 
-    def valuation(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
-
     def __iter__(self):
         return iter(self.factors)
 
@@ -187,20 +181,31 @@ def is_prime_power(q: int) -> tuple[int, int] | None:
     return None
 
 
-# Sorted (q, p, i) with q = p**i: every prime power <= _SIEVED_TO.
-_PRIME_POWERS: list[tuple[int, int, int]] = []
-_SIEVED_TO = 0
+# One sieve pass fills both columns, up to _SIEVE[0]: the sorted (q, p, i)
+# with q = p**i of every prime power, and the primes.
+_SIEVE: tuple[int, list[tuple[int, int, int]], list[int]] = (0, [], [])
 
 
 def prime_power_stream(limit: int | None = None, above: int = 0):
     """Every prime power q > above as (q, p, i) with q = p**i, in increasing
-    order; endless, or only the q <= limit when a limit is given.
+    order; endless, or only the q <= limit when a limit is given."""
+    return _read_sieve(1, _VALUE, limit, above)
 
-    Read from one cache filled straight from the sieve, so no q is ever
-    factorized; the first q > above is found by bisecting the cache.  The
-    cache grows fourfold whenever a reader runs past its end, but never past
-    the sieve cap: only a reader that runs past a cache sitting at the cap
-    raises.  A reader with a limit grows it to that limit, but at least
+
+def primes(limit: int | None = None):
+    """The primes in increasing order (those <= limit, if given), read from
+    the sieve cache, so a range it already holds sieves nothing."""
+    return _read_sieve(2, None, limit, 0)
+
+
+def _read_sieve(column: int, key, limit: int | None, above: int):
+    """The entries of one _SIEVE column whose key exceeds above, in order.
+
+    Read from the cache filled straight from the sieve, so no q is ever
+    factorized; the first entry past above is found by bisecting the cache.
+    The cache grows fourfold whenever a reader runs past its end, but never
+    past the sieve cap: only a reader that runs past a cache sitting at the
+    cap raises.  A reader with a limit grows it to that limit, but at least
     twofold, so readers with rising limits share O(log) sieves.  A limit
     above the sieve cap, or below `above`, raises at once.
     """
@@ -208,26 +213,23 @@ def prime_power_stream(limit: int | None = None, above: int = 0):
         raise ValueError(f"sieve limit {limit} exceeds cap {_SIEVE_CAP}")
     if limit is not None and limit < above:
         raise ValueError("limit must be at least above")
-    k = 0 if above < 2 else None  # index of the next triple, once the cache covers above
+    k = None  # index of the next entry, once the cache covers above
     while True:
-        if k is None and _SIEVED_TO > above:
-            k = bisect.bisect_right(_PRIME_POWERS, above, key=_VALUE)
-        if k is None or k == len(_PRIME_POWERS):
-            if limit is not None and _SIEVED_TO >= limit:
-                return
-            if _SIEVED_TO >= _SIEVE_CAP:
-                raise ValueError(f"prime-power stream ran past the sieve cap {_SIEVE_CAP}")
-            grow = 4 * _SIEVED_TO if _SIEVED_TO else 512
-            if limit is not None:
-                grow = min(grow, max(limit, 2 * _SIEVED_TO))
-            prime_powers_up_to(min(grow, _SIEVE_CAP))
-            continue
-        cache = _PRIME_POWERS
-        for t in itertools.islice(cache, k, None):
-            if limit is not None and t[0] > limit:
-                return
-            yield t
-        k = len(cache)
+        sieved_to, cache = _SIEVE[0], _SIEVE[column]
+        if k is None and sieved_to >= above:
+            k = bisect.bisect_right(cache, above, key=key)
+        if limit is not None and sieved_to >= limit:
+            yield from itertools.islice(cache, k, bisect.bisect_right(cache, limit, lo=k, key=key))
+            return
+        if k is not None:
+            yield from itertools.islice(cache, k, None)
+            k = len(cache)
+        if sieved_to >= _SIEVE_CAP:
+            raise ValueError(f"prime-power stream ran past the sieve cap {_SIEVE_CAP}")
+        grow = 4 * sieved_to if sieved_to else 512
+        if limit is not None:
+            grow = min(grow, max(limit, 2 * sieved_to))
+        prime_powers_up_to(min(grow, _SIEVE_CAP))
 
 
 _VALUE = operator.itemgetter(0)
@@ -251,23 +253,17 @@ def lcm_upto(k: int) -> int:
     return acc
 
 
-def primes(limit: int | None = None):
-    """The primes in increasing order (those <= limit, if given), read from
-    the prime_power_stream cache, so a range it already holds sieves nothing."""
-    return (p for _, p, i in prime_power_stream(limit) if i == 1)
-
-
 def prime_powers_up_to(limit: int) -> list[int]:
     """Sorted prime powers q <= limit (cached; grows on demand)."""
-    global _PRIME_POWERS, _SIEVED_TO
-    if _SIEVED_TO < limit:
+    global _SIEVE
+    if _SIEVE[0] < limit:
         cap = max(limit, 512)
+        ps = primes_up_to(cap)
         triples = []
-        for p in primes_up_to(cap):
+        for p in ps:
             q, i = p, 1
             while q <= cap:
                 triples.append((q, p, i))
                 q, i = q * p, i + 1
-        _PRIME_POWERS = sorted(triples)
-        _SIEVED_TO = cap
-    return [q for q, _, _ in itertools.takewhile(lambda t: t[0] <= limit, _PRIME_POWERS)]
+        _SIEVE = (cap, sorted(triples), ps)
+    return [q for q, _, _ in itertools.takewhile(lambda t: t[0] <= limit, _SIEVE[1])]

@@ -80,11 +80,6 @@ class GroupSpec:
         return self.n - 1
 
     @property
-    def center_order(self) -> int:
-        # |mu_n|: the generic center size of the simply connected form
-        return self.n
-
-    @property
     def name(self) -> str:
         return f"sl{self.n}"
 
@@ -511,16 +506,9 @@ def _escaping_commutator(xs: list[Mat], ys: list[Mat], q: int, target: int) -> t
         gi = mat_inv_mod(g, q)
         for h, hi in zip(ys, ys_inv):
             c = mat_mul_mod(mat_mul_mod(g, h, q), mat_mul_mod(gi, hi, q), q)
-            if not _congruent_to_identity(c, target):
+            if matgrp.detection_gcd(c) % target:
                 return g, h
     return None
-
-
-def _congruent_to_identity(g: Mat, q: int) -> bool:
-    n = len(g)
-    return all(
-        (g[r][c] - (1 if r == c else 0)) % q == 0 for r in range(n) for c in range(n)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -749,6 +737,12 @@ def adjoint_irreducibility_check(spec: GroupSpec, p: int, subspace_budget: int =
     """Is the adjoint action of SL_n(F_p) on sl_n(F_p) irreducible with no
     Lie-algebra center, and is the kernel of Ad exactly the scalar center?
 
+    Parts (a) and (c) share one nullspace solve: C, the centralizer of
+    sl_n(F_p) in M_n(F_p).  The Lie center is C meet sl_n, the kernel of
+    the trace on C, so its dimension is dim C less 1 when the trace is
+    nonzero on some basis vector of C, and dim C otherwise.  Part (c) asks that C
+    be the scalars.
+
     The invariant-subspace part (_invariant_subspace_scan) is exhaustive over
     all proper subspaces when their count fits subspace_budget.  Otherwise it
     spins the associative algebra A generated by I and the Ad(g), g in the
@@ -773,41 +767,7 @@ def adjoint_irreducibility_check(spec: GroupSpec, p: int, subspace_budget: int =
     d = spec.dim
     basis = lie_algebra_basis(spec, p)
 
-    # (a) no nonzero central element of the Lie algebra
-    bracket_rows = []
-    for b in basis:
-        # rows of the map x -> [x, b], x in basis coordinates
-        cols = []
-        for a in basis:
-            br = tuple(
-                tuple(
-                    (sum(a[r][t] * b[t][c] for t in range(n)) - sum(b[r][t] * a[t][c] for t in range(n))) % p
-                    for c in range(n)
-                )
-                for r in range(n)
-            )
-            cols.append(_lie_coords(br, p, n))
-        for r in range(d):
-            bracket_rows.append([cols[c][r] for c in range(d)])
-    center_basis = _nullspace_mod(bracket_rows, p, d)
-    if center_basis:
-        return CheckResult(
-            "adjoint-irreducibility", instance, "fail",
-            f"Lie algebra center has dimension {len(center_basis)} > 0",
-        )
-
-    # (b) no proper nonzero invariant subspace
-    ops = [_ad_matrix(g, p, basis, n) for g in _elementary_mod(spec, p)]
-    mode, sub = _invariant_subspace_scan(ops, p, d, subspace_budget)
-    if sub is not None:
-        what = (
-            f"invariant subspace of dimension {len(sub)}: rows {sub}"
-            if mode == "exhaustive-subspaces"
-            else f"line {tuple(sub[0])} generates a proper invariant subspace"
-        )
-        return CheckResult("adjoint-irreducibility", instance, "fail", what, mode)
-
-    # (c) kernel of Ad = scalar center: solve [X, sl_n] = 0 over all of M_n
+    # C = the centralizer of sl_n in M_n: solve [X, b] = 0 for every basis b
     amb_rows = []
     for b in basis:
         for r in range(n):
@@ -824,6 +784,27 @@ def adjoint_irreducibility_check(spec: GroupSpec, p: int, subspace_budget: int =
                         row[u * n + v] = coef % p
                 amb_rows.append(row)
     centralizer = _nullspace_mod(amb_rows, p, n * n)
+
+    # (a) no nonzero central element of the Lie algebra: trace-zero part of C
+    center_dim = len(centralizer) - any(sum(x[:: n + 1]) % p for x in centralizer)
+    if center_dim:
+        return CheckResult(
+            "adjoint-irreducibility", instance, "fail",
+            f"Lie algebra center has dimension {center_dim} > 0",
+        )
+
+    # (b) no proper nonzero invariant subspace
+    ops = [_ad_matrix(g, p, basis, n) for g in _elementary_mod(spec, p)]
+    mode, sub = _invariant_subspace_scan(ops, p, d, subspace_budget)
+    if sub is not None:
+        what = (
+            f"invariant subspace of dimension {len(sub)}: rows {sub}"
+            if mode == "exhaustive-subspaces"
+            else f"line {tuple(sub[0])} generates a proper invariant subspace"
+        )
+        return CheckResult("adjoint-irreducibility", instance, "fail", what, mode)
+
+    # (c) kernel of Ad = scalar center: C is the scalars
     if centralizer != [[int(r == c) for r in range(n) for c in range(n)]]:  # leading 1
         return CheckResult(
             "adjoint-irreducibility", instance, "fail",
@@ -915,11 +896,12 @@ def normal_subgroups_containing_center(table: FiniteGroupTable) -> list[frozense
     """All normal subgroups of the table group that contain its center.
 
     Method: conjugacy classes and their product table; for each class C, the
-    atom <Z, C>; then saturation under pairwise joins.  Every normal subgroup
-    above the center is a join of these atoms (it is generated by the
-    classes it contains), so the saturated family is complete.  Subgroups
-    are class bitmasks and each closure is a fixpoint of class products
-    (class_product_table, _class_closure).
+    atom <Z, C>; then one worklist that joins each subgroup it has found
+    with each atom, starting from Z.  Every normal subgroup above the center
+    is a join of these atoms (it is generated by the classes it contains),
+    and joining one atom at a time reaches every such join, so the family is
+    complete.  Subgroups are class bitmasks and each closure is a fixpoint
+    of class products (class_product_table, _class_closure).
     """
     classes = conjugacy_classes(table)
     prod = class_product_table(table, classes)
@@ -928,21 +910,16 @@ def normal_subgroups_containing_center(table: FiniteGroupTable) -> list[frozense
     for x in _center_indices(table):  # central classes are singletons
         z_mask |= 1 << class_of[x]
 
-    subgroups = {_class_closure(z_mask, prod)}
-    for ci in range(len(classes)):
-        subgroups.add(_class_closure(z_mask | 1 << ci, prod))
-
-    # saturate under pairwise joins
-    changed = True
-    while changed:
-        changed = False
-        for a, b in itertools.combinations(list(subgroups), 2):
-            if a & b in (a, b):
-                continue
-            join = _class_closure(a | b, prod)
-            if join not in subgroups:
-                subgroups.add(join)
-                changed = True
+    atoms = {_class_closure(z_mask | 1 << ci, prod) for ci in range(len(classes))}
+    found = [_class_closure(z_mask, prod)]
+    subgroups = set(found)
+    for sub in found:  # the list grows while it is walked
+        for atom in atoms:
+            if atom & ~sub:
+                join = _class_closure(sub | atom, prod)
+                if join not in subgroups:
+                    subgroups.add(join)
+                    found.append(join)
     out = [
         frozenset(x for ci in _bits(mask) for x in classes[ci]) for mask in subgroups
     ]
@@ -953,14 +930,14 @@ def normal_subgroups_containing_center(table: FiniteGroupTable) -> list[frozense
 def filtration_center_subgroups(table: FiniteGroupTable) -> list[frozenset[int]]:
     """The predicted normal subgroups G^i Z(G) for i = 0..k, as index sets.
 
-    One pass: g lies in G^i exactly when its level, v_p of gcd(p^k, entries
-    of g - I), is at least i; so G^i Z = G^(i+1) Z + Z (level-i elements)."""
+    One pass: g lies in G^i exactly when its level, v_p of
+    gcd(p^k, detection_gcd(g)), is at least i; so
+    G^i Z = G^(i+1) Z + Z (level-i elements)."""
     p, k = _prime_power_modulus(table.modulus)
     level_of = {p**i: i for i in range(k + 1)}
     levels: list[list[int]] = [[] for _ in range(k + 1)]
     for x, g in enumerate(table.elements):
-        gap = (v - (r == c) for r, row in enumerate(g) for c, v in enumerate(row))
-        levels[level_of[math.gcd(p**k, *gap)]].append(x)
+        levels[level_of[math.gcd(p**k, matgrp.detection_gcd(g))]].append(x)
     by_center = [table.left(z) for z in _center_indices(table)]  # g -> z * g = g * z
     sub: set[int] = set()
     out = set()

@@ -124,29 +124,6 @@ def _spec_for(args, n: int | None = None) -> GroupSpec:
     return GroupSpec(n)
 
 
-def _format_poly(coeffs: tuple[int, ...]) -> str:
-    """Low-to-high coefficients as a readable polynomial in x."""
-    parts = []
-    for d in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[d]
-        if c == 0:
-            continue
-        mag = abs(c)
-        if d == 0:
-            body = str(mag)
-        else:
-            var = "x" if d == 1 else f"x^{d}"
-            body = var if mag == 1 else f"{mag}{var}"
-        parts.append(("-" if c < 0 else "+", body))
-    if not parts:
-        return "0"
-    sign, body = parts[0]
-    text = ("-" if sign == "-" else "") + body
-    for sign, body in parts[1:]:
-        text += sign + body
-    return text
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -385,7 +362,7 @@ def _cmd_ring(args) -> int:
         return EXIT_USAGE
     print(f"split: prime={split.prime},root={split.root},residue={split.residue}")
     print(
-        f"ideal: prime={ideal.prime},factor={_format_poly(ideal.factor)},"
+        f"ideal: prime={ideal.prime},factor={numring.format_poly(ideal.factor)},"
         f"norm={ideal.norm}"
     )
     return EXIT_OK

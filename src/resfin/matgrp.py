@@ -86,6 +86,7 @@ def reduce_mod(a: Mat, m: int) -> Mat:
 
 
 def det(a: Mat) -> int:
+    """Exact integer determinant of a square matrix given by its rows."""
     n = len(a)
     if n == 1:
         return a[0][0]
@@ -97,12 +98,23 @@ def det(a: Mat) -> int:
             - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
             + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
         )
-    total = 0
-    for j in range(n):
-        minor = tuple(row[:j] + row[j + 1 :] for row in a[1:])
-        term = a[0][j] * det(minor)
-        total += term if j % 2 == 0 else -term
-    return total
+    # fraction-free (Bareiss) elimination: every division is exact
+    a = [list(row) for row in a]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for r in range(k + 1, n):
+                if a[r][k] != 0:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def adjugate(a: Mat) -> Mat:
@@ -140,19 +152,6 @@ def mat_inv_mod(a: Mat, m: int) -> Mat:
     dinv = pow(d, -1, m)
     adj = adjugate(a)
     return tuple(tuple(x * dinv % m for x in row) for row in adj)
-
-
-def mat_pow(a: Mat, e: int) -> Mat:
-    if e < 0:
-        return mat_pow(mat_inv(a), -e)
-    out = None
-    while e:
-        if e & 1:
-            out = a if out is None else mat_mul(out, a)
-        e >>= 1
-        if e:
-            a = mat_mul(a, a)
-    return identity(len(a)) if out is None else out
 
 
 def parse_matrix(text: str) -> Mat:

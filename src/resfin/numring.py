@@ -29,8 +29,14 @@ scan shares the memos, the referee is the oracle in tests/test_numring.py,
 which finds roots by evaluating f at every residue, factors by trial
 division and redoes each scan per call.
 
-Every power in F_p[x]/(m) (x^p mod f, the distinct-degree and radical
-powers, and the Cantor-Zassenhaus r^((p^g - 1)/2) mod h) runs in
+Factoring mod p has no radical step.  The distinct-degree loop takes f mod
+p with its repeated factors: x^(p^g) - x is squarefree, so its gcd with what
+is left of f holds each degree-g factor once, and dividing by it until the
+gcd is 1 strips them with their multiplicities (the lemma is in
+_distinct_degree).
+
+Every power in F_p[x]/(m) (x^p mod f, the distinct-degree powers, and the
+Cantor-Zassenhaus r^((p^g - 1)/2) mod h) runs in
 straight-line code compiled once per degree of m, with p and the low
 coefficients of m as arguments, so one kernel serves every prime and every
 monic modulus of that degree.  The interpreted square and multiply it
@@ -47,7 +53,7 @@ import re
 from dataclasses import dataclass
 
 from resfin import arith
-from resfin.matgrp import RangeExhaustedError, UndetectableError
+from resfin.matgrp import RangeExhaustedError, UndetectableError, det
 
 DEFAULT_PRIME_LIMIT = 10_000
 
@@ -67,21 +73,11 @@ def _pmod_coeffs(c, p):
 
 
 def _psub(a, b, p):
-    n = max(len(a), len(b))
-    a = tuple(a) + (0,) * (n - len(a))
-    b = tuple(b) + (0,) * (n - len(b))
-    return _ptrim((x - y) % p for x, y in zip(a, b))
+    return _ptrim((x - y) % p for x, y in itertools.zip_longest(a, b, fillvalue=0))
 
 
 def _pmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _ptrim(out)
+    return _pmod_coeffs(_zmul(a, b), p)
 
 
 def _pdivmod(a, b, p):
@@ -195,10 +191,6 @@ def _powmod_kernels(n: int):
     return namespace["x_power"], namespace["power"]
 
 
-def _pderiv(a, p):
-    return _ptrim(i * a[i] % p for i in range(1, len(a)))
-
-
 def _peval(a, x, p):
     acc = 0
     for c in reversed(a):
@@ -208,6 +200,17 @@ def _peval(a, x, p):
 
 # ---------------------------------------------------------------------------
 # integer polynomials (for reduction mod monic f and exact division tests)
+
+
+def format_poly(coeffs) -> str:
+    """Low-to-high integer coefficients as text in x, highest term first:
+    (1, -2, 1) prints as x^2-2x+1, and () as 0."""
+    terms = []
+    for i in range(len(coeffs) - 1, -1, -1):
+        if c := coeffs[i]:
+            var = "" if i == 0 else "x" if i == 1 else f"x^{i}"
+            terms.append((f"{c:+d}"[0] if var and abs(c) == 1 else f"{c:+d}") + var)
+    return "".join(terms).lstrip("+") or "0"
 
 
 def _zmul(a, b):
@@ -250,53 +253,13 @@ def _discriminant(f: tuple) -> int:
         rows.append([0] * i + high_f + [0] * (size - m - 1 - i))
     for i in range(m):
         rows.append([0] * i + high_fp + [0] * (size - n - 1 - i))
-    res = _int_det(rows)
+    res = det(rows)
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
     return sign * res
 
 
-def _int_det(rows) -> int:
-    """Exact integer determinant by fraction-free (Bareiss) elimination."""
-    a = [row[:] for row in rows]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 # ---------------------------------------------------------------------------
-# factorization mod p: radical, distinct-degree, equal-degree
-
-
-def _radical_mod(fbar, p):
-    """Product of the distinct irreducible factors of fbar over F_p."""
-    if len(fbar) <= 1:
-        return fbar
-    if p > len(fbar) - 1:  # every multiplicity is below p, so fbar' != 0
-        return _pdivmod(fbar, _pgcd(fbar, _pderiv(fbar, p), p), p)[0]
-    # tiny p: gcd(fbar, x^(p^g) - x) holds the factors of degree dividing
-    # g, each once; their lcm over g <= deg(fbar) is the radical
-    fbar = _pmonic(fbar, p)
-    rad, w = (1,), (0, 1)
-    for _ in range(len(fbar) - 1):
-        w = _ppowmod(w, p, fbar, p)
-        part = _pgcd(fbar, _psub(w, (0, 1), p), p)
-        rad = _pdivmod(_pmul(rad, part, p), _pgcd(rad, part, p), p)[0]
-    return rad
+# factorization mod p: distinct-degree, equal-degree
 
 
 def _monic_polys(deg, p):
@@ -304,7 +267,15 @@ def _monic_polys(deg, p):
 
 
 def _distinct_degree(h, p):
-    """[(g, product of the irreducible factors of degree g)] for squarefree h."""
+    """[(g, product of the distinct irreducible factors of degree g)] for
+    monic h, repeated factors allowed.
+
+    x^(p^g) - x is squarefree, so part = gcd(h, x^(p^g) - x) holds every
+    factor of degree dividing g exactly once; the smaller degrees are gone
+    already, so those are the degree-g factors.  Dividing h by gcd(h, part)
+    until that gcd is 1 strips them with their multiplicities, so every
+    factor left in h has degree > g.  Hence 2g > deg h still means h is
+    irreducible: two factors of degree >= g would give deg h >= 2g."""
     out = []
     w = (0, 1)
     g = 0
@@ -317,7 +288,8 @@ def _distinct_degree(h, p):
         part = _pgcd(h, _psub(w, (0, 1), p), p)
         if len(part) > 1:
             out.append((g, part))
-            h = _pdivmod(h, part, p)[0]
+            while len(common := _pgcd(h, part, p)) > 1:
+                h = _pdivmod(h, common, p)[0]
             w = _pdivmod(w, h, p)[1]
     return out
 
@@ -329,7 +301,9 @@ def _split_equal_degree(h, g, p):
     odd p (von zur Gathen and Gerhard, Modern Computer Algebra, 14.3): for
     random r, gcd(r^((p^g - 1)/2) - 1, h) is a proper factor with
     probability about 1/2.  The seeded generator keeps runs deterministic,
-    and the factor set is unique whatever r splits it."""
+    and the factor set is unique whatever r splits it.  An h that breaks
+    the precondition raises ArithmeticError instead of looping: at p = 2
+    when the trial quotients do not use it up, at odd p after 100 draws."""
     deg = len(h) - 1
     if deg == g:
         return [h]
@@ -338,36 +312,34 @@ def _split_equal_degree(h, g, p):
         rest = h
         for cand in _monic_polys(g, p):
             if len(rest) - 1 == g:
-                out.append(rest)
-                rest = (1,)
-                break
+                return out + [rest]
             quo, rem = _pdivmod(rest, cand, p)
             if not rem:
                 out.append(cand)
                 rest = quo
-        return out
-    rng = random.Random(p * 1009 + g)
-    e = (p**g - 1) // 2
-    while True:
-        r = _ptrim([rng.randrange(p) for _ in range(deg)])
-        if len(r) < 2:
-            continue
-        w = _psub(_ppowmod(r, e, h, p), (1,), p)
-        d = _pgcd(w, h, p)
-        if 0 < len(d) - 1 < deg:
-            return _split_equal_degree(d, g, p) + _split_equal_degree(
-                _pdivmod(h, d, p)[0], g, p
-            )
+    else:
+        rng = random.Random(p * 1009 + g)
+        e = (p**g - 1) // 2
+        for _ in range(100):
+            r = _ptrim([rng.randrange(p) for _ in range(deg)])
+            if len(r) < 2:
+                continue
+            w = _psub(_ppowmod(r, e, h, p), (1,), p)
+            d = _pgcd(w, h, p)
+            if 0 < len(d) - 1 < deg:
+                return _split_equal_degree(d, g, p) + _split_equal_degree(
+                    _pdivmod(h, d, p)[0], g, p
+                )
+    raise ArithmeticError(f"{h} mod {p} is not a product of distinct degree-{g} factors")
 
 
 def factor_distinct_mod(f, p) -> list[tuple]:
     """The distinct monic irreducible factors of f mod p, sorted."""
-    fbar = _pmod_coeffs(f, p)
+    fbar = _pmonic(_pmod_coeffs(f, p), p)
     if len(fbar) <= 1:
         return []
-    rad = _radical_mod(fbar, p)
     out = []
-    for g, part in _distinct_degree(rad, p):
+    for g, part in _distinct_degree(fbar, p):
         out.extend(_split_equal_degree(part, g, p))
     return sorted(out, key=lambda c: (len(c), c))
 
@@ -558,15 +530,10 @@ def _hensel_lift_pair(fq, g0, h0, p, q):
         e = _ptrim(c // k for c in diff)
         dg = _pdivmod(_pmul(t, e, p), g0, p)[1]
         dh = _pdivmod(_pmul(s, e, p), h0, p)[1]
-        g = _ptrim(a + k * b for a, b in _zip_pad(g, dg))
-        h = _ptrim(a + k * b for a, b in _zip_pad(h, dh))
+        g = _ptrim(a + k * b for a, b in itertools.zip_longest(g, dg, fillvalue=0))
+        h = _ptrim(a + k * b for a, b in itertools.zip_longest(h, dh, fillvalue=0))
         k *= p
     return _pmod_coeffs(g, q), _pmod_coeffs(h, q)
-
-
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    return zip(tuple(a) + (0,) * (n - len(a)), tuple(b) + (0,) * (n - len(b)))
 
 
 def _bezout_mod(a, b, p):
@@ -616,21 +583,7 @@ class NumberRing:
 
     @property
     def name(self) -> str:
-        terms = []
-        for i in range(self.degree, -1, -1):
-            c = self.min_poly[i]
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(f"{c:+d}")
-            elif i == 1:
-                terms.append(f"{c:+d}x" if abs(c) != 1 else ("+x" if c > 0 else "-x"))
-            else:
-                terms.append(
-                    f"{c:+d}x^{i}" if abs(c) != 1 else (f"+x^{i}" if c > 0 else f"-x^{i}")
-                )
-        poly = "".join(terms).lstrip("+")
-        base = f"Z[x]/({poly})"
+        base = f"Z[x]/({format_poly(self.min_poly)})"
         return base if self.inverted == 1 else f"{base}[1/{self.inverted}]"
 
     def element(self, coords, denom_exp: int = 0) -> RingElement:

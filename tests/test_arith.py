@@ -221,8 +221,7 @@ def test_primes_read_the_prime_power_cache(monkeypatch):
 
 def test_prime_powers_above_reads_the_prime_power_cache(monkeypatch):
     # rising limits from an empty cache: a few sieves, not one per k
-    monkeypatch.setattr(arith, "_PRIME_POWERS", [])
-    monkeypatch.setattr(arith, "_SIEVED_TO", 0)
+    monkeypatch.setattr(arith, "_SIEVE", (0, [], []))
     sieved = []
     sieve = arith.primes_up_to
     monkeypatch.setattr(arith, "primes_up_to", lambda n: sieved.append(n) or sieve(n))
@@ -235,8 +234,7 @@ def test_prime_powers_above_reads_the_prime_power_cache(monkeypatch):
     assert next(arith.prime_power_stream(5000, above=2000)) == (2003, 2003, 1)
     assert sieved == []
     # the first prime power above k alone, as the counterexample rows read it
-    monkeypatch.setattr(arith, "_PRIME_POWERS", [])
-    monkeypatch.setattr(arith, "_SIEVED_TO", 0)
+    monkeypatch.setattr(arith, "_SIEVE", (0, [], []))
     sieved.clear()
     for k in range(2, 3000):
         q, p, i = next(arith.prime_power_stream(above=k))
@@ -259,10 +257,9 @@ def test_prime_power_stream_above_bisects_to_the_first_larger_q():
 
 
 def test_prime_power_stream_above_the_cache_end_grows_it_first(monkeypatch):
-    monkeypatch.setattr(arith, "_PRIME_POWERS", [])
-    monkeypatch.setattr(arith, "_SIEVED_TO", 0)
+    monkeypatch.setattr(arith, "_SIEVE", (0, [], []))
     assert next(arith.prime_power_stream(above=5000)) == (5003, 5003, 1)
-    assert arith._SIEVED_TO == 8192
+    assert arith._SIEVE[0] == 8192
     assert next(arith.prime_power_stream(above=8191)) == (8192, 2, 13)
 
 
@@ -271,11 +268,10 @@ def test_endless_stream_grows_up_to_the_sieve_cap(monkeypatch):
     # a reader running past a cache that sits at the cap raises
     expect = list(arith.prime_power_stream(1000))
     monkeypatch.setattr(arith, "_SIEVE_CAP", 1000)
-    monkeypatch.setattr(arith, "_PRIME_POWERS", [])
-    monkeypatch.setattr(arith, "_SIEVED_TO", 0)
+    monkeypatch.setattr(arith, "_SIEVE", (0, [], []))
     stream = arith.prime_power_stream()
     assert [next(stream) for _ in expect] == expect
-    assert arith._SIEVED_TO == 1000
+    assert arith._SIEVE[0] == 1000
     with pytest.raises(ValueError, match="cap 1000"):
         next(stream)
     with pytest.raises(ValueError, match="cap 1000"):

@@ -182,13 +182,19 @@ class TestCenters:
         assert diags == [1, 2, 4]
 
 
+def congruent_to_identity(g, q):
+    """Oracle for g = I mod q, entry by entry (no detection gcd)."""
+    n = len(g)
+    return all((g[r][c] - (r == c)) % q == 0 for r in range(n) for c in range(n))
+
+
 def filtration_subgroup(table, i):
     """Oracle: G^i inside an enumerated SL_n(Z/p^k), by scanning every
     element for g = I mod p^i."""
     p, k = ch._prime_power_modulus(table.modulus)
     if not 0 <= i <= k:
         raise ValueError(f"filtration level {i} outside 0..{k}")
-    return [g for g in table.elements if ch._congruent_to_identity(g, p**i)]
+    return [g for g in table.elements if congruent_to_identity(g, p**i)]
 
 
 def filtration_elements(spec, p, k, i, budget=ch.DEFAULT_ENUM_BUDGET):
@@ -378,7 +384,7 @@ def oracle_commutators_within(gs, hs, q, target):
         for h in hs:
             hi = matgrp.mat_inv_mod(h, q)
             c = matgrp.mat_mul_mod(matgrp.mat_mul_mod(g, h, q), matgrp.mat_mul_mod(gi, hi, q), q)
-            if not ch._congruent_to_identity(c, target):
+            if not congruent_to_identity(c, target):
                 return False
     return True
 
@@ -659,6 +665,39 @@ def operator_sets(draw):
     return ops, p, d
 
 
+def oracle_lie_center_dim(spec, p):
+    """dim of the center of sl_n(F_p): d minus the rank of x -> ([x, b])_b,
+    each image written out entry by entry, by the sorted echelon above."""
+    n = spec.n
+    basis = ch.lie_algebra_basis(spec, p)
+    images = []
+    for a in basis:
+        image = []
+        for b in basis:
+            ab = matgrp.mat_mul_mod(a, b, p)
+            ba = matgrp.mat_mul_mod(b, a, p)
+            image.extend((ab[r][c] - ba[r][c]) % p for r in range(n) for c in range(n))
+        images.append(image)
+    rank_basis = []
+    rank = sum(oracle_insert(v, rank_basis, p) for v in images)
+    return len(basis) - rank
+
+
+@pytest.mark.parametrize("spec", [SL2, SL3, SL4, ch.GroupSpec(5)], ids=lambda s: s.name)
+def test_lie_center_matches_bracket_nullspace(spec, monkeypatch):
+    # the check reads the center off the centralizer C of sl_n in M_n; the
+    # invariant-subspace part (b) between (a) and (c) is stubbed out
+    monkeypatch.setattr(ch, "_invariant_subspace_scan", lambda *a: ("stub", None))
+    for p in (2, 3, 5, 7, 11, 13):
+        dim = oracle_lie_center_dim(spec, p)
+        assert dim == (1 if spec.n % p == 0 else 0)
+        r = ch.adjoint_irreducibility_check(spec, p)
+        if dim:
+            assert (r.status, r.detail) == ("fail", f"Lie algebra center has dimension {dim} > 0")
+        else:
+            assert (r.status, r.mode) == ("pass", "stub"), (spec.n, p)
+
+
 class TestEchelonKernel:
     @pytest.mark.parametrize("spec,p", ORACLE_AD, ids=_ids)
     def test_ad_operators_match_oracle(self, spec, p):
@@ -750,11 +789,11 @@ def annuli_witness(spec, p, k, g, i):
     g = matgrp.reduce_mod(g, q)
     if matgrp.det(g) % q != 1 % q:
         raise ValueError("element is not in SL_n of the requested quotient")
-    if not ch._congruent_to_identity(g, p**i):
+    if not congruent_to_identity(g, p**i):
         raise ValueError(f"element is not in G^{i}")
     centers = center_scalars(spec, q)
     for z in centers:
-        if ch._congruent_to_identity(mul(g, inv(z, q), q), p ** (i + 1)):
+        if congruent_to_identity(mul(g, inv(z, q), q), p ** (i + 1)):
             raise ValueError(f"element lies in G^{i + 1} Z, not the open annulus")
 
     basis = ch.lie_algebra_basis(spec, p)
@@ -771,9 +810,9 @@ def annuli_witness(spec, p, k, g, i):
 
     h = lift_from_lie(spec, p, k, 1, ybar)
     comm = mul(mul(h, g, q), mul(inv(h, q), inv(g, q), q), q)
-    assert ch._congruent_to_identity(comm, p ** (i + 1)), "commutator missed G^(i+1)"
+    assert congruent_to_identity(comm, p ** (i + 1)), "commutator missed G^(i+1)"
     for z in centers:
-        assert not ch._congruent_to_identity(
+        assert not congruent_to_identity(
             mul(comm, inv(z, q), q), p ** (i + 2)
         ), "commutator fell into G^(i+2) Z"
     return h
@@ -782,16 +821,16 @@ def annuli_witness(spec, p, k, g, i):
 class TestAnnuli:
     def verify_certificate(self, spec, p, k, g, i, h):
         q = p**k
-        assert ch._congruent_to_identity(h, p)  # h in G^1
+        assert congruent_to_identity(h, p)  # h in G^1
         hg = matgrp.mat_mul_mod(h, matgrp.reduce_mod(g, q), q)
         inv = matgrp.mat_mul_mod(
             matgrp.mat_inv_mod(h, q), matgrp.mat_inv_mod(matgrp.reduce_mod(g, q), q), q
         )
         c = matgrp.mat_mul_mod(hg, inv, q)
-        assert ch._congruent_to_identity(c, p ** (i + 1))
+        assert congruent_to_identity(c, p ** (i + 1))
         for z in center_scalars(spec, q):
             cz = matgrp.mat_mul_mod(c, matgrp.mat_inv_mod(z, q), q)
-            assert not ch._congruent_to_identity(cz, p ** (i + 2))
+            assert not congruent_to_identity(cz, p ** (i + 2))
 
     def test_witness_mod_125_outer_shell(self):
         g = matgrp.elementary(2, 1, 2, 1)
@@ -987,6 +1026,27 @@ def oracle_normal_subgroups(table):
     return sorted(subgroups, key=lambda s: (len(s), sorted(s)))
 
 
+def pairwise_saturation(table):
+    """The normal subgroups above the center by the library's class products,
+    saturating the atoms <Z, C> under pairwise joins until nothing changes."""
+    classes = ch.conjugacy_classes(table)
+    prod = ch.class_product_table(table, classes)
+    class_of = {cls[0]: ci for ci, cls in enumerate(classes)}
+    z_mask = sum(1 << class_of[x] for x in ch._center_indices(table))
+    subgroups = {ch._class_closure(z_mask | 1 << ci, prod) for ci in range(len(classes))}
+    subgroups.add(ch._class_closure(z_mask, prod))
+    changed = True
+    while changed:
+        changed = False
+        for a, b in itertools.combinations(list(subgroups), 2):
+            if a & b not in (a, b) and (join := ch._class_closure(a | b, prod)) not in subgroups:
+                subgroups.add(join)
+                changed = True
+    out = [frozenset(x for ci, cls in enumerate(classes) if mask >> ci & 1 for x in cls)
+           for mask in subgroups]
+    return sorted(out, key=lambda s: (len(s), sorted(s)))
+
+
 ORACLE_INSTANCES = [(SL2, m) for m in (3, 4, 5, 7, 8, 9, 13)] + [(SL3, 2)]
 _TABLES = {}
 
@@ -1008,6 +1068,12 @@ class TestEngineAgainstOracles:
         second = [table.elements[g] for g in ch._second_center_indices(table, ch._center_indices(table))]
         assert second == oracle_second_center(table)
         assert ch.normal_subgroups_containing_center(table) == oracle_normal_subgroups(table)
+
+    @pytest.mark.parametrize("spec,m", [(SL2, 8), (SL2, 9), (SL2, 25), (SL3, 2)],
+                             ids=lambda v: str(getattr(v, "name", v)))
+    def test_worklist_matches_pairwise_saturation(self, spec, m):
+        table = table_for(spec, m)
+        assert ch.normal_subgroups_containing_center(table) == pairwise_saturation(table)
 
     def test_cayley_graph_and_tree(self):
         table = table_for(SL2, 9)

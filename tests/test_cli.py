@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line driver: pinned output formats,
 exit codes, and byte-level determinism."""
 
+import hashlib
 import io
 import itertools
 import json
@@ -342,6 +343,39 @@ class TestDeterminism:
         cmd = [sys.executable, "-m", "resfin", "dq", "--group", "sl2", "--matrix=1,12;0,1"]
         proc = subprocess.run(cmd, capture_output=True, env=env)
         assert (proc.returncode, proc.stdout) == (0, b"modulus=5,order=120\n")
+
+
+# sha256 of json.dumps([exit code, stdout, stderr]) for each README
+# quick-start command in order: a refactor must leave every one of them
+# byte-identical.  `fit` reads the CSV that `candidates` wrote.
+QUICK_START_DIGESTS = [
+    (["dq", "--group", "sl2", "--matrix", "1,12;0,1"],
+     "8a42f3bb9dba7d38e1d7066d0561d84b963d83267090bb2e8d4aab3083985c7b"),
+    (["growth", "--group", "sl2", "--n-max", "6"],
+     "cd6a98d4e039e3d35d7a083c7ce54e9be9ceb25eb1ccf7691dc4b9d71a1a9b9b"),
+    (["candidates", "--group", "sl3", "--k", "10..500"],
+     "b66d5f460ad63d22bd7f7fb7e4cc278fbbc817628f96a5d96e4846dcaee0c3a7"),
+    (["fit", "cand.csv"],
+     "28a4515d9c0f22f7c341f350fa90abc134c6230fedadfa31b43a87531248d4ec"),
+    (["verify", "--suite", "moy-prasad", "--group", "sl2", "--p", "5", "--k", "3"],
+     "88cd0e64a9034e22a5ec25f2cd75c0270920aa731d9ecb44e542fd637aab5202"),
+    (["verify", "--suite", "normal-subgroups", "--group", "sl2", "--modulus", "25"],
+     "2cae530c85784e237809879282207d4d9d482932a5b7fdda0e7d6fb831c59e9b"),
+    (["examples", "--group", "lamplighter", "--k", "2..16"],
+     "d111c6b3b78379368e6eac7a5bf6fc9948497d78d1ac128d6102e1964159e46e"),
+    (["ring", "--ring", "f=1,0,1", "--element", "0,5"],
+     "52ff3d1f7295b4172b6cb7202e900e84f05e25d3cf7e5a7a59ddea30d23ed95e"),
+]
+
+
+def test_quick_start_outputs_match_golden_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv, want in QUICK_START_DIGESTS:
+        result = run_cli(argv)
+        if argv[0] == "candidates":
+            (tmp_path / "cand.csv").write_text(result[1])
+        got = hashlib.sha256(json.dumps(list(result)).encode()).hexdigest()
+        assert got == want, argv
 
 
 USAGE_ERRORS = [  # value errors: exit 2, one "error:" line

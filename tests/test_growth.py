@@ -617,4 +617,3 @@ def test_detection_is_viewpoint_free():
     d1 = matgrp.congruence_D(via_gamma2, SL2)
     d2 = matgrp.congruence_D(((5, 2), (2, 1)), SL2)
     assert d1 == d2
-    assert d1.quotient_order == matgrp.congruence_D(matgrp.mat_pow(via_gamma2, 1), SL2).quotient_order

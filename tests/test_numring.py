@@ -29,12 +29,23 @@ class TestConstruction:
         assert R2.name == "Z[x]/(x^2-2)"
         assert nr.NumberRing((1, 0, 1), 2).name == "Z[x]/(x^2+1)[1/2]"
 
+    @pytest.mark.parametrize("coeffs, text", [
+        ((), "0"), ((0,), "0"), ((1,), "1"), ((-1,), "-1"), ((-7,), "-7"),
+        ((0, 1), "x"), ((0, -1), "-x"), ((3, -2), "-2x+3"),
+        ((1, -2, 1), "x^2-2x+1"), ((-3, 0, -1), "-x^2-3"),
+        ((5, 1, 0, -1), "-x^3+x+5"), ((0, 0, 0, 12), "12x^3"),
+    ])
+    def test_format_poly(self, coeffs, text):
+        assert nr.format_poly(coeffs) == text
+
     def test_degree_and_discriminant(self):
         assert (ZI.degree, ZI.discriminant()) == (2, -4)
         assert (R2.degree, R2.discriminant()) == (2, 8)
         assert nr.NumberRing((0, 1)).discriminant() == 1
         assert nr.NumberRing((1, 0, 0, 0, 1)).discriminant() == 256
         assert nr.NumberRing((1, 1, 1, 1, 1)).discriminant() == 125
+        # x^5 + ax + b: 5^5 b^4 + 4^4 a^5
+        assert nr.NumberRing((1, -1, 0, 0, 0, 1)).discriminant() == 3125 - 256
 
     def test_rejects_nonmonic_and_trivial(self):
         with pytest.raises(ValueError):
@@ -260,16 +271,25 @@ def test_split_density_matches_half():
 # that redo the search on each call with neither memo nor numring's F_p[x]
 # code.
 
-ORACLE_RINGS = (
-    ZI,
-    R2,
-    nr.NumberRing((-2, 0, 0, 1)),
-    nr.NumberRing((1, 0, 0, 0, 1)),
-    nr.NumberRing((1, -1, 0, 0, 0, 1)),
-    nr.NumberRing((1, 0, 1), 5),
-    nr.NumberRing((1, 1, 1, 1, 1)),
+# (min_poly, inverted) of each oracle ring.  The rings are built on first
+# use, not at import: NumberRing factors f mod p to test irreducibility, so
+# a broken F_p[x] kernel then fails the tests that use them instead of
+# stopping the collection of this module.
+ORACLE_SPECS = (
+    ((1, 0, 1), 1),
+    ((-2, 0, 1), 1),
+    ((-2, 0, 0, 1), 1),
+    ((1, 0, 0, 0, 1), 1),
+    ((1, -1, 0, 0, 0, 1), 1),
+    ((1, 0, 1), 5),
+    ((1, 1, 1, 1, 1), 1),
 )
-ORACLE_POLYS = tuple(dict.fromkeys(r.min_poly for r in ORACLE_RINGS))
+ORACLE_POLYS = tuple(dict.fromkeys(f for f, _ in ORACLE_SPECS))
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_rings():
+    return tuple(nr.NumberRing(f, inverted) for f, inverted in ORACLE_SPECS)
 
 
 def _sieve(n):
@@ -442,10 +462,32 @@ class TestResidueTableOracle:
                     f = low + (1,)
                     assert nr.factor_distinct_mod(f, p) == _brute_factors(f, p), (f, p)
 
+    @pytest.mark.parametrize("p", (2, 3, 5))
+    def test_repeated_factors_match_trial_division(self, p):
+        # f = g1^e1 * g2^e2 * ... with multiplicities up to p + 1, so that
+        # some f' vanish; the distinct-degree loop strips every copy
+        rng = random.Random(p)
+        for _ in range(40):
+            f = [1]
+            for _ in range(rng.randint(1, 3)):
+                g = tuple(rng.randrange(p) for _ in range(rng.randint(1, 3))) + (1,)
+                for _ in range(rng.randint(1, p + 1)):
+                    f = _mul(f, g, p)
+            f = tuple(f)
+            assert nr.factor_distinct_mod(f, p) == _brute_factors(f, p), (f, p)
+
+    @pytest.mark.parametrize("h, g, p", [
+        ((2, 0, 1), 1, 5),  # x^2 + 2 is irreducible mod 5, not two linear factors
+        ((1, 1, 1), 1, 2),  # x^2 + x + 1 is irreducible mod 2
+    ])
+    def test_equal_degree_split_rejects_a_broken_precondition(self, h, g, p):
+        with pytest.raises(ArithmeticError, match="not a product of distinct"):
+            nr._split_equal_degree(h, g, p)
+
     def test_scans_match_per_call_oracle(self):
         rng = random.Random(5)
         scale = math.lcm(*range(1, 301))
-        for ring in ORACLE_RINGS:
+        for ring in oracle_rings():
             for _ in range(3):
                 coords = [rng.randint(-10**6, 10**6) or 1 for _ in range(ring.degree)]
                 a = ring.element([c * scale for c in coords])
@@ -467,7 +509,7 @@ class TestResidueTableOracle:
 
     def test_small_elements_match_per_call_oracle(self):
         rng = random.Random(6)
-        for ring in ORACLE_RINGS:
+        for ring in oracle_rings():
             for _ in range(10):
                 coords = [rng.randint(-50, 50) for _ in range(ring.degree)]
                 if not any(coords):
@@ -588,7 +630,7 @@ class TestScanLemmas:
 
     def test_non_residue_primes_leave_no_split_entry(self):
         rng = random.Random(9)
-        for ring in ORACLE_RINGS:
+        for ring in oracle_rings():
             f = ring.min_poly
             disc = ring.discriminant()
             _clear_memos(f)
@@ -605,7 +647,7 @@ class TestScanLemmas:
     def test_content_primes_leave_no_memo_entry(self, K):
         rng = random.Random(K)
         scale = math.lcm(*range(1, K + 1))
-        for ring in ORACLE_RINGS:
+        for ring in oracle_rings():
             f = ring.min_poly
             coords = [rng.randint(-99, 99) or 1 for _ in range(ring.degree)]
             a = ring.element([c * scale for c in coords])
@@ -619,7 +661,7 @@ class TestScanLemmas:
         # must move past q without reading either memo at q
         rng = random.Random(8)
         moved = 0
-        for ring in ORACLE_RINGS:
+        for ring in oracle_rings():
             f = ring.min_poly
             for _ in range(6):
                 coords = [rng.randint(-30, 30) for _ in range(ring.degree)]
