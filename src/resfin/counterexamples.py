@@ -28,6 +28,16 @@ from resfin import arith, matgrp
 from resfin.chevalley import CheckResult
 from resfin.matgrp import Mat, RangeExhaustedError, UndetectableError
 
+
+@dataclass(frozen=True)
+class Detection:
+    """The least detecting quotient of a family: its modulus (the fold
+    modulus, or a for Z/a) and its order."""
+
+    modulus: int
+    order: int
+
+
 DEFAULT_FOLD_LIMIT = 256
 
 
@@ -96,24 +106,18 @@ def lamp_candidate(k: int, corrected: bool = True) -> LampElement:
     return delta(1) * delta(pos)
 
 
-@dataclass(frozen=True)
-class LampDetection:
-    modulus: int
-    order: int
-
-
-def lamp_detect(g: LampElement, m_max: int = DEFAULT_FOLD_LIMIT) -> LampDetection:
+def lamp_detect(g: LampElement, m_max: int = DEFAULT_FOLD_LIMIT) -> Detection:
     """Smallest fold modulus m whose image of g is nontrivial; order m*2^m."""
     if g.is_identity():
         raise UndetectableError("identity dies in every fold")
     for m in range(2, m_max + 1):
         support, shift = lamp_fold(g, m)
         if support or shift:
-            return LampDetection(m, m * 2**m)
+            return Detection(m, m * 2**m)
     raise RangeExhaustedError(f"no fold modulus <= {m_max} detects the element")
 
 
-def lamp_quotient_D(k: int, corrected: bool = True) -> LampDetection:
+def lamp_quotient_D(k: int, corrected: bool = True) -> Detection:
     """Minimal detecting fold of the k-th candidate, without materializing
     the fold: the corrected candidate survives mod m iff m does not divide
     lcm(1..k), so the answer is the least prime power above k."""
@@ -123,7 +127,7 @@ def lamp_quotient_D(k: int, corrected: bool = True) -> LampDetection:
         m = next(arith.prime_power_stream(above=k))[0]
     else:
         m = arith.least_nondivisor(max(arith.lcm_upto(k) - 1, 1))
-    return LampDetection(m, m * 2**m)
+    return Detection(m, m * 2**m)
 
 
 def lamp_injectivity_certificate(k: int, m: int) -> CheckResult:
@@ -221,34 +225,26 @@ def semidirect_fold(g: SemidirectElement, d: int) -> tuple[tuple[int, int], Mat]
     return (g.vec[0] % d, g.vec[1] % d), g.rot
 
 
-@dataclass(frozen=True)
-class SemidirectDetection:
-    modulus: int
-    order: int
-
-
-def semidirect_detect(
-    g: SemidirectElement, d_max: int = DEFAULT_FOLD_LIMIT
-) -> SemidirectDetection:
+def semidirect_detect(g: SemidirectElement, d_max: int = DEFAULT_FOLD_LIMIT) -> Detection:
     """Smallest d with nontrivial image in (Z/d)^2 x| Q, of order 8 d^2."""
     if g.is_identity():
         raise UndetectableError("identity dies in every fold")
     if g.rot != matgrp.identity(2):
-        return SemidirectDetection(1, 8)
+        return Detection(1, 8)
     for d in range(2, d_max + 1):
         vec, _ = semidirect_fold(g, d)
         if vec != (0, 0):
-            return SemidirectDetection(d, 8 * d * d)
+            return Detection(d, 8 * d * d)
     raise RangeExhaustedError(f"no fold modulus <= {d_max} detects the element")
 
 
-def semidirect_quotient_D(k: int) -> SemidirectDetection:
+def semidirect_quotient_D(k: int) -> Detection:
     """Minimal detecting fold of (lcm(1..k), 0): the least d not dividing
     the lcm, i.e. the least prime power above k, with quotient order 8 d^2."""
     if k < 2:
         raise ValueError("k must be >= 2")
     d = next(arith.prime_power_stream(above=k))[0]
-    return SemidirectDetection(d, 8 * d * d)
+    return Detection(d, 8 * d * d)
 
 
 def semidirect_kernel_structure_check(d: int) -> CheckResult:
@@ -333,12 +329,6 @@ def _in_lattice(v: tuple[int, int], basis) -> bool:
 # free abelian reference point
 
 
-@dataclass(frozen=True)
-class AbelianDetection:
-    modulus: int
-    order: int
-
-
 def abelian_candidate(k: int) -> tuple[int, int]:
     """(lcm(1..k), 0): the free-abelian analogue of the other candidates,
     useful as the baseline every extension is compared against."""
@@ -347,7 +337,7 @@ def abelian_candidate(k: int) -> tuple[int, int]:
     return (arith.lcm_upto(k), 0)
 
 
-def abelian_D(v: tuple[int, ...]) -> AbelianDetection:
+def abelian_D(v: tuple[int, ...]) -> Detection:
     """Minimal finite quotient of Z^d seeing v: a coordinate functional into
     Z/a for the least a not dividing gcd(v)."""
     if not v or all(c == 0 for c in v):
@@ -356,4 +346,4 @@ def abelian_D(v: tuple[int, ...]) -> AbelianDetection:
     for c in v:
         g = math.gcd(g, c)
     a = arith.least_nondivisor(g)
-    return AbelianDetection(a, a)
+    return Detection(a, a)

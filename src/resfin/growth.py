@@ -10,7 +10,6 @@ the empirical exponent run to k = 10^6 and recover dim(G).
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from collections.abc import Iterator
@@ -363,22 +362,20 @@ def candidate_D_analytic(cs: CandidateSeq, k: int, allow_central: bool = False) 
     """Minimal detecting congruence quotient of A_k, via valuations only.
 
     A prime power q = p^i detects E_12(M) exactly when p^i does not divide
-    M = e * alpha^k * lcm(1..k); divisibility is read off multiplier_valuation,
-    so k can be far beyond what candidate_elements can materialize.  The
-    search and stop rule are matgrp.min_congruence_quotient, shared with
+    M = e * alpha^k * lcm(1..k); divisibility is read off multiplier_valuation
+    (cs.survives), so k can be far beyond what candidate_elements can
+    materialize.  The search is a fresh matgrp.QuotientSearch, as in
     congruence_D; the two agree exactly on the materializable range (a test
     pins this for k <= 40).  The primes of S are units in Z[1/S], so
     SL_n(Z[1/S]) has no congruence quotient mod a power of one: they never
     detect.  Every q <= k divides lcm(1..k) and so kills A_k: the search
-    starts above k.
+    starts above k.  A nontrivial elementary image is never scalar, so with
+    allow_central the central quotient always sees it.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    # a nontrivial elementary image is never scalar, so with allow_central
-    # the central quotient always sees it
-    return matgrp.min_congruence_quotient(
-        cs.spec, lambda q, p, i: cs.survives(k, p, i), allow_central, above=k
-    )
+    search = matgrp.QuotientSearch(cs.spec, allow_central, above=k)
+    return search.least(lambda q, p, i: cs.survives(k, p, i))
 
 
 def candidate_sweep(
@@ -395,15 +392,12 @@ def candidate_sweep(
     suffix from p is summed again.  With S nonempty the leading term
     k * log2(alpha) moves at every k, so every prefix is summed again.
 
-    candidate_D_analytic is the least matgrp.quotient_key over the prime
-    powers q = p^i with cs.survives(k, p, i); past the point where
-    matgrp.stop_rule holds, no q can beat it.  Survival never returns as k
-    grows, since multiplier_valuation(k, p) never falls, and it changes only
-    at prime powers k.  So the sweep keeps the keys of the survivors read so
-    far in a heap, drops dead ones as they surface, and reads the stream on
-    until stop_rule holds against the least key, which is then the answer.
-    Reading starts at the first q > lo: every q <= k divides lcm(1..k), so
-    none survives.
+    Survival never returns as k grows, since multiplier_valuation(k, p)
+    never falls, and it changes only at prime powers k.  So one
+    matgrp.QuotientSearch serves the whole range, asked again only at prime
+    powers k; its stream and its heap of survivors carry over from one k to
+    the next.  It starts above lo: every q <= k divides lcm(1..k), so none
+    survives.
     """
     if lo < 1:
         raise ValueError("k must be >= 1")
@@ -413,11 +407,7 @@ def candidate_sweep(
     sums = [0.0]  # sums[t] = k * log2(alpha) + terms[0] + ... + terms[t - 1]
     lcm_powers = arith.prime_power_stream()
     q, p, i = next(lcm_powers)
-
-    dim, fnum, scale = matgrp.stop_rule(cs.spec, allow_central)
-    heap: list[tuple[tuple[int, int, bool], int, int]] = []  # (quotient_key, p, i)
-    unread = arith.prime_power_stream(above=lo)
-    q_next, p_next, i_next = next(unread)
+    search = matgrp.QuotientSearch(cs.spec, allow_central, above=lo)
     det = None
     for k in range(1, hi + 1):
         dirty = 0 if cs.s_primes or k == lo else len(terms)
@@ -437,15 +427,7 @@ def candidate_sweep(
         if dirty < len(terms):
             sums[dirty:] = itertools.accumulate(terms[dirty:], initial=sums[dirty])
         if det is None:
-            while heap and not cs.survives(k, heap[0][1], heap[0][2]):
-                heapq.heappop(heap)
-            while not heap or q_next**dim * fnum <= heap[0][0][0] * scale:
-                if cs.survives(k, p_next, i_next):
-                    key = matgrp.quotient_key(cs.spec, q_next, allow_central)
-                    heapq.heappush(heap, (key, p_next, i_next))
-                q_next, p_next, i_next = next(unread)
-            order, modulus, central = heap[0][0]
-            det = DetectionResult(modulus, order, central)
+            det = search.least(lambda _, p_, i_: cs.survives(k, p_, i_))
         yield k, sums[-1], det
 
 

@@ -14,6 +14,7 @@ powers q not dividing that gcd.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import operator
@@ -211,65 +212,59 @@ def is_central_mod(a: Mat, m: int) -> bool:
     return _central_gcd(a) % m == 0
 
 
-def _order_floor_fraction(n: int) -> tuple[int, int]:
-    # |SL_n(Z/q)| >= q^dim * prod_{i=2..n} (1 - 2^-i) for every prime power q;
-    # the product is the worst case p = 2, returned as an exact fraction.
-    num, den = 1, 1
-    for i in range(2, n + 1):
-        num *= 2**i - 1
-        den *= 2**i
-    return num, den
+class QuotientSearch:
+    """The least congruence quotient of `spec` seeing an element known only
+    through survives(q, p, i): is its image mod q = p**i not the identity?
+    With allow_central, SL_n(Z/q) / center competes too, unless
+    central(q, p, i) says the image is central mod q.  Keys order as
+    DetectionResult.key(): (order, q, central flag).
 
+    Lemmas.  Prime powers suffice: SL_n(Z/m), also modulo its center, is the
+    product over the prime powers exactly dividing m, and the element
+    survives mod m only if it does mod one of them.  |SL_n(Z/q)| >= q^dim *
+    prod_{i=2..n} (1 - 2^-i) for every prime power q, the product being the
+    worst case p = 2; the center has order at most 2n (n-th roots of unity
+    in a unit group with <= 2 cyclic parts).  So once q^dim times that floor
+    (self.floor, over 2n with allow_central) exceeds the least order found,
+    no prime power from q on can beat it: the stop rule.
 
-def quotient_key(spec, q: int, allow_central: bool, central: bool = False) -> tuple[int, int, bool]:
-    """(order, q, central flag), ordered as DetectionResult.key(), of the
-    least quotient mod the prime power q seeing an element that survives
-    mod q: SL_n(Z/q), or with allow_central SL_n(Z/q) / center when the
-    center is nontrivial and the image is not `central` mod q."""
-    order = spec.order_mod(q)
-    if allow_central and not central:
-        z = spec.center_order_mod(q)
-        if z > 1:
-            return order // z, q, True
-    return order, q, False
-
-
-def stop_rule(spec, allow_central: bool) -> tuple[int, int, int]:
-    """(dim, fnum, scale) such that every quotient_key order at q and at all
-    larger prime powers exceeds `order` once q**dim * fnum > order * scale:
-    q^dim times the universal order floor fnum / fden exceeds it.  Central
-    quotients are smaller by the center order, which never exceeds 2n (n-th
-    roots of unity in a unit group with <= 2 cyclic parts), so the bound
-    then has slack 2n."""
-    fnum, fden = _order_floor_fraction(spec.n)
-    return spec.dim, fnum, fden * (2 * spec.n if allow_central else 1)
-
-
-def min_congruence_quotient(
-    spec, survives, allow_central: bool = False, central=None, above: int = 0
-) -> DetectionResult:
-    """The least (order, modulus) congruence quotient of `spec` seeing an
-    element known only through survives(q, p, i): is its image mod q = p**i
-    not the identity?  With allow_central, SL_n(Z/q) / center competes too,
-    unless central(q, p, i) says the image is central mod q.
-
-    Prime powers suffice: SL_n(Z/m), also modulo its center, is the product
-    over the prime powers exactly dividing m, and the element survives mod m
-    only if it does mod one of them.  q runs upwards from the first prime
-    power past `above` until stop_rule holds against the best order, so the
-    result is the least quotient_key over all surviving prime powers when
-    the caller knows that no q <= above survives.
+    least(survives) reads the stream past `above` until the stop rule holds
+    against the least surviving key: the least over all surviving q when no
+    q <= above survives.  The stream position and the heap of survivors
+    persist between calls, so one search serves a run of predicates in
+    which survival never returns; dead keys are dropped as they surface.
     """
-    dim, fnum, scale = stop_rule(spec, allow_central)
-    best: tuple[int, int, bool] | None = None
-    for q, p, i in arith.prime_power_stream(above=above):
-        if best is not None and q**dim * fnum > best[0] * scale:
-            break
-        if survives(q, p, i):
-            cand = quotient_key(spec, q, allow_central, central is not None and central(q, p, i))
-            if best is None or cand < best:
-                best = cand
-    return DetectionResult(best[1], best[0], best[2])
+
+    def __init__(self, spec, allow_central: bool = False, above: int = 0, central=None):
+        self.spec, self.allow_central, self.central = spec, allow_central, central
+        num, den = 1, 1
+        for i in range(2, spec.n + 1):
+            num, den = num * (2**i - 1), den * 2**i
+        self.floor = num, den * (2 * spec.n if allow_central else 1)
+        self._stream = arith.prime_power_stream(above=above)
+        self._ahead = next(self._stream)
+        self._heap: list[tuple[tuple[int, int, bool], tuple[int, int, int]]] = []
+
+    def least(self, survives) -> DetectionResult:
+        heap, (num, den), dim = self._heap, self.floor, self.spec.dim
+        while heap and not survives(*heap[0][1]):
+            heapq.heappop(heap)
+        q, p, i = self._ahead
+        while not heap or q**dim * num <= heap[0][0][0] * den:
+            if survives(q, p, i):
+                heapq.heappush(heap, (self._key(q, p, i), (q, p, i)))
+            q, p, i = next(self._stream)
+        self._ahead = q, p, i
+        order, modulus, central = heap[0][0]
+        return DetectionResult(modulus, order, central)
+
+    def _key(self, q: int, p: int, i: int) -> tuple[int, int, bool]:
+        order = self.spec.order_mod(q)
+        if self.allow_central and not (self.central and self.central(q, p, i)):
+            z = self.spec.center_order_mod(q)
+            if z > 1:
+                return order // z, q, True
+        return order, q, False
 
 
 def congruence_D(a: Mat, spec, allow_central: bool = False) -> DetectionResult:
@@ -281,7 +276,8 @@ def congruence_D(a: Mat, spec, allow_central: bool = False) -> DetectionResult:
 
     a dies mod q exactly when q divides g = detection_gcd(a) and is central
     mod q exactly when q divides h = _central_gcd(a), so the answer depends
-    on the detection key (g, h) alone; min_congruence_quotient searches.
+    on the detection key (g, h) alone; a fresh QuotientSearch per call
+    searches it from q = 2.
     """
     if len(a) != spec.n:
         raise ValueError(f"matrix size {len(a)} does not match spec n={spec.n}")
@@ -292,7 +288,7 @@ def congruence_D(a: Mat, spec, allow_central: bool = False) -> DetectionResult:
     if allow_central:
         h = _central_gcd(a)
         central = lambda q, p, i: h % q == 0  # noqa: E731
-    return min_congruence_quotient(spec, lambda q, p, i: g % q != 0, allow_central, central)
+    return QuotientSearch(spec, allow_central, central=central).least(lambda q, p, i: g % q != 0)
 
 
 def brute_force_D(a: Mat, spec, m_max: int) -> DetectionResult:

@@ -302,17 +302,20 @@ def _split_equal_degree(h, g, p):
     random r, gcd(r^((p^g - 1)/2) - 1, h) is a proper factor with
     probability about 1/2.  The seeded generator keeps runs deterministic,
     and the factor set is unique whatever r splits it.  An h that breaks
-    the precondition raises ArithmeticError instead of looping: at p = 2
-    when the trial quotients do not use it up, at odd p after 100 draws."""
+    the precondition raises ArithmeticError instead of looping or returning
+    copies: the distinct factors found must make up the degree of h, which
+    fails at p = 2 when the trial quotients do not use h up, at odd p after
+    100 draws, and at either when h has a repeated factor."""
     deg = len(h) - 1
     if deg == g:
         return [h]
+    out = []
     if p == 2:
-        out = []
         rest = h
         for cand in _monic_polys(g, p):
             if len(rest) - 1 == g:
-                return out + [rest]
+                out.append(rest)
+                break
             quo, rem = _pdivmod(rest, cand, p)
             if not rem:
                 out.append(cand)
@@ -327,9 +330,10 @@ def _split_equal_degree(h, g, p):
             w = _psub(_ppowmod(r, e, h, p), (1,), p)
             d = _pgcd(w, h, p)
             if 0 < len(d) - 1 < deg:
-                return _split_equal_degree(d, g, p) + _split_equal_degree(
-                    _pdivmod(h, d, p)[0], g, p
-                )
+                out = _split_equal_degree(d, g, p) + _split_equal_degree(_pdivmod(h, d, p)[0], g, p)
+                break
+    if sum(len(c) - 1 for c in set(out)) == deg:
+        return out
     raise ArithmeticError(f"{h} mod {p} is not a product of distinct degree-{g} factors")
 
 

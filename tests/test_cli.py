@@ -378,6 +378,33 @@ def test_quick_start_outputs_match_golden_digests(tmp_path, monkeypatch):
         assert got == want, argv
 
 
+# The same digests for the detection search's other modes: central
+# quotients in dq (a central win on SL2 and SL3, the center barred by a
+# central image on SL4), the candidate sweep with central quotients, with
+# S-units and a multiplier, and a central power table.
+SEARCH_DIGESTS = [
+    (["dq", "--group", "sl2", "--matrix", "1,4;0,1", "--allow-central"],
+     "68e647c2a61da05b6f690a612782ee7bde026d001fcdef9af2456cabb526e3c1"),
+    (["dq", "--group", "sl3", "--matrix", "1,0,60;0,1,0;0,0,1", "--allow-central"],
+     "da2dce9e92c491b7be99a3c6010daaabd01e4172362c85295331cc554ae3ef2d"),
+    (["dq", "--group", "sl4", "--matrix", "-1,0,0,0;0,-1,0,0;0,0,-1,0;0,0,0,-1", "--allow-central"],
+     "acec5284f5aede4c80742c1d9b25ae5322e78320500645f8679feb4937925517"),
+    (["candidates", "--group", "sl2", "--k", "10..3000", "--allow-central"],
+     "54d95f1b5d24ea919f4af7765e3b495981d98d27a8a8725400f1100e7a23e1d2"),
+    (["candidates", "--group", "sl4", "--k", "1..2000", "--s-primes", "2,3", "--multiplier", "12",
+      "--format", "json"],
+     "708dfec087e460fdc6c4e7dd7f82a7cf6e73e8520bf165f50955790798626189"),
+    (["growth", "--group", "sl3", "--n-max", "4", "--power", "2", "--allow-central"],
+     "9b06c8b1e421df01d0051ea803b5fd60a7d53e83d9b9b2c639fa3b1a28871120"),
+]
+
+
+def test_search_modes_match_golden_digests():
+    for argv, want in SEARCH_DIGESTS:
+        got = hashlib.sha256(json.dumps(list(run_cli(argv))).encode()).hexdigest()
+        assert got == want, argv
+
+
 USAGE_ERRORS = [  # value errors: exit 2, one "error:" line
     ["dq", "--matrix", "1,2;3"],
     ["dq", "--matrix", ";"],

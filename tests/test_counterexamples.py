@@ -78,9 +78,9 @@ class TestFolding:
 
 class TestLampDetection:
     def test_frozen_values(self):
-        assert cx.lamp_quotient_D(2) == cx.LampDetection(3, 24)
-        assert cx.lamp_quotient_D(4) == cx.LampDetection(5, 160)
-        assert cx.lamp_quotient_D(10) == cx.LampDetection(11, 22528)
+        assert cx.lamp_quotient_D(2) == cx.Detection(3, 24)
+        assert cx.lamp_quotient_D(4) == cx.Detection(5, 160)
+        assert cx.lamp_quotient_D(10) == cx.Detection(11, 22528)
 
     def test_analytic_matches_scan(self):
         for k in range(2, 21):
@@ -90,7 +90,7 @@ class TestLampDetection:
         # the whole point of the correction: the literal candidate falls to
         # the parity fold m = 2 as soon as the lcm is even
         for k in (2, 4, 10):
-            assert cx.lamp_quotient_D(k, corrected=False) == cx.LampDetection(2, 8)
+            assert cx.lamp_quotient_D(k, corrected=False) == cx.Detection(2, 8)
         for k in range(2, 13):
             assert cx.lamp_quotient_D(k, corrected=False) == cx.lamp_detect(
                 cx.lamp_candidate(k, corrected=False)
@@ -149,7 +149,7 @@ class TestSquaredContrast:
             g = cx.LampElement(cx.lamp_candidate(k).support, 1)
             sq = cx.lamp_detect(g * g)
             full = cx.lamp_quotient_D(k)
-            assert sq == cx.LampDetection(3, 24)
+            assert sq == cx.Detection(3, 24)
             assert sq.modulus <= full.modulus
             assert sq.order < full.order
 
@@ -196,9 +196,9 @@ class TestSemidirectElement:
 
 class TestSemidirectDetection:
     def test_frozen_values(self):
-        assert cx.semidirect_quotient_D(2) == cx.SemidirectDetection(3, 72)
-        assert cx.semidirect_quotient_D(4) == cx.SemidirectDetection(5, 200)
-        assert cx.semidirect_quotient_D(6) == cx.SemidirectDetection(7, 392)
+        assert cx.semidirect_quotient_D(2) == cx.Detection(3, 72)
+        assert cx.semidirect_quotient_D(4) == cx.Detection(5, 200)
+        assert cx.semidirect_quotient_D(6) == cx.Detection(7, 392)
 
     def test_analytic_matches_scan(self):
         for k in range(2, 21):
@@ -208,7 +208,7 @@ class TestSemidirectDetection:
 
     def test_rotation_part_detected_in_q(self):
         g = cx.SemidirectElement((0, 0), ((0, 1), (1, 0)))
-        assert cx.semidirect_detect(g) == cx.SemidirectDetection(1, 8)
+        assert cx.semidirect_detect(g) == cx.Detection(1, 8)
 
     def test_errors_and_bounds(self):
         with pytest.raises(UndetectableError):
@@ -364,9 +364,9 @@ def _least_missing_index_z2(v, max_index):
 
 class TestAbelian:
     def test_frozen_values(self):
-        assert cx.abelian_D((6, 0)) == cx.AbelianDetection(4, 4)
-        assert cx.abelian_D((1, 1)) == cx.AbelianDetection(2, 2)
-        assert cx.abelian_D((12,)) == cx.AbelianDetection(5, 5)
+        assert cx.abelian_D((6, 0)) == cx.Detection(4, 4)
+        assert cx.abelian_D((1, 1)) == cx.Detection(2, 2)
+        assert cx.abelian_D((12,)) == cx.Detection(5, 5)
 
     def test_zero_rejected(self):
         with pytest.raises(UndetectableError):

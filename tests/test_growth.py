@@ -5,6 +5,7 @@ oracle below; growth values F(1) = 6 and F(2) = 24 were derived through the
 all-moduli brute force before freezing.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -49,32 +50,57 @@ E3_MINUS_I = gr.GeneratingSet(
 )
 
 
-def reference_D(a, spec, allow_central):
-    """Oracle: a per-element prime-power search with its own copy of the
-    stop rule, independent of min_congruence_quotient: q from
-    prime_powers_up_to, survival by reducing a mod q, centrality by reading
-    the reduction as a scalar lambda with lambda^n = 1."""
+@functools.cache
+def reference_powers():
+    """{q: (p, i)} with q = p**i for the prime powers q <= 10^4, in order."""
+    return {q: arith.is_prime_power(q) for q in arith.prime_powers_up_to(10**4)}
+
+
+def reference_search(spec, allow_central, survives, central):
+    """Oracle: the least (order, q, central) congruence quotient over the
+    prime powers q with survives(q), by a per-call search with its own copy
+    of the stop rule, independent of matgrp.QuotientSearch: q from
+    prime_powers_up_to, starting at 2; with allow_central the quotient by
+    the center competes unless central(q)."""
     n = spec.n
-    ident = matgrp.identity(n)
     fnum, fden = 1, 1
     for i in range(2, n + 1):
         fnum, fden = fnum * (2**i - 1), fden * 2**i
     slack = 2 * n if allow_central else 1
     best = None
-    for q in arith.prime_powers_up_to(10**4):
+    for q in reference_powers():
         if best is not None and q**spec.dim * fnum > best[0] * fden * slack:
             return matgrp.DetectionResult(best[1], best[0], best[2] == 1)
-        am = matgrp.reduce_mod(a, q)
-        if am == ident:
+        if not survives(q):
             continue
         order = spec.order_mod(q)
         cands = [(order, q, 0)]
-        lam = am[0][0]
-        scalar = all(x == (lam if i == j else 0) for i, row in enumerate(am) for j, x in enumerate(row))
-        if allow_central and not (scalar and pow(lam, n, q) == 1):
+        if allow_central and not central(q):
             cands.append((order // spec.center_order_mod(q), q, 1))
         best = min(cands if best is None else cands + [best])
     raise AssertionError("reference search ran past its prime-power range")
+
+
+def reference_D(a, spec, allow_central):
+    """Oracle for congruence_D: survival by reducing a mod q, centrality by
+    reading the reduction as a scalar lambda with lambda^n = 1."""
+    ident = matgrp.identity(spec.n)
+
+    def central(q):
+        am = matgrp.reduce_mod(a, q)
+        lam = am[0][0]
+        scalar = all(x == (lam if i == j else 0) for i, row in enumerate(am) for j, x in enumerate(row))
+        return scalar and pow(lam, spec.n, q) == 1
+
+    return reference_search(spec, allow_central, lambda q: matgrp.reduce_mod(a, q) != ident, central)
+
+
+def reference_candidate_D(cs, k, allow_central):
+    """Oracle for candidate_D_analytic: survival from cs.survives at the
+    prime and exponent of q; a surviving E_12(M) mod q is never scalar."""
+    return reference_search(
+        cs.spec, allow_central, lambda q: cs.survives(k, *reference_powers()[q]), lambda q: False
+    )
 
 
 def per_element_table(gens, spec, n_max, k=1, allow_central=False):
@@ -395,8 +421,8 @@ class TestCandidateDAnalytic:
             cs = gr.CandidateSeq(spec, s_primes)
             for allow_central in (False, True):
                 for k in range(1, 301):
-                    from_two = matgrp.min_congruence_quotient(
-                        spec, lambda q, p, i: cs.survives(k, p, i), allow_central
+                    from_two = matgrp.QuotientSearch(spec, allow_central).least(
+                        lambda q, p, i: cs.survives(k, p, i)
                     )
                     assert gr.candidate_D_analytic(cs, k, allow_central) == from_two, (s_primes, k)
 
@@ -432,6 +458,20 @@ class TestCandidateSweep:
         for k, _, det in sweep:
             if k in checked:
                 assert det == gr.candidate_D_analytic(cs, k, allow_central), k
+
+    @pytest.mark.parametrize("allow_central", [False, True])
+    @pytest.mark.parametrize("spec", [SL2, SL3], ids=lambda s: s.name)
+    def test_detection_matches_independent_per_k_search(self, spec, allow_central):
+        # the sweep and candidate_D_analytic share matgrp.QuotientSearch;
+        # reference_candidate_D shares no search code with either.  The
+        # answer can change only at a prime power k, so k and k - 1 for
+        # every prime power k cover every run
+        cs = gr.CandidateSeq(spec)
+        powers = set(arith.prime_powers_up_to(self.K_MAX))
+        checked = powers | {q - 1 for q in powers}
+        for k, _, det in gr.candidate_sweep(cs, 1, self.K_MAX, allow_central):
+            if k in checked:
+                assert det == reference_candidate_D(cs, k, allow_central), k
 
     def test_rows_cover_the_range_and_lo_is_checked(self):
         cs = gr.CandidateSeq(SL2, (3,), 4)

@@ -300,7 +300,7 @@ class TestCentralOracle:
 class TestOrderFloor:
     def test_floor_holds_for_sl2_and_sl3(self):
         for spec in (SL2, SL3):
-            num, den = matgrp._order_floor_fraction(spec.n)
+            num, den = matgrp.QuotientSearch(spec).floor
             for q in [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27]:
                 assert spec.order_mod(q) * den >= q**spec.dim * num
 

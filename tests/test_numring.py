@@ -479,6 +479,8 @@ class TestResidueTableOracle:
     @pytest.mark.parametrize("h, g, p", [
         ((2, 0, 1), 1, 5),  # x^2 + 2 is irreducible mod 5, not two linear factors
         ((1, 1, 1), 1, 2),  # x^2 + x + 1 is irreducible mod 2
+        ((0, 0, 1), 1, 3),  # x^2 = x * x mod 3: a repeated factor, not two
+        ((0, 0, 1), 1, 2),  # x^2 = x * x mod 2
     ])
     def test_equal_degree_split_rejects_a_broken_precondition(self, h, g, p):
         with pytest.raises(ArithmeticError, match="not a product of distinct"):
