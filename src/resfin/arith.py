@@ -173,12 +173,8 @@ def least_nondivisor(m: int) -> int:
 
 def is_prime_power(q: int) -> tuple[int, int] | None:
     """(p, i) with q = p**i if q is a prime power, else None."""
-    if q < 2:
-        return None
-    f = factorize(q)
-    if len(f.factors) == 1:
-        return f.factors[0]
-    return None
+    f = factorize(q).factors if q >= 2 else ()
+    return f[0] if len(f) == 1 else None
 
 
 # One sieve pass fills both columns, up to _SIEVE[0]: the sorted (q, p, i)
@@ -229,7 +225,7 @@ def _read_sieve(column: int, key, limit: int | None, above: int):
         grow = 4 * sieved_to if sieved_to else 512
         if limit is not None:
             grow = min(grow, max(limit, 2 * sieved_to))
-        prime_powers_up_to(min(grow, _SIEVE_CAP))
+        _grow_sieve(min(grow, _SIEVE_CAP))
 
 
 _VALUE = operator.itemgetter(0)
@@ -254,16 +250,19 @@ def lcm_upto(k: int) -> int:
 
 
 def prime_powers_up_to(limit: int) -> list[int]:
-    """Sorted prime powers q <= limit (cached; grows on demand)."""
+    """Sorted prime powers q <= limit, read from the sieve cache."""
+    return [q for q, _, _ in prime_power_stream(limit)]
+
+
+def _grow_sieve(limit: int) -> None:
+    """Replace _SIEVE by one sieve pass up to max(limit, 512)."""
     global _SIEVE
-    if _SIEVE[0] < limit:
-        cap = max(limit, 512)
-        ps = primes_up_to(cap)
-        triples = []
-        for p in ps:
-            q, i = p, 1
-            while q <= cap:
-                triples.append((q, p, i))
-                q, i = q * p, i + 1
-        _SIEVE = (cap, sorted(triples), ps)
-    return [q for q, _, _ in itertools.takewhile(lambda t: t[0] <= limit, _SIEVE[1])]
+    cap = max(limit, 512)
+    ps = primes_up_to(cap)
+    triples = []
+    for p in ps:
+        q, i = p, 1
+        while q <= cap:
+            triples.append((q, p, i))
+            q, i = q * p, i + 1
+    _SIEVE = (cap, sorted(triples), ps)

@@ -60,7 +60,9 @@ EXCLUDED_PRIMES = (2, 3)
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """A split form SL_n with its numerical invariants and order formulas."""
+    """A split form SL_n with its numerical invariants: the order and center
+    of SL_n(Z/p^e) per prime power, their products over Z/m, and the order
+    floor behind QuotientSearch's stop rule, with its lemma."""
 
     n: int
     family: str = "SL"
@@ -86,55 +88,52 @@ class GroupSpec:
     @classmethod
     def from_name(cls, name: str) -> "GroupSpec":
         name = name.lower().strip()
-        if not name.startswith("sl"):
+        if not (name.startswith("sl") and name[2:].isdecimal()):
             raise ValueError(f"unknown group {name!r}")
         return cls(int(name[2:]))
 
-    def order_fp(self, p: int) -> int:
-        """|SL_n(F_p)| = p^(n(n-1)/2) * prod_{i=2..n} (p^i - 1)."""
-        if not arith.is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        out = p ** (self.n * (self.n - 1) // 2)
+    def order_pp(self, p: int, e: int) -> int:
+        """|SL_n(Z/p^e)| = p^((e-1) dim) |SL_n(F_p)| for a prime p and e >= 1,
+        where |SL_n(F_p)| = p^(n(n-1)/2) prod_{i=2..n} (p^i - 1)."""
+        out = p ** ((e - 1) * self.dim + self.n * (self.n - 1) // 2)
         for i in range(2, self.n + 1):
             out *= p**i - 1
         return out
 
+    def center_pp(self, p: int, e: int) -> int:
+        """|Z(SL_n(Z/p^e))|, the scalars lambda mod p^e with lambda^n = 1: the
+        unit group is cyclic of order p^(e-1)(p-1) for odd p, and C_2 x
+        C_(2^(e-2)) for p = 2, e >= 2."""
+        if p == 2:
+            return math.gcd(self.n, 2) * math.gcd(self.n, 2 ** (e - 2)) if e > 1 else 1
+        return math.gcd(self.n, p ** (e - 1) * (p - 1))
+
     def order_mod(self, m: int) -> int:
-        """|SL_n(Z/m)|, multiplicative over prime powers; order_mod(1) = 1."""
+        """|SL_n(Z/m)|, the product of order_pp over the prime powers exactly
+        dividing m; order_mod(1) = 1."""
         if m < 1:
             raise ValueError("modulus must be >= 1")
-        key = (self.n, m)
-        cached = _ORDER_CACHE.get(key)
-        if cached is not None:
-            return cached
-        out = 1
-        for p, e in arith.factorize(m):
-            out *= p ** ((e - 1) * self.dim) * self.order_fp(p)
-        _ORDER_CACHE[key] = out
-        return out
+        return math.prod(self.order_pp(p, e) for p, e in arith.factorize(m))
 
     def center_order_mod(self, m: int) -> int:
-        """Number of scalars lambda mod m with lambda^n = 1 (= |Z(SL_n(Z/m))|),
-        multiplicative over prime powers; cached like order_mod."""
-        key = (self.n, m)
-        cached = _CENTER_CACHE.get(key)
-        if cached is not None:
-            return cached
-        out = 1
-        for p, e in arith.factorize(m):
-            q = p**e
-            if p == 2:
-                if e == 1:
-                    cnt = 1
-                elif e == 2:
-                    cnt = math.gcd(self.n, 2)
-                else:
-                    cnt = math.gcd(self.n, 2) * math.gcd(self.n, 2 ** (e - 2))
-            else:
-                cnt = math.gcd(self.n, q // p * (p - 1))
-            out *= cnt
-        _CENTER_CACHE[key] = out
-        return out
+        """|Z(SL_n(Z/m))|, the product of center_pp over the prime powers
+        exactly dividing m."""
+        return math.prod(self.center_pp(p, e) for p, e in arith.factorize(m))
+
+    def order_floor(self, allow_central: bool = False) -> tuple[int, int]:
+        """(num, den) with order_pp(p, e) * den >= q^dim * num for every prime
+        power q = p^e, and the same for order_pp // center_pp when
+        allow_central.
+
+        Lemma.  order_pp(p, e) = q^dim * prod_{i=2..n} (1 - p^-i), and the
+        product is least at p = 2; the center has order at most 2n (n-th
+        roots of unity in a unit group with <= 2 cyclic parts), so dividing
+        by it costs at most a factor 2n.
+        """
+        num, den = 1, 1
+        for i in range(2, self.n + 1):
+            num, den = num * (2**i - 1), den * 2**i
+        return num, den * (2 * self.n if allow_central else 1)
 
     def elementary_generators(self, signs: tuple[int, ...] = (1, -1)) -> list[Mat]:
         """All E_ij(c), i != j, c in signs: by default the E_ij(+-1), the
@@ -142,9 +141,6 @@ class GroupSpec:
         pairs = itertools.permutations(range(1, self.n + 1), 2)
         return [matgrp.elementary(self.n, i, j, c) for i, j in pairs for c in signs]
 
-
-_ORDER_CACHE: dict[tuple[int, int], int] = {}
-_CENTER_CACHE: dict[tuple[int, int], int] = {}
 
 SL2 = GroupSpec(2)
 SL3 = GroupSpec(3)

@@ -219,14 +219,13 @@ class QuotientSearch:
     central(q, p, i) says the image is central mod q.  Keys order as
     DetectionResult.key(): (order, q, central flag).
 
-    Lemmas.  Prime powers suffice: SL_n(Z/m), also modulo its center, is the
+    Lemma.  Prime powers suffice: SL_n(Z/m), also modulo its center, is the
     product over the prime powers exactly dividing m, and the element
-    survives mod m only if it does mod one of them.  |SL_n(Z/q)| >= q^dim *
-    prod_{i=2..n} (1 - 2^-i) for every prime power q, the product being the
-    worst case p = 2; the center has order at most 2n (n-th roots of unity
-    in a unit group with <= 2 cyclic parts).  So once q^dim times that floor
-    (self.floor, over 2n with allow_central) exceeds the least order found,
-    no prime power from q on can beat it: the stop rule.
+    survives mod m only if it does mod one of them.  Each q = p**i is keyed
+    by spec.order_pp(p, i) and spec.center_pp(p, i), with the (p, i) the
+    prime-power stream gives, so the search factorizes nothing.  Once q^dim
+    times spec.order_floor(allow_central) (lemma there) exceeds the least
+    order found, no prime power from q on can beat it: the stop rule.
 
     least(survives) reads the stream past `above` until the stop rule holds
     against the least surviving key: the least over all surviving q when no
@@ -237,10 +236,7 @@ class QuotientSearch:
 
     def __init__(self, spec, allow_central: bool = False, above: int = 0, central=None):
         self.spec, self.allow_central, self.central = spec, allow_central, central
-        num, den = 1, 1
-        for i in range(2, spec.n + 1):
-            num, den = num * (2**i - 1), den * 2**i
-        self.floor = num, den * (2 * spec.n if allow_central else 1)
+        self.floor = spec.order_floor(allow_central)
         self._stream = arith.prime_power_stream(above=above)
         self._ahead = next(self._stream)
         self._heap: list[tuple[tuple[int, int, bool], tuple[int, int, int]]] = []
@@ -259,9 +255,9 @@ class QuotientSearch:
         return DetectionResult(modulus, order, central)
 
     def _key(self, q: int, p: int, i: int) -> tuple[int, int, bool]:
-        order = self.spec.order_mod(q)
+        order = self.spec.order_pp(p, i)
         if self.allow_central and not (self.central and self.central(q, p, i)):
-            z = self.spec.center_order_mod(q)
+            z = self.spec.center_pp(p, i)
             if z > 1:
                 return order // z, q, True
         return order, q, False
@@ -270,7 +266,7 @@ class QuotientSearch:
 def congruence_D(a: Mat, spec, allow_central: bool = False) -> DetectionResult:
     """Minimal quotient in the congruence family of `spec` detecting `a`.
 
-    `spec` supplies the group side: order_mod(m), center_order_mod(q), dim, n.
+    `spec` supplies the group side: order_pp, center_pp, order_floor, dim, n.
     With allow_central, quotients SL_n(Z/q) / center compete as well, counting
     only when the image of `a` is not itself central mod q.
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from resfin import arith, matgrp
+from resfin import arith, growth, matgrp
 from resfin import chevalley as ch
 from resfin.chevalley import SL2, SL3, SL4
 
@@ -85,10 +85,10 @@ def lift_from_lie(spec, p, k, i, xbar):
 
 class TestGroupSpec:
     def test_orders_over_prime_fields(self):
-        assert SL2.order_fp(3) == 24
-        assert SL2.order_fp(2) == 6
-        assert SL2.order_fp(5) == 120
-        assert SL3.order_fp(2) == 168
+        assert SL2.order_mod(3) == 24
+        assert SL2.order_mod(2) == 6
+        assert SL2.order_mod(5) == 120
+        assert SL3.order_mod(2) == 168
 
     def test_orders_mod_prime_powers_and_composites(self):
         assert SL2.order_mod(9) == 648
@@ -122,20 +122,56 @@ class TestGroupSpec:
             for m in range(2, 201):
                 assert spec.center_order_mod(m) == len(center_scalars(spec, m)), m
 
-    def test_center_order_repeat_reads_the_cache(self, monkeypatch):
-        first = {m: SL3.center_order_mod(m) for m in (12, 97, 360, 10**12 + 39)}
+    def test_search_path_never_factorizes(self, monkeypatch):
+        # the search keys each q by the (p, i) the prime-power stream gives
+        mats = [
+            ((1, 4), (0, 1)),
+            ((-1, 0), (0, -1)),
+            matgrp.elementary(2, 1, 2, 360),
+            ((1, 0, 60), (0, 1, 0), (0, 0, 1)),
+            ((-1, 0, 0), (0, -1, 0), (0, 0, 1)),
+            matgrp.mat_mul(matgrp.elementary(3, 1, 2, 12), matgrp.elementary(3, 3, 1, 30)),
+            tuple(tuple(-1 if i == j else 0 for j in range(4)) for i in range(4)),
+            matgrp.elementary(4, 2, 3, 840),
+        ]
+        spec = {2: SL2, 3: SL3, 4: SL4}
+        cs = growth.CandidateSeq(SL3)
 
-        def refuse(m):
-            raise AssertionError(f"factorized {m} again")
+        def run():
+            return (
+                [matgrp.congruence_D(a, spec[len(a)], c) for a in mats for c in (False, True)],
+                list(growth.candidate_sweep(cs, 10**4, 10**4 + 2000, True)),
+                growth.farb_growth(growth.elementary_set(3), SL3, 3, allow_central=True).rows,
+            )
+
+        want = run()
+
+        def refuse(*args):
+            raise AssertionError(f"factorized or primality-tested {args}")
 
         monkeypatch.setattr(arith, "factorize", refuse)
-        assert {m: SL3.center_order_mod(m) for m in first} == first
+        monkeypatch.setattr(arith, "is_prime", refuse)
+        assert run() == want
 
     def test_generators(self):
         gens = SL2.elementary_generators()
         assert len(gens) == 4
         assert matgrp.elementary(2, 1, 2, 1) in gens
         assert len(SL3.elementary_generators()) == 12
+
+
+class TestOrderFloor:
+    def test_floor_holds_on_every_prime_power(self):
+        # the stop-rule lemma of order_floor, plain and central, and the
+        # 2n bound on the center it rests on
+        for spec in (SL2, SL3, SL4, ch.GroupSpec(5)):
+            num, den = spec.order_floor()
+            cnum, cden = spec.order_floor(allow_central=True)
+            for q, p, e in arith.prime_power_stream(10**4):
+                order, z = spec.order_pp(p, e), spec.center_pp(p, e)
+                assert order * den >= q**spec.dim * num, (spec.n, q)
+                assert order // z * cden >= q**spec.dim * cnum, (spec.n, q)
+                assert z <= 2 * spec.n, (spec.n, q)
 
 
 class TestEnumerate:

@@ -1,11 +1,13 @@
 """End-to-end tests of the command-line driver: pinned output formats,
 exit codes, and byte-level determinism."""
 
+import contextlib
 import hashlib
 import io
 import itertools
 import json
 import os
+import runpy
 import subprocess
 import sys
 
@@ -405,6 +407,30 @@ def test_search_modes_match_golden_digests():
         assert got == want, argv
 
 
+DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
+
+# sha256 of each demo's stdout, run in process, recorded at b870c6a
+DEMO_DIGESTS = {
+    "counterexample_groups.py": "08f5960f1a833aef78e19edd92fc73f92a0105945999024c5014a1dd88bc9be1",
+    "growth_exponent.py": "61e217ff6cbf443511321fb5868b2eef85451da634346c577575ff2672421cf7",
+    "minimal_quotients.py": "4166f2cda393a863de5af882a0b1f74409be143daedb8b0f2fbc46d9f55df13e",
+    "number_rings.py": "6ca19182f2d1bc09750aa71b7fc3ecb23aa4181b09d2a6a8dfac445b82e30dc9",
+    "structure_suite.py": "cdce0c2aed85f519d06e0b5001c22f294ed9ec1065886ccc89534c4ae0c7cc37",
+}
+
+
+def test_every_demo_has_a_digest():
+    assert sorted(f for f in os.listdir(DEMOS) if f.endswith(".py")) == sorted(DEMO_DIGESTS)
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_DIGESTS))
+def test_demo_output_matches_golden_digest(name):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(os.path.join(DEMOS, name), run_name="__main__")
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == DEMO_DIGESTS[name]
+
+
 USAGE_ERRORS = [  # value errors: exit 2, one "error:" line
     ["dq", "--matrix", "1,2;3"],
     ["dq", "--matrix", ";"],
@@ -413,6 +439,7 @@ USAGE_ERRORS = [  # value errors: exit 2, one "error:" line
     ["dq", "--matrix", "2,0;0,1"],
     ["dq", "--matrix", "1,0;0,1"],
     ["dq", "--group", "gl2", "--matrix", "1,1;0,1"],
+    ["dq", "--group", "sl", "--matrix", "1,1;0,1"],
     ["growth", "--group", "sl1", "--n-max", "1"],
     ["growth", "--group", "sl9x", "--n-max", "1"],
     ["growth", "--group", "sl2", "--n-max", "-1"],
@@ -526,6 +553,11 @@ class TestExitCodes:
         assert (rc, err) == (0, "")
         rows = out.splitlines()[1:]
         assert rows and all(",pass," in row for row in rows), out
+
+    @pytest.mark.parametrize("name", ["sl", "slx", "sl9x"])
+    def test_malformed_group_names(self, name):
+        rc, out, err = run_cli(["dq", "--group", name, "--matrix", "1,1;0,1"])
+        assert (rc, out, err) == (2, "", f"error: unknown group {name!r}\n")
 
     def test_bound_messages(self):
         rc, _, err = run_cli(["ring", "--ring", "f=1,0,1", "--element", "1,1", "--m-max=-5"])

@@ -56,6 +56,12 @@ def reference_powers():
     return {q: arith.is_prime_power(q) for q in arith.prime_powers_up_to(10**4)}
 
 
+@functools.cache
+def reference_orders(spec, q):
+    """(order_mod(q), center_order_mod(q)), computed once per (spec, q)."""
+    return spec.order_mod(q), spec.center_order_mod(q)
+
+
 def reference_search(spec, allow_central, survives, central):
     """Oracle: the least (order, q, central) congruence quotient over the
     prime powers q with survives(q), by a per-call search with its own copy
@@ -73,10 +79,10 @@ def reference_search(spec, allow_central, survives, central):
             return matgrp.DetectionResult(best[1], best[0], best[2] == 1)
         if not survives(q):
             continue
-        order = spec.order_mod(q)
+        order, z = reference_orders(spec, q)
         cands = [(order, q, 0)]
         if allow_central and not central(q):
-            cands.append((order // spec.center_order_mod(q), q, 1))
+            cands.append((order // z, q, 1))
         best = min(cands if best is None else cands + [best])
     raise AssertionError("reference search ran past its prime-power range")
 

@@ -297,14 +297,6 @@ class TestCentralOracle:
         assert (r.modulus, r.quotient_order, r.central_quotient) == (3, 12, True)
 
 
-class TestOrderFloor:
-    def test_floor_holds_for_sl2_and_sl3(self):
-        for spec in (SL2, SL3):
-            num, den = matgrp.QuotientSearch(spec).floor
-            for q in [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27]:
-                assert spec.order_mod(q) * den >= q**spec.dim * num
-
-
 def test_is_central_mod():
     minus = ((-1, 0), (0, -1))
     assert matgrp.is_central_mod(minus, 5)
