@@ -242,8 +242,9 @@ class FiniteGroupTable:
     plus the right Cayley graph of the generators (see closure).
 
     Structural questions are integer-array lookups: left(a) is left
-    multiplication by elements[a], replayed along the BFS tree, and
-    `conjugations` is conjugation by each generator.
+    multiplication by elements[a], replayed along the BFS tree,
+    `conjugations` is conjugation by each generator, and `center` holds the
+    indices they all fix.
     """
 
     spec: GroupSpec
@@ -290,6 +291,12 @@ class FiniteGroupTable:
             for row, s in zip(self.right, self.generators)
         ]
 
+    @cached_property
+    def center(self) -> list[int]:
+        """Indices of the elements fixed by conjugation by every generator."""
+        conj = self.conjugations
+        return [x for x in range(len(self)) if all(c[x] == x for c in conj)]
+
 
 def enumerate_group(spec: GroupSpec, m: int, budget: int = DEFAULT_ENUM_BUDGET) -> FiniteGroupTable:
     """The closure of the E_ij(1) mod m, as a table: they generate SL_n(Z/m)
@@ -316,12 +323,6 @@ def _elementary_mod(spec: GroupSpec, m: int, signs: tuple[int, ...] = (1, -1)) -
     """spec.elementary_generators(signs) reduced mod m, each residue once
     (E_ij(1) = E_ij(-1) mod 2)."""
     return list(dict.fromkeys(reduce_mod(g, m) for g in spec.elementary_generators(signs)))
-
-
-def _center_indices(table: FiniteGroupTable) -> list[int]:
-    """Indices of the elements fixed by conjugation by every generator."""
-    conj = table.conjugations
-    return [x for x in range(len(table)) if all(c[x] == x for c in conj)]
 
 
 # ---------------------------------------------------------------------------
@@ -903,7 +904,7 @@ def normal_subgroups_containing_center(table: FiniteGroupTable) -> list[frozense
     prod = class_product_table(table, classes)
     class_of = {cls[0]: ci for ci, cls in enumerate(classes)}
     z_mask = 0
-    for x in _center_indices(table):  # central classes are singletons
+    for x in table.center:  # central classes are singletons
         z_mask |= 1 << class_of[x]
 
     atoms = {_class_closure(z_mask | 1 << ci, prod) for ci in range(len(classes))}
@@ -934,7 +935,7 @@ def filtration_center_subgroups(table: FiniteGroupTable) -> list[frozenset[int]]
     levels: list[list[int]] = [[] for _ in range(k + 1)]
     for x, g in enumerate(table.elements):
         levels[level_of[math.gcd(p**k, matgrp.detection_gcd(g))]].append(x)
-    by_center = [table.left(z) for z in _center_indices(table)]  # g -> z * g = g * z
+    by_center = [table.left(z) for z in table.center]  # g -> z * g = g * z
     sub: set[int] = set()
     out = set()
     for level in reversed(levels):
@@ -968,7 +969,7 @@ def centerless_quotient_check(table: FiniteGroupTable) -> CheckResult:
     """Does G/Z(G) have trivial center?  (Holds for good primes; fails for
     example at SL_2(Z/4), documenting the excluded-prime boundary.)"""
     instance = f"{table.spec.name},m={table.modulus}"
-    center = _center_indices(table)
+    center = table.center
     second = _second_center_indices(table, center)
     if len(second) == len(center):
         return CheckResult(

@@ -24,10 +24,11 @@ keep the verdict in the split memo: the roots where p splits, () elsewhere.
 min_detecting_ideal reads the full factorization only while p^2 is within
 its norm cap; above that only linear factors can count, and it reads the
 roots of f mod p (one gcd with x^p - x, then Cantor-Zassenhaus).  The
-irreducibility test reads full factorizations, once per f.  Since every
-scan shares the memos, the referee is the oracle in tests/test_numring.py,
-which finds roots by evaluating f at every residue, factors by trial
-division and redoes each scan per call.
+irreducibility test factors f once, at one prime above the Landau-Mignotte
+bound (see _is_irreducible), and writes no memo.  Since every scan shares
+the memos, the referee is the oracle in tests/test_numring.py, which finds
+roots by evaluating f at every residue, factors by trial division and
+redoes each scan per call.
 
 Factoring mod p has no radical step.  The distinct-degree loop takes f mod
 p with its repeated factors: x^(p^g) - x is squarefree, so its gcd with what
@@ -431,129 +432,39 @@ def _split_rows(ring, limit: int, skip: int = 1):
 
 @functools.lru_cache(maxsize=None)
 def _is_irreducible(f: tuple) -> bool:
+    """Is the monic integer polynomial f irreducible over Q?
+
+    Zassenhaus at one prime, with no lifting.  A reducible f of degree d
+    has a monic factor g over Z with deg g <= d/2, and Landau-Mignotte
+    bounds its coefficients by |g_i| <= C(deg g, i) |f|_2 < B =
+    2^(d//2) (isqrt(sum c^2) + 1).  Take the first prime P >= 2B + 1 not
+    dividing disc(f): f mod P is squarefree, so g mod P is the product of
+    a proper subset of the distinct factors of f mod P, and g is that
+    product with its coefficients lifted to (-P/2, P/2].  Hence f is
+    reducible exactly when some such product of degree <= d/2 divides f
+    over Z.  disc(f) = 0 means a repeated factor."""
     d = len(f) - 1
-    if d < 1:
-        return False
     if d == 1:
-        return True
-    if f[0] == 0:
-        return False  # divisible by x
-    for r in _divisors_signed(abs(f[0])):
-        if sum(c * r**i for i, c in enumerate(f)) == 0:
-            return False
-    if d <= 3:
-        return True  # no rational root and degree <= 3
+        return True  # with no prime search, however large f(0)
     disc = _discriminant(f)
     if disc == 0:
-        return False  # repeated factor
-    degree_options = set(range(1, d))
-    good = []
-    # disc has finitely many prime divisors, so six good primes turn up
-    for p in arith.primes():
-        if disc % p == 0:
-            continue
-        factors = _factors_mod(f, p)
-        degs = sorted(len(g) - 1 for g in factors)
-        if degs == [d]:
-            return True
-        good.append((len(degs), p, factors))
-        degree_options &= _subset_sums(degs)
-        if not degree_options:
-            return True
-        if len(good) >= 6:
-            break
-    good.sort()
-    _, p, factors = good[0]
-    return not _has_integer_factor(f, p, factors)
-
-
-def _divisors_signed(c0):
-    out = set()
-    for d in range(1, math.isqrt(c0) + 1):
-        if c0 % d == 0:
-            out.update((d, -d, c0 // d, -(c0 // d)))
-    return sorted(out)
-
-
-def _subset_sums(degs):
-    sums = {0}
-    for g in degs:
-        sums |= {s + g for s in sums}
-    return sums
-
-
-def _has_integer_factor(f, p, factors) -> bool:
-    """Zassenhaus: lift the mod-p factors and test factor subsets over Z."""
-    d = len(f) - 1
-    bound = 2 ** (d // 2) * (math.isqrt(sum(c * c for c in f)) + 1)
-    a = 1
-    q = p
-    while q < 2 * bound + 1:
-        q *= p
-        a += 1
-    lifted = _hensel_lift_list(_pmod_coeffs(f, q), list(factors), p, q)
-    r = len(lifted)
-    for mask in range(1, 2**r - 1):
-        chosen = [lifted[i] for i in range(r) if mask >> i & 1]
-        deg = sum(len(g) - 1 for g in chosen)
-        if deg > d // 2:
-            continue
-        cand = (1,)
-        for g in chosen:
-            cand = _pmul(cand, g, q)
-        centered = tuple(c if c <= q // 2 else c - q for c in cand)
-        _, rem = _zdivmod_monic(f, centered)
-        if not rem:
-            return True
-    return False
-
-
-def _hensel_lift_list(fq, factors, p, q):
-    """Lift a coprime mod-p factorization of fq to hold mod q = p^a."""
-    if len(factors) == 1:
-        return [fq]
-    half = len(factors) // 2
-    g0 = (1,)
-    for fac in factors[:half]:
-        g0 = _pmul(g0, fac, p)
-    h0 = (1,)
-    for fac in factors[half:]:
-        h0 = _pmul(h0, fac, p)
-    g, h = _hensel_lift_pair(fq, g0, h0, p, q)
-    return _hensel_lift_list(g, factors[:half], p, q) + _hensel_lift_list(
-        h, factors[half:], p, q
-    )
-
-
-def _hensel_lift_pair(fq, g0, h0, p, q):
-    s, t = _bezout_mod(g0, h0, p)
-    g, h = g0, h0
-    k = p
-    while k < q:
-        diff = _psub(_pmod_coeffs(fq, k * p), _pmul(g, h, k * p), k * p)
-        e = _ptrim(c // k for c in diff)
-        dg = _pdivmod(_pmul(t, e, p), g0, p)[1]
-        dh = _pdivmod(_pmul(s, e, p), h0, p)[1]
-        g = _ptrim(a + k * b for a, b in itertools.zip_longest(g, dg, fillvalue=0))
-        h = _ptrim(a + k * b for a, b in itertools.zip_longest(h, dh, fillvalue=0))
-        k *= p
-    return _pmod_coeffs(g, q), _pmod_coeffs(h, q)
-
-
-def _bezout_mod(a, b, p):
-    """s, t with s*a + t*b = 1 over F_p, for coprime a, b."""
-    r0, r1 = a, b
-    s0, s1 = (1,), ()
-    t0, t1 = (), (1,)
-    while r1:
-        quo, rem = _pdivmod(r0, r1, p)
-        r0, r1 = r1, rem
-        s0, s1 = s1, _psub(s0, _pmul(quo, s1, p), p)
-        t0, t1 = t1, _psub(t0, _pmul(quo, t1, p), p)
-    if len(r0) != 1:
-        raise ValueError("polynomials are not coprime")
-    inv = pow(r0[0], -1, p)
-    return _ptrim(c * inv % p for c in s0), _ptrim(c * inv % p for c in t0)
+        return False
+    p = 2 * 2 ** (d // 2) * (math.isqrt(sum(c * c for c in f)) + 1) + 1  # 2B + 1
+    try:
+        while disc % p == 0 or not arith.is_prime(p):
+            p += 1
+    except arith.PrimalityRangeError:
+        raise ValueError(
+            f"min_poly coefficients {','.join(map(str, f))} are too large to test for irreducibility"
+        ) from None
+    factors = factor_distinct_mod(f, p)
+    for mask in range(1, 2 ** len(factors) - 1):
+        chosen = [g for i, g in enumerate(factors) if mask >> i & 1]
+        if sum(len(g) - 1 for g in chosen) <= d // 2:
+            g = functools.reduce(lambda a, b: _pmul(a, b, p), chosen)
+            if not _zdivmod_monic(f, tuple(c - p if 2 * c > p else c for c in g))[1]:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

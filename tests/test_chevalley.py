@@ -201,7 +201,7 @@ class TestEnumerate:
 def center_of(table):
     """The elements of the table commuting with all generators (hence with
     everything), read from the library's center indices."""
-    return [table.elements[x] for x in ch._center_indices(table)]
+    return [table.elements[x] for x in table.center]
 
 
 class TestCenters:
@@ -1068,7 +1068,7 @@ def pairwise_saturation(table):
     classes = ch.conjugacy_classes(table)
     prod = ch.class_product_table(table, classes)
     class_of = {cls[0]: ci for ci, cls in enumerate(classes)}
-    z_mask = sum(1 << class_of[x] for x in ch._center_indices(table))
+    z_mask = sum(1 << class_of[x] for x in table.center)
     subgroups = {ch._class_closure(z_mask | 1 << ci, prod) for ci in range(len(classes))}
     subgroups.add(ch._class_closure(z_mask, prod))
     changed = True
@@ -1101,7 +1101,7 @@ class TestEngineAgainstOracles:
         assert table.elements == oracle_closure(matgrp.identity(spec.n), table.generators, m)[0]
         assert ch.conjugacy_classes(table) == oracle_classes(table)
         assert center_of(table) == oracle_center(table)
-        second = [table.elements[g] for g in ch._second_center_indices(table, ch._center_indices(table))]
+        second = [table.elements[g] for g in ch._second_center_indices(table, table.center)]
         assert second == oracle_second_center(table)
         assert ch.normal_subgroups_containing_center(table) == oracle_normal_subgroups(table)
 

@@ -316,6 +316,15 @@ class TestRing:
         rc, _, err = run_cli(["ring", "--ring", "f=x^2+1", "--element", "1,0"])
         assert rc == 2
 
+    def test_large_constant_term(self):
+        rc, out, err = run_cli(["ring", "--ring", "f=1000000000000000001,0,1", "--element", "1,0"])
+        assert (rc, err) == (0, "")
+        assert out.splitlines() == ["split: prime=3,root=1,residue=1", "ideal: prime=2,factor=x+1,norm=2"]
+        rc, out, err = run_cli(["ring", "--ring", "f=1000000000000000000000001,0,1", "--element", "1,0"])
+        assert (rc, out) == (2, "")
+        assert err == ("error: min_poly coefficients 1000000000000000000000001,0,1 "
+                       "are too large to test for irreducibility\n")
+
 
 class TestDeterminism:
     def test_seeded_verify_is_byte_identical(self):
@@ -484,6 +493,7 @@ USAGE_ERRORS = [  # value errors: exit 2, one "error:" line
     ["ring", "--ring", "f=1,0,1", "--element", "1,1", "--m-max", "0"],
     ["ring", "--ring", "f=1,0,1", "--element", "1,1", "--m-max=-5"],
     ["ring", "--ring", "f=1,0,1", "--element", "1,1", "--m-max", "200000000"],
+    ["ring", "--ring", "f=1000000000000000000000001,0,1", "--element", "1,0"],
 ]
 
 ARGPARSE_ERRORS = [  # exit 2 from argparse itself

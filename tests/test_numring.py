@@ -68,18 +68,110 @@ class TestConstruction:
                 nr.NumberRing(coeffs)
 
     def test_reducible_quartic_rejected_again_from_the_memo(self):
-        # x^4 + 4 = (x^2 + 2x + 2)(x^2 - 2x + 2): no rational root, so the
-        # first construction reaches the factor search and the second reads
+        # x^4 + 4 = (x^2 + 2x + 2)(x^2 - 2x + 2): no rational root, so only
+        # a quadratic subset product shows it; the second construction reads
         # the memoized verdict
         for _ in range(2):
             with pytest.raises(ValueError, match="reducible"):
                 nr.NumberRing((4, 0, 0, 0, 1))
 
     def test_accepts_irreducible_quartics(self):
-        # x^4+1 is reducible mod every prime, so the lift-and-recombine
-        # stage has to do the work
+        # x^4+1 is reducible mod every prime, so the subset products of its
+        # factors mod the test prime have to do the work
         assert nr.NumberRing((1, 0, 0, 0, 1)).degree == 4
         assert nr.NumberRing((1, 1, 1, 1, 1)).degree == 4
+
+    def test_large_constant_term_constructs(self):
+        # f(0) = 10^18 + 1: the test prime is near 4 * 10^18, and nothing
+        # scans the divisors of f(0)
+        assert nr.NumberRing((10**18 + 1, 0, 1)).degree == 2
+        assert nr.NumberRing((10**30, 1)).degree == 1
+
+    def test_coefficients_past_the_primality_range_raise(self):
+        # the test prime would pass the deterministic Miller-Rabin bound
+        with pytest.raises(ValueError, match=r"^min_poly coefficients 1000000000000000000000001,0,1 "):
+            nr.NumberRing((10**24 + 1, 0, 1))
+
+    def test_construction_writes_no_scan_memo(self):
+        f = (3, 3, 0, 0, 1)  # x^4 + 3x + 3, Eisenstein at 3, used by no other test
+        nr._is_irreducible.cache_clear()
+        _clear_memos(f)
+        assert nr.NumberRing(f).degree == 4
+        assert all(f not in memo for memo in (nr._FACTORS, nr._ROOTS, nr._SPLIT, nr._FROBENIUS))
+
+
+def _divides_monic(f, g):
+    """Does the monic g divide f over Z?  Schoolbook long division."""
+    rem = list(f)
+    for i in range(len(f) - len(g), -1, -1):
+        coef = rem[i + len(g) - 1]
+        for j, y in enumerate(g):
+            rem[i + j] -= coef * y
+    return not any(rem)
+
+
+def _reducible_oracle(f):
+    """Brute force for monic f of degree 2..5, with none of numring's code.
+
+    A reducible f of degree <= 5 has a monic factor of degree 1 or 2 over Z.
+    The constant term of such a factor divides f(0) (for f(0) != 0), and the
+    x-coefficient of x^2 + ax + b is minus a sum of two roots, which Cauchy's
+    bound |root| < 1 + max |c_i| keeps below 2 (1 + max |c_i|) in size."""
+    if f[0] == 0:
+        return True
+    c0 = abs(f[0])
+    divisors = [s * t for t in range(1, c0 + 1) if c0 % t == 0 for s in (1, -1)]
+    if any(_divides_monic(f, (-r, 1)) for r in divisors):
+        return True
+    a_max = 2 * (1 + max(abs(c) for c in f))
+    return len(f) - 1 >= 4 and any(
+        _divides_monic(f, (b, a, 1)) for b in divisors for a in range(-a_max, a_max + 1)
+    )
+
+
+class TestIrreducibilityOracle:
+    """_is_irreducible against the brute-force factor search, degree <= 5."""
+
+    @staticmethod
+    def _check(polys):
+        polys = list(polys)
+        wrong = [f for f in polys if nr._is_irreducible(f) == _reducible_oracle(f)]
+        assert not wrong, wrong[:5]
+        return sum(map(_reducible_oracle, polys))
+
+    def test_every_small_polynomial_of_degree_2_to_4(self):
+        polys = [low + (1,) for d in (2, 3, 4) for low in itertools.product(range(-2, 3), repeat=d)]
+        assert len(polys) == 775
+        assert self._check(polys) == 334  # reducible ones
+
+    def test_seeded_quintics(self):
+        rng = random.Random(19)
+        polys = [tuple(rng.randint(-12, 12) for _ in range(5)) + (1,) for _ in range(150)]
+        assert self._check(polys) == 16
+
+    def test_products_of_two_seeded_factors(self):
+        rng = random.Random(23)
+
+        def monic(d):
+            return tuple(rng.randint(-4, 4) for _ in range(d)) + (1,)
+
+        def product(g, h):
+            return tuple(sum(g[i] * h[k - i] for i in range(len(g)) if 0 <= k - i < len(h))
+                         for k in range(len(g) + len(h) - 1))
+
+        polys = []
+        for _ in range(200):
+            a = rng.randint(1, 2)
+            polys.append(product(monic(a), monic(rng.randint(1, 5 - a))))
+        assert self._check(polys) == len(polys)
+
+    def test_first_prime_dividing_the_discriminant_is_passed_over(self):
+        # (x^2 - 17x + 12)(x^3 + x + 1): 241 is the first prime >= 2B + 1,
+        # and x^2 - 17x + 12 has discriminant 241, so it is (x - r)^2 mod
+        # 241, which no product of distinct factors mod 241 gives
+        f = (12, -5, -16, 13, -17, 1)
+        assert nr._discriminant(f) % 241 == 0
+        assert self._check([f]) == 1
 
 
 class TestArithmetic:
