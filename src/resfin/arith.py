@@ -11,7 +11,6 @@ import bisect
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 # Deterministic Miller-Rabin witnesses, exact for n < 3 317 044 064 679 887 385 961 981.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -69,31 +68,6 @@ def primes_up_to(limit: int) -> list[int]:
     return [i for i in range(limit + 1) if sieve[i]]
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization as a sorted tuple of (prime, exponent) pairs."""
-
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        for (p, e) in self.factors:
-            if e < 1:
-                raise ValueError(f"exponent {e} < 1 in factorization")
-        primes = [p for p, _ in self.factors]
-        if primes != sorted(primes) or len(set(primes)) != len(primes):
-            raise ValueError("factorization primes must be strictly increasing")
-
-    @property
-    def value(self) -> int:
-        out = 1
-        for p, e in self.factors:
-            out *= p**e
-        return out
-
-    def __iter__(self):
-        return iter(self.factors)
-
-
 def _pollard_rho(n: int) -> int:
     """A nontrivial factor of composite odd n, Brent's variant, deterministic."""
     if n % 2 == 0:
@@ -122,8 +96,8 @@ def _factor_into(n: int, acc: dict[int, int]) -> None:
     _factor_into(n // d, acc)
 
 
-def factorize(n: int) -> Factorization:
-    """Full prime factorization of n >= 1.  factorize(1) has no factors."""
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """The prime factorization of n >= 1 as sorted (prime, exponent) pairs; () for n = 1."""
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     acc: dict[int, int] = {}
@@ -133,7 +107,7 @@ def factorize(n: int) -> Factorization:
             n //= p
     if n > 1:
         _factor_into(n, acc)
-    return Factorization(tuple(sorted(acc.items())))
+    return tuple(sorted(acc.items()))
 
 
 def lcm_valuation(k: int, p: int) -> int:
@@ -173,7 +147,7 @@ def least_nondivisor(m: int) -> int:
 
 def is_prime_power(q: int) -> tuple[int, int] | None:
     """(p, i) with q = p**i if q is a prime power, else None."""
-    f = factorize(q).factors if q >= 2 else ()
+    f = factorize(q) if q >= 2 else ()
     return f[0] if len(f) == 1 else None
 
 

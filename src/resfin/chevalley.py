@@ -62,7 +62,8 @@ EXCLUDED_PRIMES = (2, 3)
 class GroupSpec:
     """A split form SL_n with its numerical invariants: the order and center
     of SL_n(Z/p^e) per prime power, their products over Z/m, and the order
-    floor behind QuotientSearch's stop rule, with its lemma."""
+    floor behind QuotientSearch's stop rule, with its lemma; and its roots,
+    whose one order every list of root elements E_ij in resfin follows."""
 
     n: int
     family: str = "SL"
@@ -135,11 +136,16 @@ class GroupSpec:
             num, den = num * (2**i - 1), den * 2**i
         return num, den * (2 * self.n if allow_central else 1)
 
+    @property
+    def roots(self) -> tuple[tuple[int, int], ...]:
+        """The roots of SL_n as 1-based index pairs (i, j), i != j, in the one
+        order of every E_ij list: generators, Lie basis, word letters."""
+        return tuple(itertools.permutations(range(1, self.n + 1), 2))
+
     def elementary_generators(self, signs: tuple[int, ...] = (1, -1)) -> list[Mat]:
-        """All E_ij(c), i != j, c in signs: by default the E_ij(+-1), the
-        standard generating set of SL_n(Z)."""
-        pairs = itertools.permutations(range(1, self.n + 1), 2)
-        return [matgrp.elementary(self.n, i, j, c) for i, j in pairs for c in signs]
+        """All E_ij(c), (i, j) in roots, c in signs: by default the E_ij(+-1),
+        the standard generating set of SL_n(Z)."""
+        return [matgrp.elementary(self.n, i, j, c) for i, j in self.roots for c in signs]
 
 
 SL2 = GroupSpec(2)
@@ -344,13 +350,13 @@ def filtration_generators(spec: GroupSpec, p: int, k: int, i: int) -> list[Mat]:
     operations move to the diagonal and use to clear the column); and
     E_rc(z) = E_rc(1)^z.
 
-    i >= 1: E_rc(p^i) for r != c, and diag(.., u, u^-1, ..) in positions
-    (l, l+1) for u = 1 + p^t, i <= t < k.  Lemma: every g = I + p^i x has
-    g = L D U mod p^k with L (U) lower (upper) unitriangular with
-    off-diagonal entries in p^i Z, and D diagonal in 1 + p^i Z, because the
-    leading minors of g are 1 mod p (units) and each elimination step keeps
-    the Schur complement = I mod p^i.  L and U are products of
-    E_rc(p^i)^a.  D, of determinant 1, is the product over l of
+    i >= 1: E_rc(p^i) for the roots (r, c), and diag(.., u, u^-1, ..) in
+    positions (l, l+1) for u = 1 + p^t, i <= t < k.  Lemma: every
+    g = I + p^i x has g = L D U mod p^k with L (U) lower (upper)
+    unitriangular with off-diagonal entries in p^i Z, and D diagonal in
+    1 + p^i Z, because the leading minors of g are 1 mod p (units) and each
+    elimination step keeps the Schur complement = I mod p^i.  L and U are
+    products of E_rc(p^i)^a.  D, of determinant 1, is the product over l of
     diag(.., e_l, e_l^-1, ..) with e_l = d_1 .. d_l, and the units
     1 + p^t (i <= t < k) generate 1 + p^i Z/p^k: each maps onto a generator
     of (1 + p^t Z)/(1 + p^(t+1) Z) = Z/p.  Neither lemma excludes p = 2.
@@ -363,10 +369,7 @@ def filtration_generators(spec: GroupSpec, p: int, k: int, i: int) -> list[Mat]:
     if i == 0:
         return _elementary_mod(spec, q)
     n = spec.n
-    gens = [
-        reduce_mod(matgrp.elementary(n, r, c, p**i), q)
-        for r in range(1, n + 1) for c in range(1, n + 1) if r != c
-    ]
+    gens = _elementary_mod(spec, q, signs=(p**i,))
     for t in range(i, k):
         u = 1 + p**t
         for l in range(n - 1):
@@ -586,28 +589,18 @@ def gaussian_binomial(d: int, t: int, p: int) -> int:
 def lie_algebra_basis(spec: GroupSpec, p: int) -> list[Mat]:
     """Standard basis of sl_n(F_p): off-diagonal e_ij plus h_l = e_ll - e_(l+1)(l+1)."""
     n = spec.n
-    basis = []
-    for r in range(n):
-        for c in range(n):
-            if r != c:
-                basis.append(tuple(tuple(1 if (x, y) == (r, c) else 0 for y in range(n)) for x in range(n)))
-    for l in range(n - 1):
-        basis.append(
-            tuple(
-                tuple(
-                    (1 if (x, y) == (l, l) else (p - 1) if (x, y) == (l + 1, l + 1) else 0)
-                    for y in range(n)
-                )
-                for x in range(n)
-            )
-        )
+    cells = [{(i, j): 1} for i, j in spec.roots]  # (row, column) -> entry, 1-based
+    cells += [{(l, l): 1, (l + 1, l + 1): p - 1} for l in range(1, n)]
+    basis = [
+        tuple(tuple(c.get((x, y), 0) for y in range(1, n + 1)) for x in range(1, n + 1)) for c in cells
+    ]
     assert len(basis) == spec.dim
     return basis
 
 
 def _lie_coords(x: Mat, p: int, n: int) -> list[int]:
     """Coordinates of a trace-zero matrix in the lie_algebra_basis order."""
-    coords = [x[r][c] % p for r in range(n) for c in range(n) if r != c]
+    coords = [x[i - 1][j - 1] % p for i, j in GroupSpec(n).roots]
     acc = 0
     for l in range(n - 1):
         acc = (acc + x[l][l]) % p
@@ -1035,10 +1028,10 @@ def strong_approx_check(
         # every E_ij(+-1), duplicates kept: the seeded draws index this list
         base_gens = [reduce_mod(g, m) for g in spec.elementary_generators()]
         rng = random.Random(seed)
-        pairs = list(itertools.permutations(range(1, spec.n + 1), 2))
+        roots = spec.roots
         conjugates = {}  # insertion-ordered, each once
         for _ in range(trials):
-            i, j = pairs[rng.randrange(len(pairs))]
+            i, j = roots[rng.randrange(len(roots))]
             sign = 1 if rng.randrange(2) == 0 else -1
             core = reduce_mod(matgrp.elementary(spec.n, i, j, sign * N), m)
             w = identity(spec.n)

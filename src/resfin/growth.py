@@ -16,7 +16,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from resfin import arith, matgrp
-from resfin.chevalley import BudgetExceededError
+from resfin.chevalley import BudgetExceededError, GroupSpec
 from resfin.matgrp import Mat, DetectionResult
 
 DEFAULT_BALL_BUDGET = 10**6
@@ -29,48 +29,28 @@ MATERIALIZE_LIMIT = 64
 
 @dataclass(frozen=True)
 class GeneratingSet:
-    """A symmetrized generating set with printable labels."""
+    """A named generating set, closed under inverses."""
 
     name: str
-    labels: tuple[str, ...]
     mats: tuple[Mat, ...]
 
     def __post_init__(self):
-        if len(self.labels) != len(self.mats):
-            raise ValueError("labels and matrices must align")
         pool = set(self.mats)
         for m in self.mats:
             if matgrp.mat_inv(m) not in pool:
                 raise ValueError(f"set not closed under inverse at {m}")
-
-    def __iter__(self):
-        return iter(zip(self.labels, self.mats))
 
 
 def sl2_st() -> GeneratingSet:
     """The classical {S, T} generators of SL_2(Z), symmetrized."""
     s = matgrp.mat([[0, -1], [1, 0]])
     t = matgrp.elementary(2, 1, 2, 1)
-    return GeneratingSet(
-        "S,T",
-        ("S", "S^-1", "T", "T^-1"),
-        (s, matgrp.mat_inv(s), t, matgrp.mat_inv(t)),
-    )
+    return GeneratingSet("S,T", (s, matgrp.mat_inv(s), t, matgrp.mat_inv(t)))
 
 
 def elementary_set(n: int) -> GeneratingSet:
-    """All E_ij(+-1) for SL_n(Z)."""
-    labels = []
-    mats = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            labels.append(f"E{i}{j}")
-            mats.append(matgrp.elementary(n, i, j, 1))
-            labels.append(f"E{i}{j}^-1")
-            mats.append(matgrp.elementary(n, i, j, -1))
-    return GeneratingSet(f"E({n})", tuple(labels), tuple(mats))
+    """All E_ij(+-1) for SL_n(Z), in GroupSpec(n).elementary_generators order."""
+    return GeneratingSet(f"E({n})", tuple(GroupSpec(n).elementary_generators()))
 
 
 def word_ball(gens: GeneratingSet, n: int, budget: int = DEFAULT_BALL_BUDGET) -> dict[Mat, int]:
@@ -474,9 +454,10 @@ def fit_exponent(pairs) -> FitResult:
 # short unipotent words
 
 
-def short_unipotent_word(spec, z: int, i: int = 1, j: int = 3) -> list[str]:
+def short_unipotent_word(spec, z: int, i: int = 1, j: int = 3) -> list[tuple[int, int, int]]:
     """A word in the E_ab(+-1) generators multiplying to exactly E_ij(z), of
     length l(z) <= C ln|z| + C' with C = 5 / ln(phi) < 10.4 and C' = 11.
+    Its letters are (a, b, c), each standing for E_ab(c) with c = +-1.
 
     Lemma.  Let l be the spare index and B = E_jl(1) E_lj(1).  The products
     E(a, b) = E_ij(a) E_il(b) form an abelian group U = Z^2, and B acts on
@@ -513,12 +494,12 @@ def short_unipotent_word(spec, z: int, i: int = 1, j: int = 3) -> list[str]:
         raise ValueError("z must be nonzero")
     if i == j or not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("need distinct in-range target indices")
-    letter = {1: [f"E{i}{j}"], 0: [], -1: [f"E{i}{j}^-1"]}
+    letter = {1: [(i, j, 1)], 0: [], -1: [(i, j, -1)]}
     sign = 1 if z > 0 else -1
     if abs(z) <= 3:
         return letter[sign] * abs(z)
     l = _spare_index(n, i, j)
-    b = [f"E{j}{l}", f"E{l}{j}"]
+    b = [(j, l, 1), (l, j, 1)]
     b_inv = _invert_word(b)
     digits = _golden_digits(abs(z))
     bottom, top = min(digits), max(digits)
@@ -532,9 +513,8 @@ def _spare_index(n: int, i: int, j: int) -> int:
     return next(l for l in range(1, n + 1) if l != i and l != j)
 
 
-def _invert_word(word: list[str]) -> list[str]:
-    inverse = {tok: tok[:-3] if tok.endswith("^-1") else tok + "^-1" for tok in set(word)}
-    return list(map(inverse.__getitem__, reversed(word)))
+def _invert_word(word: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+    return [(a, b, -c) for a, b, c in reversed(word)]
 
 
 def _golden_digits(m: int) -> dict[int, int]:
@@ -573,20 +553,17 @@ def _nonnegative(a: int, b: int) -> bool:
     return (p > 0) == (p * p > 5 * b * b)
 
 
-def evaluate_word(n: int, word: list[str]) -> Mat:
-    """Multiply a label word out exactly.  Each letter E_ij(+-1) acts on the
-    right as the column operation column j += +-column i, in place."""
-    letters = {}
-    for i in range(min(n, 9)):  # labels carry one digit per index
-        for j in range(min(n, 9)):
-            if i != j:
-                letters[f"E{i + 1}{j + 1}"] = (i, j, 1)
-                letters[f"E{i + 1}{j + 1}^-1"] = (i, j, -1)
-    out = [list(row) for row in matgrp.identity(n)]
-    for tok in word:
-        if tok not in letters:
-            raise ValueError(f"bad generator label {tok!r}")
-        i, j, z = letters[tok]
+def evaluate_word(n: int, word: list[tuple[int, int, int]]) -> Mat:
+    """Multiply a word out exactly.  A letter is a tuple (i, j, c) with (i, j)
+    in GroupSpec(n).roots and c = +-1, standing for E_ij(c); it acts on the
+    right as the column operation column j += c * column i, in place.  Any
+    other letter is a ValueError naming it."""
+    letters = {(i, j, c) for i, j in GroupSpec(n).roots for c in (1, -1)}
+    out = [[0, *row] for row in matgrp.identity(n)]  # column 0 pads, so indices stay 1-based
+    for letter in word:
+        if type(letter) is not tuple or letter not in letters:
+            raise ValueError(f"bad letter {letter!r}: not (i, j, +-1) with i != j in 1..{n}")
+        i, j, c = letter
         for row in out:
-            row[j] += z * row[i]
-    return tuple(tuple(row) for row in out)
+            row[j] += c * row[i]
+    return tuple(tuple(row[1:]) for row in out)

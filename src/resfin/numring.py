@@ -442,7 +442,9 @@ def _is_irreducible(f: tuple) -> bool:
     a proper subset of the distinct factors of f mod P, and g is that
     product with its coefficients lifted to (-P/2, P/2].  Hence f is
     reducible exactly when some such product of degree <= d/2 divides f
-    over Z.  disc(f) = 0 means a repeated factor."""
+    over Z.  Its lifted constant term is g(0), which divides f(0), so a
+    subset whose lifted constant product does not is skipped unbuilt.
+    disc(f) = 0 means a repeated factor."""
     d = len(f) - 1
     if d == 1:
         return True  # with no prime search, however large f(0)
@@ -460,7 +462,9 @@ def _is_irreducible(f: tuple) -> bool:
     factors = factor_distinct_mod(f, p)
     for mask in range(1, 2 ** len(factors) - 1):
         chosen = [g for i, g in enumerate(factors) if mask >> i & 1]
-        if sum(len(g) - 1 for g in chosen) <= d // 2:
+        c0 = math.prod(g[0] for g in chosen) % p
+        c0 -= p if 2 * c0 > p else 0
+        if sum(len(g) - 1 for g in chosen) <= d // 2 and not (f[0] % c0 if c0 else f[0]):
             g = functools.reduce(lambda a, b: _pmul(a, b, p), chosen)
             if not _zdivmod_monic(f, tuple(c - p if 2 * c > p else c for c in g))[1]:
                 return False

@@ -33,21 +33,21 @@ def trial_division_factorize(n):
 
 class TestFactorize:
     def test_twelve(self):
-        assert arith.factorize(12).factors == ((2, 2), (3, 1))
+        assert arith.factorize(12) == ((2, 2), (3, 1))
 
     def test_one_is_empty(self):
-        assert arith.factorize(1).factors == ()
+        assert arith.factorize(1) == ()
 
     def test_prime(self):
-        assert arith.factorize(97).factors == ((97, 1),)
+        assert arith.factorize(97) == ((97, 1),)
 
     def test_against_trial_division_small(self):
         for n in range(1, 2000):
-            assert arith.factorize(n).factors == trial_division_factorize(n)
+            assert arith.factorize(n) == trial_division_factorize(n)
 
     def test_large_semiprime(self):
         p, q = 1_000_000_007, 998_244_353
-        assert arith.factorize(p * q).factors == ((q, 1), (p, 1))
+        assert arith.factorize(p * q) == ((q, 1), (p, 1))
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -57,7 +57,8 @@ class TestFactorize:
     @given(st.integers(min_value=1, max_value=10**12))
     def test_roundtrip(self, n):
         f = arith.factorize(n)
-        assert f.value == n
+        assert math.prod(p**e for p, e in f) == n
+        assert all(e >= 1 for _, e in f)
         primes = [p for p, _ in f]
         assert primes == sorted(set(primes))
         assert all(arith.is_prime(p) for p in primes)

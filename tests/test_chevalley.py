@@ -322,7 +322,7 @@ class TestGradedMaps:
             ch.graded_image(matgrp.elementary(2, 1, 2, 1), 5, 1)
 
     def test_lie_coords_invert_basis(self):
-        for spec, p in [(SL2, 5), (SL3, 2), (SL3, 7)]:
+        for spec, p in [(SL2, 5), (SL3, 2), (SL3, 7), (SL4, 3), (ch.GroupSpec(5), 2)]:
             basis = ch.lie_algebra_basis(spec, p)
             assert len(basis) == spec.dim
             for idx, b in enumerate(basis):
@@ -380,6 +380,23 @@ def closed(gens, m):
     return set(ch.closure(matgrp.identity(len(gens[0])), gens, m)[0])
 
 
+def explicit_filtration_generators(spec, p, k, i):
+    """X_i for i >= 1 by explicit loops, in order: the E_rc(p^i), r != c,
+    row-major, then the diagonal units by t and then by position, each once."""
+    n, q = spec.n, p**k
+    gens = [
+        matgrp.reduce_mod(matgrp.elementary(n, r, c, p**i), q)
+        for r in range(1, n + 1) for c in range(1, n + 1) if r != c
+    ]
+    for t in range(i, k):
+        u = 1 + p**t
+        for l in range(n - 1):
+            d = [1] * n
+            d[l], d[l + 1] = u % q, pow(u, -1, q)
+            gens.append(tuple(tuple(d[r] if r == c else 0 for c in range(n)) for r in range(n)))
+    return list(dict.fromkeys(gens))
+
+
 class TestFiltrationGenerators:
     @pytest.mark.parametrize(
         "spec,p,k",
@@ -388,6 +405,7 @@ class TestFiltrationGenerators:
     )
     def test_levels_close_to_filtration_elements(self, spec, p, k):
         for i in range(1, k + 1):
+            assert ch.filtration_generators(spec, p, k, i) == explicit_filtration_generators(spec, p, k, i), i
             got = closed(ch.filtration_generators(spec, p, k, i), p**k)
             assert got == set(filtration_elements(spec, p, k, i)), i
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from resfin import arith, matgrp
 from resfin import growth as gr
-from resfin.chevalley import SL2, SL3, SL4, BudgetExceededError
+from resfin.chevalley import SL2, SL3, SL4, BudgetExceededError, GroupSpec
 
 
 def brute_ball(gens, n):
@@ -35,18 +35,14 @@ def brute_ball(gens, n):
 
 
 MINUS_I = ((-1, 0), (0, -1))
-A_MINUS_I = gr.GeneratingSet(
-    "A,-I", ("A", "A^-1", "-I"), (((-3, 2), (-2, 1)), ((1, -2), (2, -3)), MINUS_I)
-)
+A_MINUS_I = gr.GeneratingSet("A,-I", (((-3, 2), (-2, 1)), ((1, -2), (2, -3)), MINUS_I))
 # R = diag(-1, 1) and -I_3 have det -1, so the central key keeps its det - 1
 # term for these sets
 R_T = gr.GeneratingSet(
-    "R,T", ("R", "T", "T^-1"),
-    (((-1, 0), (0, 1)), matgrp.elementary(2, 1, 2, 1), matgrp.elementary(2, 1, 2, -1)),
+    "R,T", (((-1, 0), (0, 1)), matgrp.elementary(2, 1, 2, 1), matgrp.elementary(2, 1, 2, -1))
 )
 E3_MINUS_I = gr.GeneratingSet(
-    "E(3),-I", gr.elementary_set(3).labels + ("-I",),
-    gr.elementary_set(3).mats + (((-1, 0, 0), (0, -1, 0), (0, 0, -1)),),
+    "E(3),-I", gr.elementary_set(3).mats + (((-1, 0, 0), (0, -1, 0), (0, 0, -1)),)
 )
 
 
@@ -147,16 +143,13 @@ def reference_synth(n, i, j, z, words=None):
 def _reference_word(n, i, j, z, words):
     mag = abs(z)
     if mag <= 3:
-        return [f"E{i}{j}" if z > 0 else f"E{i}{j}^-1"] * mag
+        return [(i, j, 1 if z > 0 else -1)] * mag
     l = next(x for x in range(1, n + 1) if x not in (i, j))
     sign = 1 if z > 0 else -1
 
     def commutator(a, b):
         wa, wb = reference_synth(n, i, l, a, words), reference_synth(n, l, j, b, words)
-        inverse = [
-            [tok[:-3] if tok.endswith("^-1") else tok + "^-1" for tok in reversed(w)]
-            for w in (wa, wb)
-        ]
+        inverse = [[(a, b, -c) for a, b, c in reversed(w)] for w in (wa, wb)]
         return wa + wb + inverse[0] + inverse[1]
 
     if mag & (mag - 1) == 0:
@@ -214,12 +207,13 @@ class TestGeneratingSet:
     def test_rejects_asymmetric(self):
         t = matgrp.elementary(2, 1, 2, 1)
         with pytest.raises(ValueError):
-            gr.GeneratingSet("bad", ("T",), (t,))
+            gr.GeneratingSet("bad", (t,))
 
     def test_elementary_set(self):
         gens = gr.elementary_set(3)
         assert len(gens.mats) == 12
-        assert dict(gens)["E13^-1"] == matgrp.elementary(3, 1, 3, -1)
+        assert gens.mats[3] == matgrp.elementary(3, 1, 3, -1)
+        assert gens.mats == tuple(matgrp.elementary(3, i, j, c) for i, j in SL3.roots for c in (1, -1))
 
 
 class TestFarbGrowth:
@@ -298,10 +292,7 @@ class TestFarbGrowth:
         # S^-1 is found first and S, T^-1, T tie with it at order 6 on
         # sphere 1; S is the least in entries order
         s, t = matgrp.mat([[0, -1], [1, 0]]), matgrp.elementary(2, 1, 2, 1)
-        gens = gr.GeneratingSet(
-            "S^-1,S,T^-1,T", ("S^-1", "S", "T^-1", "T"),
-            (matgrp.mat_inv(s), s, matgrp.mat_inv(t), t),
-        )
+        gens = gr.GeneratingSet("S^-1,S,T^-1,T", (matgrp.mat_inv(s), s, matgrp.mat_inv(t), t))
         table = gr.farb_growth(gens, SL2, 3)
         assert next(iter(gr.word_ball(gens, 1))) == matgrp.identity(2)
         assert list(gr.word_ball(gens, 1))[1] == matgrp.mat_inv(s)
@@ -362,7 +353,7 @@ class TestCandidateSeq:
 def arith_factors(m):
     from resfin import arith
 
-    return arith.factorize(m).factors
+    return arith.factorize(m)
 
 
 class TestCandidateDAnalytic:
@@ -546,14 +537,14 @@ def check_word(spec, z, i, j, baseline=None):
 
 class TestShortUnipotentWord:
     def test_single_generator(self):
-        assert gr.short_unipotent_word(SL3, 1) == ["E13"]
-        assert gr.short_unipotent_word(SL3, -3) == ["E13^-1"] * 3
+        assert gr.short_unipotent_word(SL3, 1) == [(1, 3, 1)]
+        assert gr.short_unipotent_word(SL3, -3) == [(1, 3, -1)] * 3
 
     def test_four_is_eleven_letters(self):
         # 4 = lam + 1 + lam^-1 for lam = phi^2: B E13 B^-1 E13 B^-1 E13 B
         w = gr.short_unipotent_word(SL3, 4)
-        assert w == ["E32", "E23", "E13", "E23^-1", "E32^-1", "E13",
-                     "E23^-1", "E32^-1", "E13", "E32", "E23"]
+        assert w == [(3, 2, 1), (2, 3, 1), (1, 3, 1), (2, 3, -1), (3, 2, -1), (1, 3, 1),
+                     (2, 3, -1), (3, 2, -1), (1, 3, 1), (3, 2, 1), (2, 3, 1)]
         assert gr.evaluate_word(3, w) == matgrp.elementary(3, 1, 3, 4)
 
     def test_highly_composite(self):
@@ -578,17 +569,22 @@ class TestShortUnipotentWord:
         w = gr.short_unipotent_word(SL4, 12345, i=2, j=1)
         assert gr.evaluate_word(4, w) == matgrp.elementary(4, 2, 1, 12345)
 
+    def test_two_digit_indices(self):
+        # two-digit indices: the word holds both E_11,1 and E_1,11
+        w = gr.short_unipotent_word(GroupSpec(11), 12345, i=10, j=11)
+        assert (11, 1, 1) in w and (1, 11, 1) in w
+        assert gr.evaluate_word(11, w) == matgrp.elementary(11, 10, 11, 12345)
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(2, 4).flatmap(lambda n: st.tuples(
         st.just(n),
-        st.lists(st.sampled_from(gr.elementary_set(n).labels), max_size=40),
+        st.lists(st.sampled_from([(i, j, c) for i, j in GroupSpec(n).roots for c in (1, -1)]), max_size=40),
     )))
     def test_column_ops_match_matrix_products(self, case):
         n, word = case
-        letters = dict(gr.elementary_set(n))
         expect = matgrp.identity(n)
-        for tok in word:
-            expect = matgrp.mat_mul(expect, letters[tok])
+        for i, j, c in word:
+            expect = matgrp.mat_mul(expect, matgrp.elementary(n, i, j, c))
         assert gr.evaluate_word(n, word) == expect
 
     # check_word compares these z with reference_synth on length only
@@ -647,12 +643,9 @@ class TestShortUnipotentWord:
             gr.short_unipotent_word(SL3, 0)
         with pytest.raises(ValueError):
             gr.short_unipotent_word(SL3, 5, i=1, j=1)
-        with pytest.raises(ValueError):
-            gr.evaluate_word(3, ["X12"])
-        with pytest.raises(ValueError):
-            gr.evaluate_word(3, ["E14"])
-        with pytest.raises(ValueError):
-            gr.evaluate_word(3, ["E22^-1"])
+        for bad in [(1, 4, 1), (2, 2, -1), (1, 2, 2), "E12"]:
+            with pytest.raises(ValueError, match="bad letter"):
+                gr.evaluate_word(3, [(1, 2, 1), bad])
 
 
 def test_detection_is_viewpoint_free():

@@ -174,6 +174,54 @@ class TestIrreducibilityOracle:
         assert self._check([f]) == 1
 
 
+def _zpoly_add(u, v):
+    return tuple(a + b for a, b in itertools.zip_longest(u, v, fillvalue=0))
+
+
+def _zpoly_mul(u, v):
+    out = [0] * (len(u) + len(v) - 1)
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+def _sum_of_square_roots_poly(qs):
+    """The monic polynomial of degree 2^len(qs) with root sum(sqrt(q)): from
+    p = x, each q maps p to A^2 - q B^2, where p(x + sqrt q) = A + sqrt(q) B."""
+    p = (0, 1)
+    for q in qs:
+        a, b = (0,), (0,)
+        for c in reversed(p):  # Horner: (a + s b)(x + s) + c with s^2 = q
+            a, b = (_zpoly_add(_zpoly_add((0,) + a, tuple(q * t for t in b)), (c,)),
+                    _zpoly_add(a, (0,) + b))
+        p = _zpoly_add(_zpoly_mul(a, a), tuple(-q * t for t in _zpoly_mul(b, b)))
+        while not p[-1]:
+            p = p[:-1]
+    return p
+
+
+class TestConstantTermFilter:
+    """A subset of the factors mod P whose lifted constant product does not
+    divide f(0) is no factor, and is skipped before its product is built."""
+
+    # unfiltered, every subset of degree <= d/2 was tried: 162 and 39,202
+    # trial divisions
+    @pytest.mark.parametrize("qs, unfiltered", [((2, 3, 5, 7), 162), ((2, 3, 5, 7, 11), 39_202)])
+    def test_few_trial_divisions(self, monkeypatch, qs, unfiltered):
+        f = _sum_of_square_roots_poly(qs)
+        assert len(f) - 1 == 2 ** len(qs) and f[-1] == 1
+        calls = []
+        divide = nr._zdivmod_monic
+        monkeypatch.setattr(nr, "_zdivmod_monic", lambda *a: calls.append(a) or divide(*a))
+        nr._is_irreducible.cache_clear()
+        try:
+            assert nr._is_irreducible(f)
+        finally:
+            nr._is_irreducible.cache_clear()
+        assert len(calls) <= unfiltered // 10
+
+
 class TestArithmetic:
     def test_frozen_products(self):
         i = ZI.element((0, 1))
