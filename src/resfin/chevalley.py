@@ -17,15 +17,16 @@ lemma stated in the check's docstring.  No G^i is enumerated, and they have
 no sampling mode.
 
 Finite groups are enumerated once: `closure` walks the generators mod m
-breadth first and records the right Cayley graph, and a FiniteGroupTable is
-the elements in BFS order plus that graph.  The walk reads tables, not
-products: row r of x * s is (row r of x) * s, so on elements coded as ints
-(the base-m digits of their rows) right multiplication by s is two lookups
-in tables of at most m^(n ceil(n/2)) < |SL_n(Z/m)| entries.  Groups are
-walked over the E_ij(1) alone.  Left multiplication replays the BFS tree
-through the graph, so conjugacy classes, centers and the class-product
-table behind the normal-subgroup lattice are integer-array lookups, not
-matrix products.
+breadth first from I and records the right Cayley graph, and a
+FiniteGroupTable is the elements in BFS order plus that graph.  The walk
+reads tables, not products: row r of x * s is (row r of x) * s, so on
+elements coded as ints (the base-m digits of their rows) right
+multiplication by s is two lookups in tables of at most
+m^(n ceil(n/2)) < |SL_n(Z/m)| entries.  Groups are walked over the E_ij(1)
+alone.  Left multiplication replays the BFS tree through the graph and s^-1
+is read off it, so conjugacy classes, centers and the class-product table
+behind the normal-subgroup lattice are integer-array lookups, with no
+matrix products and no matrix -> index map.
 
 Conventions: "good" primes are p >= 5; p in {2, 3} are excluded from the
 center-sensitive statements, and two checks exist specifically to document
@@ -66,11 +67,8 @@ class GroupSpec:
     whose one order every list of root elements E_ij in resfin follows."""
 
     n: int
-    family: str = "SL"
 
     def __post_init__(self):
-        if self.family != "SL":
-            raise ValueError(f"unsupported family {self.family!r}")
         if self.n < 2:
             raise ValueError("need n >= 2")
 
@@ -158,24 +156,23 @@ SL4 = GroupSpec(4)
 
 
 def closure(
-    start: Mat,
     gens: list[Mat],
     m: int,
     budget: int = DEFAULT_ENUM_BUDGET,
     stop_at: int | None = None,
 ) -> tuple[list[Mat], list[array], array, array]:
-    """BFS closure of start under right multiplication by gens mod m.
+    """BFS closure of I under right multiplication by gens (nonempty) mod m.
 
-    Returns (elements, right, parent, via): the elements in BFS order, start
-    (reduced mod m) first; right[s][x], the index of elements[x] * gens[s];
-    and the BFS tree, elements[x] = elements[parent[x]] * gens[via[x]] with
-    parent[x] < x for x >= 1 (parent[0] = via[0] = -1).  From start = I this
-    is the right Cayley graph of the group the gens generate: a
-    multiplicatively closed subset of a finite group is a subgroup.  Raises
-    BudgetExceededError past `budget` elements.  With stop_at, the walk ends
-    as soon as that many elements are found (for a caller that knows the
-    order of a group containing the closure and wants only the count); right
-    then covers only the elements walked.
+    Returns (elements, right, parent, via): the elements in BFS order, I mod
+    m first (for m = 1 the one zero matrix, code 0); right[s][x], the index
+    of elements[x] * gens[s]; and the BFS tree, elements[x] =
+    elements[parent[x]] * gens[via[x]] with parent[x] < x for x >= 1
+    (parent[0] = via[0] = -1).  This is the right Cayley graph of the group
+    the gens generate: a multiplicatively closed subset of a finite group is
+    a subgroup.  Raises BudgetExceededError past `budget` elements.  With
+    stop_at, the walk ends as soon as that many elements are found (for a
+    caller that knows the order of a group containing the closure and wants
+    only the count); right then covers only the elements walked.
 
     Row lemma: row r of x * s is (row r of x) * s.  So the walk codes an
     element as one int, the base-m digits of its entries in row-major order
@@ -192,7 +189,7 @@ def closure(
     exceeds prod_(i >= 2) 1/zeta(i) > 0.43.  Tables past `budget` raise
     BudgetExceededError before the walk.
     """
-    n = len(start)
+    n = len(gens[0])
     size = m**n  # row codes
     top = (n + 1) // 2
     low = size ** (n - top)
@@ -205,9 +202,7 @@ def closure(
         cols = list(zip(zip(*gen), places))
         images = [sum(sum(map(operator.mul, v, col)) % m * w for col, w in cols) for v in vecs]
         steps.append((s, _block_table(images, size, top, low), _block_table(images, size, n - top, 1), []))
-    first = 0
-    for x in itertools.chain.from_iterable(start):
-        first = first * m + x % m
+    first = sum(m ** ((n + 1) * r) for r in range(n)) % size**n  # the code of I, 0 for m = 1
     codes, parent, via = [first], [-1], [-1]
     seen = {first: 0}.setdefault  # code -> index, inserting the next index
     count = 1
@@ -261,19 +256,8 @@ class FiniteGroupTable:
     parent: array
     via: array
 
-    @cached_property
-    def index(self) -> dict[Mat, int]:
-        """Element -> its index, built on first use."""
-        return {g: i for i, g in enumerate(self.elements)}
-
     def __len__(self) -> int:
         return len(self.elements)
-
-    def __contains__(self, g: Mat) -> bool:
-        return g in self.index
-
-    def inv(self, g: Mat) -> Mat:
-        return mat_inv_mod(g, self.modulus)
 
     def left(self, a: int) -> array:
         """x -> index of elements[a] * elements[x].
@@ -291,11 +275,10 @@ class FiniteGroupTable:
     @cached_property
     def conjugations(self) -> list[array]:
         """For each generator s, x -> index of s^-1 * elements[x] * s, read
-        as right[s][left(s^-1)[x]]."""
-        return [
-            array("i", map(row.__getitem__, self.left(self.index[self.inv(s)])))
-            for row, s in zip(self.right, self.generators)
-        ]
+        as right[s][left(s^-1)[x]].  Lemma: x -> x * s permutes G, and its
+        cycle through I is I, s, s^2, ..., s^-1, so s^-1 is the one index
+        right[s] sends to 0.  No matrix is hashed or inverted."""
+        return [array("i", map(row.__getitem__, self.left(row.index(0)))) for row in self.right]
 
     @cached_property
     def center(self) -> list[int]:
@@ -321,7 +304,7 @@ def enumerate_group(spec: GroupSpec, m: int, budget: int = DEFAULT_ENUM_BUDGET) 
             f"|SL{spec.n}(Z/{m})| = {expected} exceeds budget {budget}"
         )
     gens = _elementary_mod(spec, m, signs=(1,))
-    elements, right, parent, via = closure(identity(spec.n), gens, m, budget)
+    elements, right, parent, via = closure(gens, m, budget)
     return FiniteGroupTable(spec, m, elements, gens, right, parent, via)
 
 
@@ -1040,7 +1023,7 @@ def strong_approx_check(
             winv = mat_inv_mod(w, m)
             conjugates[mat_mul_mod(mat_mul_mod(w, core, m), winv, m)] = None
         gens = list(conjugates)
-    reached, _, _, _ = closure(identity(spec.n), gens, m, budget, stop_at=expected)
+    reached, _, _, _ = closure(gens or [identity(spec.n)], m, budget, stop_at=expected)
     if len(reached) == expected:
         return CheckResult(
             "strong-approximation", instance, "pass",

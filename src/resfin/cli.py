@@ -33,15 +33,11 @@ JSON_INT_LIMIT = 2**53 - 1
 # output formats
 
 
-def emit(header: list[str], rows: list[list], fmt: str) -> bytes:
-    """CSV: the documented header, LF endings, no trailing separator.
-    JSON: list of objects in header order, big integers as decimal strings."""
-    return "".join(_emit_parts(header, rows, fmt)).encode("utf-8")
-
-
-def _emit_parts(header: list[str], rows, fmt: str) -> Iterator[str]:
-    """emit's text in parts of up to 1024 rows, reading rows once from any
-    iterable.  The JSON is json.dumps(list of objects, indent=2) a chunk of
+def emit(header: list[str], rows, fmt: str) -> Iterator[str]:
+    """The table as text in parts of up to 1024 rows, reading rows once from
+    any iterable.  CSV: the documented header, LF endings, no trailing
+    separator.  JSON: list of objects in header order, big integers as
+    decimal strings; it is json.dumps(list of objects, indent=2) a chunk of
     objects at a time: the text of a nonempty chunk between its "[\n" and
     "\n]" is its objects at the indent they have in the whole list."""
     rows = iter(rows)
@@ -81,10 +77,6 @@ def _json_value(v):
     if isinstance(v, int) and abs(v) > JSON_INT_LIMIT:
         return str(v)
     return v
-
-
-def _write(data: bytes) -> None:
-    sys.stdout.write(data.decode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +172,7 @@ def _cmd_growth(args) -> int:
             d.quotient_order if d is not None else None,
             d.central_quotient if d is not None else None,
         ])
-    _write(emit(GROWTH_HEADER, rows, args.format))
+    sys.stdout.writelines(emit(GROWTH_HEADER, rows, args.format))
     return EXIT_OK
 
 
@@ -200,8 +192,7 @@ def _cmd_candidates(args) -> int:
     )
     # all parts before any is written: a sweep that fails part way prints
     # nothing, and only one copy of the output is held
-    parts = list(_emit_parts(CANDIDATES_HEADER, rows, args.format))
-    sys.stdout.writelines(parts)
+    sys.stdout.writelines(list(emit(CANDIDATES_HEADER, rows, args.format)))
     return EXIT_OK
 
 
@@ -272,6 +263,8 @@ def _cmd_verify(args) -> int:
     else:  # strong-approx
         if args.level is None or args.modulus is None:
             raise ValueError("strong-approx needs --level and --modulus")
+        if args.level < 1:
+            raise ValueError(f"--level must be >= 1, got {args.level}")
         if args.level > 1 and args.trials < 1:
             raise ValueError(f"--trials must be >= 1, got {args.trials}")
         results.append(
@@ -284,7 +277,7 @@ def _cmd_verify(args) -> int:
     for r in results:
         detail = r.detail if r.mode == "exhaustive" else f"{r.detail} [mode={r.mode}]"
         rows.append([r.check, r.instance, r.status, detail])
-    _write(emit(VERIFY_HEADER, rows, args.format))
+    sys.stdout.writelines(emit(VERIFY_HEADER, rows, args.format))
     if any(r.status == "fail" for r in results):
         return EXIT_FALSIFIED
     if any(r.status == "inconclusive" for r in results):
@@ -341,7 +334,7 @@ def _cmd_examples(args) -> int:
         if cert is False:
             inconclusive = True
         rows.append([k, cand, r.modulus, r.order, cert])
-    _write(emit(EXAMPLES_HEADER, rows, args.format))
+    sys.stdout.writelines(emit(EXAMPLES_HEADER, rows, args.format))
     return EXIT_FALSIFIED if inconclusive else EXIT_OK
 
 

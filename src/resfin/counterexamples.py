@@ -162,17 +162,13 @@ def lamp_injectivity_certificate(k: int, m: int) -> CheckResult:
 # Z^2 x| Q for the eight signed permutation matrices
 
 
-_SIGNED_PERMUTATIONS: tuple[Mat, ...] = (
+# The order-8 subgroup of GL_2(Z) generated by diag(1,-1) and the swap: the
+# matrices with one entry +-1 in each row and column, that is +-1 on the
+# diagonal or on the anti-diagonal.
+SIGNED_PERMUTATIONS: tuple[Mat, ...] = (
     ((1, 0), (0, 1)), ((1, 0), (0, -1)), ((0, 1), (1, 0)), ((0, 1), (-1, 0)),
     ((0, -1), (1, 0)), ((0, -1), (-1, 0)), ((-1, 0), (0, 1)), ((-1, 0), (0, -1)),
 )
-
-
-def signed_permutations() -> tuple[Mat, ...]:
-    """The order-8 subgroup of GL_2(Z) generated by diag(1,-1) and the swap:
-    the matrices with one entry +-1 in each row and column, that is +-1 on
-    the diagonal or on the anti-diagonal."""
-    return _SIGNED_PERMUTATIONS
 
 
 def _apply(q: Mat, v: tuple[int, int]) -> tuple[int, int]:
@@ -190,7 +186,7 @@ class SemidirectElement:
     rot: Mat
 
     def __post_init__(self):
-        if self.rot not in _SIGNED_PERMUTATIONS:
+        if self.rot not in SIGNED_PERMUTATIONS:
             raise ValueError("rotation part must be one of the 8 signed permutations")
 
     def __mul__(self, other: SemidirectElement) -> SemidirectElement:
@@ -265,7 +261,7 @@ def semidirect_kernel_structure_check(d: int) -> CheckResult:
     det = basis[0][0] * basis[1][1]
     contains = _in_lattice((d, 0), basis) and _in_lattice((0, d), basis)
     stable = all(
-        _in_lattice(_apply(q, v), basis) for q in _SIGNED_PERMUTATIONS for v in basis
+        _in_lattice(_apply(q, v), basis) for q in SIGNED_PERMUTATIONS for v in basis
     )
     index = d * d // det if contains else 0
     ok = contains and stable and 1 <= index <= 4

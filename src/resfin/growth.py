@@ -367,10 +367,10 @@ def candidate_sweep(
 
     Lemma: lcm(1..k) = p * lcm(1..k-1) when k = p^i and equals lcm(1..k-1)
     otherwise.  So the terms v_p(lcm(1..k)) * log2(p) of r_log2 change only
-    at k = p^i, in p's term alone; they are kept in increasing p with their
-    left-to-right prefix sums (the order r_log2 adds them in), and only the
-    suffix from p is summed again.  With S nonempty the leading term
-    k * log2(alpha) moves at every k, so every prefix is summed again.
+    at k = p^i, in p's term alone.  A new prime's term comes last in the
+    left-to-right sum of r_log2, so it is added to a running total; any
+    other change (k = p^i with i > 1, k = lo, every k when S is nonempty)
+    sums the terms again in increasing p from k * log2(alpha).
 
     Survival never returns as k grows, since multiplier_valuation(k, p)
     never falls, and it changes only at prime powers k.  So one
@@ -382,33 +382,29 @@ def candidate_sweep(
     if lo < 1:
         raise ValueError("k must be >= 1")
     log_alpha = math.log2(cs.alpha) if cs.s_primes else 0.0
-    terms: list[float] = []  # v_p(lcm(1..k)) * log2(p), one per prime p <= k
-    where: dict[int, int] = {}  # p -> its index in terms
-    sums = [0.0]  # sums[t] = k * log2(alpha) + terms[0] + ... + terms[t - 1]
+    terms: dict[int, float] = {}  # p -> v_p(lcm(1..k)) * log2(p), increasing p
+    total = 0.0  # r_log2(k) from k = lo on
     lcm_powers = arith.prime_power_stream()
     q, p, i = next(lcm_powers)
     search = matgrp.QuotientSearch(cs.spec, allow_central, above=lo)
     det = None
     for k in range(1, hi + 1):
-        dirty = 0 if cs.s_primes or k == lo else len(terms)
+        resum = bool(cs.s_primes) or k == lo
         if k == q:
-            if i == 1:
-                where[p] = len(terms)
-                terms.append(0.0)
-                sums.append(0.0)
-            t = where[p]
-            terms[t] = i * math.log2(p)
-            dirty = min(dirty, t)
+            terms[p] = i * math.log2(p)
+            total += terms[p]  # exact when p is new, else summed again below
+            resum = resum or i > 1
             det = None
             q, p, i = next(lcm_powers)
         if k < lo:
             continue
-        sums[0] = k * log_alpha
-        if dirty < len(terms):
-            sums[dirty:] = itertools.accumulate(terms[dirty:], initial=sums[dirty])
+        if resum:
+            total = k * log_alpha
+            for term in terms.values():
+                total += term
         if det is None:
             det = search.least(lambda _, p_, i_: cs.survives(k, p_, i_))
-        yield k, sums[-1], det
+        yield k, total, det
 
 
 # ---------------------------------------------------------------------------

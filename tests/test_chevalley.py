@@ -192,10 +192,14 @@ class TestEnumerate:
         assert again.elements == t5.elements
         assert t5.elements[0] == matgrp.identity(2)
 
-    def test_membership_and_inverse(self, t5):
-        g = t5.elements[17]
-        assert g in t5
-        assert matgrp.mat_mul_mod(g, t5.inv(g), 5) == matgrp.identity(2)
+    def test_membership_and_inverse(self):
+        # the lemma of conjugations: right[s] permutes G, and s^-1 is the
+        # one index it sends to 0 (the identity)
+        for spec, m in ORACLE_INSTANCES:
+            table = table_for(spec, m)
+            for s, row in zip(table.generators, table.right):
+                assert sorted(row) == list(range(len(table)))
+                assert table.elements[row.index(0)] == matgrp.mat_inv_mod(s, m)
 
 
 def center_of(table):
@@ -377,7 +381,7 @@ def _ids(v):
 
 
 def closed(gens, m):
-    return set(ch.closure(matgrp.identity(len(gens[0])), gens, m)[0])
+    return set(ch.closure(gens, m)[0])
 
 
 def explicit_filtration_generators(spec, p, k, i):
@@ -934,7 +938,7 @@ class TestNormalSubgroups:
             for g in mats:
                 for s in t5.generators:
                     conj = matgrp.mat_mul_mod(
-                        matgrp.mat_mul_mod(s, g, 5), t5.inv(s), 5
+                        matgrp.mat_mul_mod(s, g, 5), matgrp.mat_inv_mod(s, 5), 5
                     )
                     assert conj in members
 
@@ -956,9 +960,10 @@ class TestNormalSubgroups:
         table = ch.enumerate_group(ch.GroupSpec(n), m)
         k = arith.is_prime_power(m)[1]
         center = center_of(table)
+        index = index_of(table)
         want = {
             frozenset(
-                table.index[matgrp.mat_mul_mod(z, g, m)]
+                index[matgrp.mat_mul_mod(z, g, m)]
                 for g in filtration_subgroup(table, i)
                 for z in center
             )
@@ -972,9 +977,14 @@ class TestNormalSubgroups:
 # slow oracles: the tuple-product engine the table lookups replaced
 
 
-def oracle_closure(start, gens, m):
+def index_of(table):
+    """Element -> its index, the map FiniteGroupTable does without."""
+    return {g: x for x, g in enumerate(table.elements)}
+
+
+def oracle_closure(gens, m):
     """(elements, right, parent, via) of closure, by mat_mul_mod."""
-    first = matgrp.reduce_mod(start, m)
+    first = matgrp.reduce_mod(matgrp.identity(len(gens[0])), m)
     elements, index = [first], {first: 0}
     right, parent, via = [[] for _ in gens], [-1], [-1]
     for x, g in enumerate(elements):
@@ -991,6 +1001,7 @@ def oracle_closure(start, gens, m):
 
 def oracle_classes(table):
     m = table.modulus
+    index = index_of(table)
     assigned = set()
     classes = []
     for start, g in enumerate(table.elements):
@@ -1000,10 +1011,10 @@ def oracle_classes(table):
         cls, queue = [start], [g]
         for x in queue:
             for s in table.generators:
-                y = matgrp.mat_mul_mod(matgrp.mat_mul_mod(s, x, m), table.inv(s), m)
-                if table.index[y] not in assigned:
-                    assigned.add(table.index[y])
-                    cls.append(table.index[y])
+                y = matgrp.mat_mul_mod(matgrp.mat_mul_mod(s, x, m), matgrp.mat_inv_mod(s, m), m)
+                if index[y] not in assigned:
+                    assigned.add(index[y])
+                    cls.append(index[y])
                     queue.append(y)
         classes.append(sorted(cls))
     return classes
@@ -1025,7 +1036,7 @@ def oracle_second_center(table):
         if all(
             matgrp.mat_mul_mod(
                 matgrp.mat_mul_mod(g, s, m),
-                matgrp.mat_mul_mod(table.inv(g), table.inv(s), m), m,
+                matgrp.mat_mul_mod(matgrp.mat_inv_mod(g, m), matgrp.mat_inv_mod(s, m), m), m,
             ) in center
             for s in table.generators
         )
@@ -1034,14 +1045,14 @@ def oracle_second_center(table):
 
 def oracle_subgroup(table, gen_indices):
     """Subgroup generated by some elements, by right multiplication."""
-    m = table.modulus
+    m, index = table.modulus, index_of(table)
     gens = [table.elements[i] for i in gen_indices]
     seen, queue = {0}, [table.elements[0]]
     for x in queue:
         for s in gens:
             y = matgrp.mat_mul_mod(x, s, m)
-            if table.index[y] not in seen:
-                seen.add(table.index[y])
+            if index[y] not in seen:
+                seen.add(index[y])
                 queue.append(y)
     return frozenset(seen)
 
@@ -1061,7 +1072,8 @@ def oracle_normal_subgroups(table):
                     members = oracle_subgroup(table, gens)
         return members, gens
 
-    center_classes = sorted({class_of[table.index[z]] for z in oracle_center(table)})
+    index = index_of(table)
+    center_classes = sorted({class_of[index[z]] for z in oracle_center(table)})
     sub, gens = close(center_classes)
     subgroups = {sub: gens}
     for ci in range(len(classes)):
@@ -1116,7 +1128,7 @@ class TestEngineAgainstOracles:
     @pytest.mark.parametrize("spec,m", ORACLE_INSTANCES, ids=lambda v: str(getattr(v, "name", v)))
     def test_lookups_match_tuple_products(self, spec, m):
         table = table_for(spec, m)
-        assert table.elements == oracle_closure(matgrp.identity(spec.n), table.generators, m)[0]
+        assert table.elements == oracle_closure(table.generators, m)[0]
         assert ch.conjugacy_classes(table) == oracle_classes(table)
         assert center_of(table) == oracle_center(table)
         second = [table.elements[g] for g in ch._second_center_indices(table, table.center)]
@@ -1151,7 +1163,7 @@ class TestEngineAgainstOracles:
         el = table.elements
         assert el[table.left(a)[x]] == matgrp.mat_mul_mod(el[a], el[x], m)
         for s, c in zip(table.generators, table.conjugations):
-            want = matgrp.mat_mul_mod(matgrp.mat_mul_mod(table.inv(s), el[x], m), s, m)
+            want = matgrp.mat_mul_mod(matgrp.mat_mul_mod(matgrp.mat_inv_mod(s, m), el[x], m), s, m)
             assert el[c[x]] == want
 
     @pytest.mark.parametrize("spec,m", [(SL2, 4), (SL2, 5), (SL2, 7), (SL3, 2)],
@@ -1162,6 +1174,7 @@ class TestEngineAgainstOracles:
         table = table_for(spec, m)
         classes = ch.conjugacy_classes(table)
         class_of = {x: ci for ci, cls in enumerate(classes) for x in cls}
+        index = index_of(table)
         prod = ch.class_product_table(table, classes)
         for a, ca in enumerate(classes):
             for b, cb in enumerate(classes):
@@ -1169,12 +1182,12 @@ class TestEngineAgainstOracles:
                 for x in ca:
                     for y in cb:
                         xy = matgrp.mat_mul_mod(table.elements[x], table.elements[y], m)
-                        hit |= 1 << class_of[table.index[xy]]
+                        hit |= 1 << class_of[index[xy]]
                 assert prod[a][b] == hit
 
     def test_closure_budget_and_trivial_modulus(self):
         with pytest.raises(ch.BudgetExceededError):
-            ch.closure(matgrp.identity(2), SL2.elementary_generators(), 7, budget=100)
+            ch.closure(SL2.elementary_generators(), 7, budget=100)
         # Z/1 is the zero ring: SL_n(Z/1) is one element, not {I, 0}
         t1 = ch.enumerate_group(SL2, 1)
         assert len(t1) == SL2.order_mod(1) == 1
@@ -1196,9 +1209,9 @@ def strong_approx_generators(monkeypatch, spec, N, m):
     calls = []
     real = ch.closure
 
-    def spy(start, gens, m, *args, **kwargs):
+    def spy(gens, m, *args, **kwargs):
         calls.append(gens)
-        return real(start, gens, m, *args, **kwargs)
+        return real(gens, m, *args, **kwargs)
 
     monkeypatch.setattr(ch, "closure", spy)
     assert ch.strong_approx_check(spec, N, m, seed=0).passed
@@ -1212,8 +1225,8 @@ class TestTableClosure:
     @pytest.mark.parametrize("spec,m", TABLE_INSTANCES, ids=_ids)
     def test_matches_matrix_product_bfs(self, spec, m):
         gens = ch._elementary_mod(spec, m, signs=(1,))
-        got = ch.closure(matgrp.identity(spec.n), gens, m)
-        assert as_lists(got) == oracle_closure(matgrp.identity(spec.n), gens, m)
+        got = ch.closure(gens, m)
+        assert as_lists(got) == oracle_closure(gens, m)
         assert len(got[0]) == spec.order_mod(m)
         # rows are shared: one tuple per row vector, at most m^n of them
         assert len({id(row) for g in got[0] for row in g}) <= m**spec.n
@@ -1221,42 +1234,30 @@ class TestTableClosure:
     @pytest.mark.parametrize("spec,m", [(SL2, 4), (SL2, 9), (SL3, 2)], ids=_ids)
     def test_signed_generators_match(self, spec, m):
         gens = ch._elementary_mod(spec, m)
-        start = matgrp.identity(spec.n)
-        assert as_lists(ch.closure(start, gens, m)) == oracle_closure(start, gens, m)
-
-    def test_coset_start(self):
-        # G^1 of SL_2(Z/9) walked from E_12(1) and from a start given
-        # unreduced: the coset E_12(1) G^1, with start first
-        gens = ch.filtration_generators(SL2, 3, 2, 1)
-        for start in (matgrp.elementary(2, 1, 2, 1), ((10, -8), (9, 1))):
-            got = ch.closure(start, gens, 9)
-            assert as_lists(got) == oracle_closure(start, gens, 9)
-            assert got[0][0] == matgrp.reduce_mod(start, 9)
-            assert len(got[0]) == 3**SL2.dim
+        assert as_lists(ch.closure(gens, m)) == oracle_closure(gens, m)
 
     @pytest.mark.parametrize("N,m", [(5, 9), (3, 8)])
     def test_strong_approx_conjugates(self, monkeypatch, N, m):
         gens = strong_approx_generators(monkeypatch, SL2, N, m)
         assert not all(g in ch._elementary_mod(SL2, m) for g in gens)
-        start = matgrp.identity(2)
-        got = ch.closure(start, gens, m)
-        assert as_lists(got) == oracle_closure(start, gens, m)
+        got = ch.closure(gens, m)
+        assert as_lists(got) == oracle_closure(gens, m)
         # the finite-group lemma: adding the inverses closes to the same set
         with_inverses = gens + [matgrp.mat_inv_mod(g, m) for g in gens]
-        assert set(ch.closure(start, with_inverses, m)[0]) == set(got[0])
+        assert set(ch.closure(with_inverses, m)[0]) == set(got[0])
 
     def test_budget_boundary(self):
         gens = ch._elementary_mod(SL2, 13, signs=(1,))
         order = SL2.order_mod(13)
-        assert len(ch.closure(matgrp.identity(2), gens, 13, budget=order)[0]) == order
+        assert len(ch.closure(gens, 13, budget=order)[0]) == order
         with pytest.raises(ch.BudgetExceededError, match="closure exceeded"):
-            ch.closure(matgrp.identity(2), gens, 13, budget=order - 1)
+            ch.closure(gens, 13, budget=order - 1)
 
     def test_stop_at_ends_the_walk(self):
         gens = ch._elementary_mod(SL3, 3, signs=(1,))
         order = SL3.order_mod(3)
-        elements, right, parent, via = ch.closure(matgrp.identity(3), gens, 3, stop_at=order)
-        full = ch.closure(matgrp.identity(3), gens, 3)
+        elements, right, parent, via = ch.closure(gens, 3, stop_at=order)
+        full = ch.closure(gens, 3)
         assert elements == full[0] and parent == full[2] and via == full[3]
         walked = len(right[0])
         assert walked < order
@@ -1266,9 +1267,9 @@ class TestTableClosure:
         # a one-element closure still needs tables of m^(n ceil(n/2))
         # entries, and they are checked before the walk
         one = [matgrp.identity(3)]
-        assert len(ch.closure(matgrp.identity(3), one, 5, budget=5**6)[0]) == 1
+        assert len(ch.closure(one, 5, budget=5**6)[0]) == 1
         with pytest.raises(ch.BudgetExceededError, match="tables"):
-            ch.closure(matgrp.identity(3), one, 5, budget=5**6 - 1)
+            ch.closure(one, 5, budget=5**6 - 1)
 
     def test_table_bound_below_group_order(self):
         for n in range(2, 7):
@@ -1286,13 +1287,6 @@ class TestTableClosure:
             assert table.generators == want
         # mod 2 the signed list has the same residues, each once
         assert ch.enumerate_group(SL2, 2).generators == ch._elementary_mod(SL2, 2)
-
-    def test_index_is_built_on_first_use(self):
-        table = ch.enumerate_group(SL2, 7)
-        assert len(table) == SL2.order_mod(7)
-        assert "index" not in vars(table)
-        assert table.elements[5] in table
-        assert table.index == {g: x for x, g in enumerate(table.elements)}
 
 
 def center_reduction_check(spec, p, k):

@@ -416,6 +416,53 @@ def test_search_modes_match_golden_digests():
         assert got == want, argv
 
 
+# The same digests for the enumerated group tables (normal subgroups, the
+# centerless quotient, strong approximation exact and seeded) and for
+# candidate windows that start at a prime power, recorded at c524f67.
+VERIFY_DIGESTS = [
+    (["verify", "--suite", "normal-subgroups", "--group", "sl2", "--modulus", "8"],
+     "4fa705f5d4a3f8229e8c2ca204bce68124a066ab4bd0f70d8a923c29606eeb83"),
+    (["verify", "--suite", "normal-subgroups", "--group", "sl2", "--modulus", "9"],
+     "5ce90576a5688bc75c547b552618fb745114149b0d567c6f585789e150430d14"),
+    (["verify", "--suite", "normal-subgroups", "--group", "sl2", "--modulus", "25"],
+     "2cae530c85784e237809879282207d4d9d482932a5b7fdda0e7d6fb831c59e9b"),
+    (["verify", "--suite", "normal-subgroups", "--group", "sl2", "--modulus", "27"],
+     "b5b6d1821e8b9eecbf79573d0ea720152279cfc410bf35b45512c6e55546197b"),
+    (["verify", "--suite", "normal-subgroups", "--group", "sl3", "--modulus", "2"],
+     "3f230ee04138b87ca71c1654e84dd5e967151116bf3a13519833bb5d10eb5e53"),
+    (["verify", "--suite", "normal-subgroups", "--group", "sl3", "--modulus", "4"],
+     "1f3a297cc2ca08a1db177699f513ff9b2436ec14479ec93db0dc976c43b7edd4"),
+    (["verify", "--suite", "centerless", "--group", "sl2", "--modulus", "4"],
+     "59fbe9c026dafce4668348d2f80de0522de5b3abc038b10b260dd519a5c43133"),
+    (["verify", "--suite", "centerless", "--group", "sl2", "--modulus", "16"],
+     "76d1c2a21be8fe760efe70327fa7b463edb4134bc75a3f08e3a181b4fcb4a255"),
+    (["verify", "--suite", "centerless", "--group", "sl2", "--modulus", "25"],
+     "92b97c19213c464becb30e885f3b0a66ecbf230d62ed200e4555d827a78e9bf6"),
+    (["verify", "--suite", "centerless", "--group", "sl3", "--modulus", "3"],
+     "886399b841ac6310befb53edcd79c4f78cf6c5345866abb952948e3badee6bbd"),
+    (["verify", "--suite", "strong-approx", "--group", "sl2", "--level", "1", "--modulus", "45"],
+     "9cdcdd169a198ca209ed52fe0ce92c502c4904de09da589c7c703c26c4847548"),
+    (["verify", "--suite", "strong-approx", "--group", "sl2", "--level", "2", "--modulus", "9",
+      "--seed", "3"],
+     "79f89826ddc1f33dabfe8865af45f39bd5d535c2c6855f98bf3bcfea6f22df51"),
+    (["verify", "--suite", "strong-approx", "--group", "sl2", "--level", "3", "--modulus", "25",
+      "--seed", "11"],
+     "a16bfca494db3739ae47a6d333ecdfd42cd152e099625b1ea2144370c1e7b331"),
+    (["verify", "--suite", "strong-approx", "--group", "sl3", "--level", "1", "--modulus", "3"],
+     "cfb46e716908e25857b4d3ab96453df9818c7ff2bc46b511f948b7e2709cb151"),
+    (["candidates", "--group", "sl2", "--k", "1024..1100", "--s-primes", "3", "--multiplier", "2"],
+     "5f37e749cda53daa70c1084c1c7e9aef59a2dba887a271f4f918f2e2b08b0d83"),
+    (["candidates", "--group", "sl3", "--k", "2187..2300", "--allow-central", "--format", "json"],
+     "2bb94ce66c0c525d2ef9d344973598b80f1dc94669168dfa7de67628babe09f6"),
+]
+
+
+@pytest.mark.parametrize("argv,want", VERIFY_DIGESTS, ids=[" ".join(a) for a, _ in VERIFY_DIGESTS])
+def test_verify_and_windows_match_golden_digests(argv, want):
+    got = hashlib.sha256(json.dumps(list(run_cli(argv))).encode()).hexdigest()
+    assert got == want
+
+
 DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
 
 # sha256 of each demo's stdout, run in process, recorded at b870c6a
@@ -473,6 +520,8 @@ USAGE_ERRORS = [  # value errors: exit 2, one "error:" line
     ["verify", "--suite", "centerless", "--group", "sl2", "--modulus", "-3"],
     ["verify", "--suite", "strong-approx", "--group", "sl2", "--level", "2", "--modulus", "4"],
     ["verify", "--suite", "strong-approx", "--group", "sl2", "--modulus", "5"],
+    ["verify", "--suite", "strong-approx", "--group", "sl2", "--level", "0", "--modulus", "5"],
+    ["verify", "--suite", "strong-approx", "--group", "sl2", "--level", "-2", "--modulus", "5"],
     ["verify", "--suite", "strong-approx", "--group", "sl2", "--level", "2", "--modulus", "9",
      "--trials", "0"],
     ["verify", "--suite", "strong-approx", "--group", "sl2", "--level", "2", "--modulus", "9",
@@ -621,11 +670,11 @@ class TestExitCodes:
 
 
 def test_emit_quoting_and_endings():
-    data = cli.emit(["a", "b"], [[1, "x,y"], [2, None]], "csv")
-    assert data == b'a,b\n1,"x,y"\n2,\n'
-    data = cli.emit(["a"], [], "csv")
-    assert data == b"a\n"
-    rows = json.loads(cli.emit(["v"], [[2**60]], "json"))
+    data = "".join(cli.emit(["a", "b"], [[1, "x,y"], [2, None]], "csv"))
+    assert data == 'a,b\n1,"x,y"\n2,\n'
+    data = "".join(cli.emit(["a"], [], "csv"))
+    assert data == "a\n"
+    rows = json.loads("".join(cli.emit(["v"], [[2**60]], "json")))
     assert rows == [{"v": str(2**60)}]
 
 
@@ -641,7 +690,7 @@ def test_emit_json_streams_json_dumps(rows):
     # the chunked writer against json.dumps of the whole list
     header = ["a", "b", "c"]
     payload = [{key: cli._json_value(v) for key, v in zip(header, row)} for row in rows]
-    assert cli.emit(header, rows, "json") == (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+    assert "".join(cli.emit(header, rows, "json")) == json.dumps(payload, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

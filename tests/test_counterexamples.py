@@ -156,7 +156,7 @@ class TestSquaredContrast:
 
 class TestSignedPermutations:
     def test_group_table(self):
-        q = cx.signed_permutations()
+        q = cx.SIGNED_PERMUTATIONS
         assert len(q) == 8
         assert matgrp.identity(2) in q
         assert ((1, 0), (0, -1)) in q
@@ -177,7 +177,7 @@ class TestSemidirectElement:
 
     def test_inverse_and_associativity(self):
         rng = random.Random(2)
-        q = cx.signed_permutations()
+        q = cx.SIGNED_PERMUTATIONS
         for _ in range(500):
             x, y, z = (
                 cx.SemidirectElement(
@@ -241,7 +241,7 @@ def scan_kernel_structure_check(d, box=2):
     det = basis[0][0] * basis[1][1]
     contains = cx._in_lattice((d, 0), basis) and cx._in_lattice((0, d), basis)
     stable = all(
-        cx._in_lattice(cx._apply(q, v), basis) for q in cx.signed_permutations() for v in basis
+        cx._in_lattice(cx._apply(q, v), basis) for q in cx.SIGNED_PERMUTATIONS for v in basis
     )
     index = d * d // det if contains else 0
     ok = contains and stable and 1 <= index <= 4

@@ -437,9 +437,13 @@ class TestCandidateSweep:
 
     @pytest.mark.parametrize("s_primes", [(), (2,), (2, 3, 5)])
     def test_r_log2_bit_identical_at_every_k(self, s_primes):
+        # windows from 1, from past a prime power, and from a prime power
+        # (2187 = 3^7), where the running total starts
         cs = gr.CandidateSeq(SL3, s_primes)
-        got = [r for _, r, _ in gr.candidate_sweep(cs, 1, self.K_MAX)]
-        assert got == [cs.r_log2(k) for k in range(1, self.K_MAX + 1)]
+        want = [cs.r_log2(k) for k in range(1, self.K_MAX + 1)]
+        for lo in (1, 6, 1024, 1025, 2187):
+            got = [r for _, r, _ in gr.candidate_sweep(cs, lo, self.K_MAX)]
+            assert got == want[lo - 1:], lo
 
     @pytest.mark.parametrize("allow_central", [False, True])
     @pytest.mark.parametrize("e", [1, 2, 12])
