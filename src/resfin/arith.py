@@ -223,11 +223,6 @@ def lcm_upto(k: int) -> int:
     return acc
 
 
-def prime_powers_up_to(limit: int) -> list[int]:
-    """Sorted prime powers q <= limit, read from the sieve cache."""
-    return [q for q, _, _ in prime_power_stream(limit)]
-
-
 def _grow_sieve(limit: int) -> None:
     """Replace _SIEVE by one sieve pass up to max(limit, 512)."""
     global _SIEVE

@@ -52,7 +52,6 @@ class BudgetExceededError(RuntimeError):
 
 
 DEFAULT_ENUM_BUDGET = 10**6
-EXCLUDED_PRIMES = (2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +677,7 @@ def _enumerate_subspaces(d: int, p: int, t: int):
 
 
 def _invariant_subspace_scan(
-    ops: list[list[list[int]]], p: int, d: int, subspace_budget: int
+    ops: list[list[list[int]]], p: int, d: int, subspace_budget: int = 10**5
 ) -> tuple[str, list[list[int]] | None]:
     """Mode and a proper nonzero ops-invariant subspace of F_p^d (its basis
     rows), or None when there is none.
@@ -706,7 +705,7 @@ def _invariant_subspace_scan(
     return "line-closure-scan-full", None
 
 
-def adjoint_irreducibility_check(spec: GroupSpec, p: int, subspace_budget: int = 10**5) -> CheckResult:
+def adjoint_irreducibility_check(spec: GroupSpec, p: int) -> CheckResult:
     """Is the adjoint action of SL_n(F_p) on sl_n(F_p) irreducible with no
     Lie-algebra center, and is the kernel of Ad exactly the scalar center?
 
@@ -716,8 +715,13 @@ def adjoint_irreducibility_check(spec: GroupSpec, p: int, subspace_budget: int =
     nonzero on some basis vector of C, and dim C otherwise.  Part (c) asks that C
     be the scalars.
 
+    Lemma: C solves [X, e_ij] = 0 over the roots alone.  ad X is a
+    derivation, so the elements it kills form a Lie subalgebra, and the
+    e_ij, i != j, generate sl_n as a Lie algebra over any field, since
+    [e_ij, e_jk] = e_ik and [e_ij, e_ji] = e_ii - e_jj.
+
     The invariant-subspace part (_invariant_subspace_scan) is exhaustive over
-    all proper subspaces when their count fits subspace_budget.  Otherwise it
+    all proper subspaces when there are at most 10^5 of them.  Otherwise it
     spins the associative algebra A generated by I and the Ad(g), g in the
     E_ij(+-1), and falls back to the closure of every line only when A is
     proper.  Three facts make that complete and cheap:
@@ -740,21 +744,14 @@ def adjoint_irreducibility_check(spec: GroupSpec, p: int, subspace_budget: int =
     d = spec.dim
     basis = lie_algebra_basis(spec, p)
 
-    # C = the centralizer of sl_n in M_n: solve [X, b] = 0 for every basis b
+    # C: (X e_ij - e_ij X)[r][c] = X[r][i] [c = j] - [r = i] X[j][c] = 0
     amb_rows = []
-    for b in basis:
+    for i, j in spec.roots:
         for r in range(n):
             for c in range(n):
                 row = [0] * (n * n)
-                # coefficient of X[u][v] in (Xb - bX)[r][c]
-                for u in range(n):
-                    for v in range(n):
-                        coef = 0
-                        if u == r:
-                            coef += b[v][c]
-                        if v == c:
-                            coef -= b[r][u]
-                        row[u * n + v] = coef % p
+                row[r * n + i - 1] += c == j - 1
+                row[(j - 1) * n + c] -= r == i - 1
                 amb_rows.append(row)
     centralizer = _nullspace_mod(amb_rows, p, n * n)
 
@@ -768,7 +765,7 @@ def adjoint_irreducibility_check(spec: GroupSpec, p: int, subspace_budget: int =
 
     # (b) no proper nonzero invariant subspace
     ops = [_ad_matrix(g, p, basis, n) for g in _elementary_mod(spec, p)]
-    mode, sub = _invariant_subspace_scan(ops, p, d, subspace_budget)
+    mode, sub = _invariant_subspace_scan(ops, p, d)
     if sub is not None:
         what = (
             f"invariant subspace of dimension {len(sub)}: rows {sub}"
@@ -878,10 +875,9 @@ def normal_subgroups_containing_center(table: FiniteGroupTable) -> list[frozense
     """
     classes = conjugacy_classes(table)
     prod = class_product_table(table, classes)
-    class_of = {cls[0]: ci for ci, cls in enumerate(classes)}
-    z_mask = 0
-    for x in table.center:  # central classes are singletons
-        z_mask |= 1 << class_of[x]
+    # the classes are the generator-conjugation orbits, so the center is
+    # exactly their fixed points: the singleton classes
+    z_mask = sum(1 << ci for ci, cls in enumerate(classes) if len(cls) == 1)
 
     atoms = {_class_closure(z_mask | 1 << ci, prod) for ci in range(len(classes))}
     found = [_class_closure(z_mask, prod)]
@@ -942,8 +938,9 @@ def normal_structure_check(table: FiniteGroupTable) -> CheckResult:
 
 
 def centerless_quotient_check(table: FiniteGroupTable) -> CheckResult:
-    """Does G/Z(G) have trivial center?  (Holds for good primes; fails for
-    example at SL_2(Z/4), documenting the excluded-prime boundary.)"""
+    """Does G/Z(G) have trivial center?  (Holds for good primes.  For sl2 it
+    still holds at SL_2(Z/4), whose second center is its center of order 2;
+    the first sl2 modulus where it fails is 16.)"""
     instance = f"{table.spec.name},m={table.modulus}"
     center = table.center
     second = _second_center_indices(table, center)

@@ -12,7 +12,6 @@ import functools
 import io
 import itertools
 import json
-import os
 import sys
 from collections.abc import Iterator
 
@@ -388,10 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--power", type=int, default=1, help="measure D(g^k) instead of D(g)")
     p.add_argument("--allow-central", action="store_true")
     p.add_argument("--budget", type=int, default=growth.DEFAULT_BALL_BUDGET)
-    p.add_argument(
-        "--threads", type=int, default=os.cpu_count() or 1,
-        help="accepted and ignored; growth tables run serially",
-    )
+    p.add_argument("--threads", type=int, help="accepted and ignored; growth tables run serially")
     add_output(p)
     p.set_defaults(func=_cmd_growth)
 

@@ -53,16 +53,6 @@ def elementary_set(n: int) -> GeneratingSet:
     return GeneratingSet(f"E({n})", tuple(GroupSpec(n).elementary_generators()))
 
 
-def word_ball(gens: GeneratingSet, n: int, budget: int = DEFAULT_BALL_BUDGET) -> dict[Mat, int]:
-    """Exact ball of radius n: element -> true word length, by layered BFS."""
-    d = len(gens.mats[0])
-    return {
-        _nested(g, d): length
-        for length, sphere in enumerate(_spheres(gens, n, budget))
-        for g in sphere
-    }
-
-
 def _spheres(gens: GeneratingSet, n: int, budget: int) -> list[list[tuple[int, ...]]]:
     """The spheres of radii 0..n as lists of row-major flat tuples, each in
     discovery order of one layered BFS."""

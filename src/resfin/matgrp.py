@@ -188,9 +188,6 @@ class DetectionResult:
     central_quotient: bool = False
     search_complete: bool | None = None
 
-    def key(self) -> tuple[int, int, int]:
-        return (self.quotient_order, self.modulus, 1 if self.central_quotient else 0)
-
 
 def _central_gcd(a: Mat) -> int:
     """gcd of the off-diagonal entries of a, of the a_ii - a_11 and of det a - 1.
@@ -207,17 +204,12 @@ def _central_gcd(a: Mat) -> int:
     return math.gcd(det(a) - 1, *entries)
 
 
-def is_central_mod(a: Mat, m: int) -> bool:
-    """Is a (mod m) a central element of SL_n(Z/m), i.e. a scalar n-th root of 1?"""
-    return _central_gcd(a) % m == 0
-
-
 class QuotientSearch:
     """The least congruence quotient of `spec` seeing an element known only
     through survives(q, p, i): is its image mod q = p**i not the identity?
     With allow_central, SL_n(Z/q) / center competes too, unless
-    central(q, p, i) says the image is central mod q.  Keys order as
-    DetectionResult.key(): (order, q, central flag).
+    central(q, p, i) says the image is central mod q.  Keys order as the
+    tuple (order, q, central flag).
 
     Lemma.  Prime powers suffice: SL_n(Z/m), also modulo its center, is the
     product over the prime powers exactly dividing m, and the element

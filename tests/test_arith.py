@@ -189,12 +189,12 @@ class TestPrimePowersAbove:
             next(arith.prime_power_stream(5, above=10))
 
 
-def test_prime_powers_up_to():
-    assert arith.prime_powers_up_to(10) == [2, 3, 4, 5, 7, 8, 9]
-    assert arith.prime_powers_up_to(1) == []
+def test_prime_power_stream_to_limit():
+    assert [q for q, _, _ in arith.prime_power_stream(10)] == [2, 3, 4, 5, 7, 8, 9]
+    assert [q for q, _, _ in arith.prime_power_stream(1)] == []
     # cache growth keeps results consistent
-    big = arith.prime_powers_up_to(1000)
-    assert arith.prime_powers_up_to(10) == [2, 3, 4, 5, 7, 8, 9]
+    big = [q for q, _, _ in arith.prime_power_stream(1000)]
+    assert [q for q, _, _ in arith.prime_power_stream(10)] == [2, 3, 4, 5, 7, 8, 9]
     assert big[-1] <= 1000
 
 

@@ -605,9 +605,12 @@ class TestAdjoint:
         assert ch.adjoint_irreducibility_check(SL3, 3).status == "fail"
 
     def test_branches_agree(self):
-        r = ch.adjoint_irreducibility_check(SL2, 5, subspace_budget=0)
-        assert r.passed
-        assert r.mode.startswith("line-closure-scan")
+        basis = ch.lie_algebra_basis(SL2, 5)
+        ops = [ch._ad_matrix(g, 5, basis, 2) for g in ch._elementary_mod(SL2, 5)]
+        assert ch._invariant_subspace_scan(ops, 5, 3) == ("exhaustive-subspaces", None)
+        mode, sub = ch._invariant_subspace_scan(ops, 5, 3, subspace_budget=0)
+        assert sub is None
+        assert mode.startswith("line-closure-scan")
 
     def test_gaussian_binomial(self):
         assert ch.gaussian_binomial(3, 1, 5) == 31
@@ -627,6 +630,50 @@ class TestAdjoint:
             monkeypatch.setattr(ch, "_invariant_subspace_scan", lambda *a, m=mode, s=sub: (m, s))
             r = ch.adjoint_irreducibility_check(SL2, 5)
             assert (r.status, r.detail, r.mode) == ("fail", detail, mode)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_root_centralizer_matches_full_basis(self, monkeypatch, n, p):
+        # the check's first nullspace solve is C; stop it there, so n = 6
+        # runs no subspace scan
+        class Solved(Exception):
+            pass
+
+        solves = []
+
+        def first_solve(rows, q, ncols):
+            solves.append((len(rows), real(rows, q, ncols)))
+            raise Solved
+
+        real = ch._nullspace_mod
+        monkeypatch.setattr(ch, "_nullspace_mod", first_solve)
+        spec = ch.GroupSpec(n)
+        with pytest.raises(Solved):
+            ch.adjoint_irreducibility_check(spec, p)
+        full = full_basis_centralizer_rows(spec, p)
+        assert solves == [(n * (n - 1) * n * n, real(full, p, n * n))]
+
+
+def full_basis_centralizer_rows(spec, p):
+    """Oracle: the rows of [X, b] = 0 for every b in lie_algebra_basis, each
+    coefficient read off (Xb - bX)[r][c] entry by entry."""
+    n = spec.n
+    rows = []
+    for b in ch.lie_algebra_basis(spec, p):
+        for r in range(n):
+            for c in range(n):
+                row = [0] * (n * n)
+                for u in range(n):
+                    for v in range(n):
+                        coef = 0
+                        if u == r:
+                            coef += b[v][c]
+                        if v == c:
+                            coef -= b[r][u]
+                        row[u * n + v] = coef % p
+                rows.append(row)
+    assert len(rows) == (n * n - 1) * n * n
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -839,7 +886,7 @@ def annuli_witness(spec, p, k, g, i):
     verify the commutator's position exactly.
     """
     mul, inv = matgrp.mat_mul_mod, matgrp.mat_inv_mod
-    if p in ch.EXCLUDED_PRIMES:
+    if p in (2, 3):
         raise ValueError(f"annuli analysis requires a good prime, not {p}")
     if not 0 <= i <= k - 2:
         raise ValueError(f"annulus level i={i} needs 0 <= i <= k-2 (k={k})")
@@ -1134,6 +1181,12 @@ class TestEngineAgainstOracles:
         second = [table.elements[g] for g in ch._second_center_indices(table, table.center)]
         assert second == oracle_second_center(table)
         assert ch.normal_subgroups_containing_center(table) == oracle_normal_subgroups(table)
+
+    @pytest.mark.parametrize("spec,m", ORACLE_INSTANCES, ids=lambda v: str(getattr(v, "name", v)))
+    def test_singleton_classes_are_the_center(self, spec, m):
+        # normal_subgroups_containing_center reads Z from the classes alone
+        table = table_for(spec, m)
+        assert [c[0] for c in ch.conjugacy_classes(table) if len(c) == 1] == table.center
 
     @pytest.mark.parametrize("spec,m", [(SL2, 8), (SL2, 9), (SL2, 25), (SL3, 2)],
                              ids=lambda v: str(getattr(v, "name", v)))

@@ -454,6 +454,26 @@ VERIFY_DIGESTS = [
      "5f37e749cda53daa70c1084c1c7e9aef59a2dba887a271f4f918f2e2b08b0d83"),
     (["candidates", "--group", "sl3", "--k", "2187..2300", "--allow-central", "--format", "json"],
      "2bb94ce66c0c525d2ef9d344973598b80f1dc94669168dfa7de67628babe09f6"),
+    # adjoint irreducibility, recorded at 9b64897: sl2 p = 223 is the last
+    # prime on the exhaustive branch and p = 229 the first on the spin.
+    (["verify", "--suite", "adjoint", "--group", "sl2", "--p", "2"],
+     "b7480cab7ef7f2605ec55301854befa1eb5b541ff6436f2e4bdca6059f80b59f"),
+    (["verify", "--suite", "adjoint", "--group", "sl2", "--p", "3"],
+     "094bb5451d54f06e92fc6e8982a3e1f784ed259f4e4126b34d418ab86f552ba6"),
+    (["verify", "--suite", "adjoint", "--group", "sl2", "--p", "13"],
+     "aa4f9c4672613f0a33b056f890f63fc6979d91fad2e399edaa48fea3353c8dc1"),
+    (["verify", "--suite", "adjoint", "--group", "sl2", "--p", "223"],
+     "3a08886c7936e4f22b0ecd01c7a28e520f0b829c02fa688179ed2697c7aeaae5"),
+    (["verify", "--suite", "adjoint", "--group", "sl2", "--p", "229"],
+     "d67c6a11c59443e65f2d384333ea1798c136bca2e90896dc3bc2268afb29c202"),
+    (["verify", "--suite", "adjoint", "--group", "sl3", "--p", "2"],
+     "04b072f065276356ca92566f73bd5baf007449e80f158f8ccd37058059151897"),
+    (["verify", "--suite", "adjoint", "--group", "sl3", "--p", "3"],
+     "f98cd5b1f27215d1f5c06352df411a49185d5b519ac97728f65ead7d9de1ab0a"),
+    (["verify", "--suite", "adjoint", "--group", "sl3", "--p", "5"],
+     "b913526cc909391751cfa31e03f4fd433feb21f6b01020e7d3a18be01ba04b45"),
+    (["verify", "--suite", "adjoint", "--group", "sl4", "--p", "3"],
+     "34f20d2fa66070c0e082c46cd7688e6eea4bec11b85a06a039ea2315c7827c26"),
 ]
 
 

@@ -21,6 +21,7 @@ from resfin import growth as gr
 from resfin.chevalley import SL2, SL3, SL4, BudgetExceededError, GroupSpec
 
 
+@functools.cache
 def brute_ball(gens, n):
     """Oracle: minimal word length by enumerating all products up to length n."""
     out = {matgrp.identity(len(gens.mats[0])): 0}
@@ -32,6 +33,19 @@ def brute_ball(gens, n):
             if m not in out:
                 out[m] = length
     return out
+
+
+def brute_spheres(gens, n):
+    """The spheres of brute_ball(gens, n) as sets of row-major flat tuples."""
+    ball = brute_ball(gens, n)
+    return [{sum(g, ()) for g, length in ball.items() if length == r} for r in range(n + 1)]
+
+
+def spheres(gens, n, budget=gr.DEFAULT_BALL_BUDGET):
+    """gr._spheres as sets, after checking that no sphere repeats an element."""
+    out = gr._spheres(gens, n, budget)
+    assert sum(map(len, out)) == len(set().union(*out))
+    return [set(s) for s in out]
 
 
 MINUS_I = ((-1, 0), (0, -1))
@@ -49,7 +63,7 @@ E3_MINUS_I = gr.GeneratingSet(
 @functools.cache
 def reference_powers():
     """{q: (p, i)} with q = p**i for the prime powers q <= 10^4, in order."""
-    return {q: arith.is_prime_power(q) for q in arith.prime_powers_up_to(10**4)}
+    return {q: arith.is_prime_power(q) for q, _, _ in arith.prime_power_stream(10**4)}
 
 
 @functools.cache
@@ -61,8 +75,8 @@ def reference_orders(spec, q):
 def reference_search(spec, allow_central, survives, central):
     """Oracle: the least (order, q, central) congruence quotient over the
     prime powers q with survives(q), by a per-call search with its own copy
-    of the stop rule, independent of matgrp.QuotientSearch: q from
-    prime_powers_up_to, starting at 2; with allow_central the quotient by
+    of the stop rule, independent of matgrp.QuotientSearch: q from the
+    prime-power stream, starting at 2; with allow_central the quotient by
     the center competes unless central(q)."""
     n = spec.n
     fnum, fden = 1, 1
@@ -106,9 +120,9 @@ def reference_candidate_D(cs, k, allow_central):
 
 
 def per_element_table(gens, spec, n_max, k=1, allow_central=False):
-    """Oracle: the growth table with reference_D run on every ball element,
-    no detection keys; gamma^k is a plain repeated product."""
-    ball = gr.word_ball(gens, n_max)
+    """Oracle: the growth table with reference_D run on every element of
+    brute_ball, no detection keys; gamma^k is a plain repeated product."""
+    ball = brute_ball(gens, n_max)
     ident = matgrp.identity(spec.n)
     rows = [gr.GrowthRow(0, 1, 0, None, None)]
     best, witness, det = 0, None, None
@@ -175,32 +189,31 @@ def _reference_word(n, i, j, z, words):
 class TestWordBall:
     def test_radius_zero_and_one(self):
         gens = gr.sl2_st()
-        assert gr.word_ball(gens, 0) == {matgrp.identity(2): 0}
-        b1 = gr.word_ball(gens, 1)
-        assert len(b1) == 5
-        assert set(b1.values()) == {0, 1}
+        assert gr._spheres(gens, 0, gr.DEFAULT_BALL_BUDGET) == [[(1, 0, 0, 1)]]
+        b1 = spheres(gens, 1)
+        assert [len(s) for s in b1] == [1, 4]
 
     def test_minus_identity_at_radius_two(self):
-        b2 = gr.word_ball(gr.sl2_st(), 2)
-        assert len(b2) == 16
-        assert b2[MINUS_I] == 2
+        b2 = spheres(gr.sl2_st(), 2)
+        assert sum(map(len, b2)) == 16
+        assert (-1, 0, 0, -1) in b2[2]
 
     def test_matches_brute_force(self):
         gens = gr.sl2_st()
-        assert gr.word_ball(gens, 3) == brute_ball(gens, 3)
+        assert spheres(gens, 3) == brute_spheres(gens, 3)
         gens3 = gr.elementary_set(3)
-        assert gr.word_ball(gens3, 2) == brute_ball(gens3, 2)
-        assert gr.word_ball(gr.elementary_set(4), 2) == brute_ball(gr.elementary_set(4), 2)
+        assert spheres(gens3, 2) == brute_spheres(gens3, 2)
+        assert spheres(gr.elementary_set(4), 2) == brute_spheres(gr.elementary_set(4), 2)
         # every column of A, A^-1 and -I changes, none is an identity column
-        assert gr.word_ball(A_MINUS_I, 4) == brute_ball(A_MINUS_I, 4)
+        assert spheres(A_MINUS_I, 4) == brute_spheres(A_MINUS_I, 4)
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
-            gr.word_ball(gr.sl2_st(), 6, budget=10)
+            gr._spheres(gr.sl2_st(), 6, 10)
 
     def test_negative_radius(self):
         with pytest.raises(ValueError):
-            gr.word_ball(gr.sl2_st(), -1)
+            gr._spheres(gr.sl2_st(), -1, gr.DEFAULT_BALL_BUDGET)
 
 
 class TestGeneratingSet:
@@ -282,7 +295,7 @@ class TestFarbGrowth:
         # det - 1 term makes its central gcd 2
         d = len(gens.mats[0])
         key = gr._central_key(d, all(matgrp.det(s) == 1 for s in gens.mats))
-        for g in gr.word_ball(gens, radius):
+        for g in brute_ball(gens, radius):
             power = g
             for _ in range(3):
                 assert key(sum(power, ())) == matgrp._central_gcd(power), power
@@ -294,8 +307,8 @@ class TestFarbGrowth:
         s, t = matgrp.mat([[0, -1], [1, 0]]), matgrp.elementary(2, 1, 2, 1)
         gens = gr.GeneratingSet("S^-1,S,T^-1,T", (matgrp.mat_inv(s), s, matgrp.mat_inv(t), t))
         table = gr.farb_growth(gens, SL2, 3)
-        assert next(iter(gr.word_ball(gens, 1))) == matgrp.identity(2)
-        assert list(gr.word_ball(gens, 1))[1] == matgrp.mat_inv(s)
+        first = [sphere[0] for sphere in gr._spheres(gens, 1, gr.DEFAULT_BALL_BUDGET)]
+        assert first == [(1, 0, 0, 1), sum(matgrp.mat_inv(s), ())]
         assert table.rows[1].witness == s
         assert table == per_element_table(gens, SL2, 3)
 
@@ -468,7 +481,7 @@ class TestCandidateSweep:
         # answer can change only at a prime power k, so k and k - 1 for
         # every prime power k cover every run
         cs = gr.CandidateSeq(spec)
-        powers = set(arith.prime_powers_up_to(self.K_MAX))
+        powers = {q for q, _, _ in arith.prime_power_stream(self.K_MAX)}
         checked = powers | {q - 1 for q in powers}
         for k, _, det in gr.candidate_sweep(cs, 1, self.K_MAX, allow_central):
             if k in checked:

@@ -285,21 +285,21 @@ class TestCentralOracle:
         fast = matgrp.congruence_D(a, spec, allow_central=True)
         slow, complete = brute_force_central_D(a, spec, m_max)
         assert complete
-        assert fast.key() == (slow[0], slow[1], int(slow[2]))
+        assert (fast.quotient_order, fast.modulus, fast.central_quotient) == slow
 
     def test_non_unimodular_centrality(self):
         # det = -1: diag(1, -1) is scalar mod 2 only; diag(2, 2) is scalar
         # everywhere but 2^2 = 1 only mod 3
         a = ((1, 0), (0, -1))
-        assert [q for q in range(2, 9) if matgrp.is_central_mod(a, q)] == [2]
-        assert [q for q in range(2, 9) if matgrp.is_central_mod(((2, 0), (0, 2)), q)] == [3]
+        assert [q for q in range(2, 9) if matgrp._central_gcd(a) % q == 0] == [2]
+        assert [q for q in range(2, 9) if matgrp._central_gcd(((2, 0), (0, 2))) % q == 0] == [3]
         r = matgrp.congruence_D(a, SL2, allow_central=True)
         assert (r.modulus, r.quotient_order, r.central_quotient) == (3, 12, True)
 
 
-def test_is_central_mod():
+def test_central_gcd_mod():
     minus = ((-1, 0), (0, -1))
-    assert matgrp.is_central_mod(minus, 5)
-    assert not matgrp.is_central_mod(matgrp.elementary(2, 1, 2, 1), 5)
+    assert matgrp._central_gcd(minus) % 5 == 0
+    assert matgrp._central_gcd(matgrp.elementary(2, 1, 2, 1)) % 5 != 0
     # diag(2, 2) mod 5: scalar but 2^2 = 4 != 1, not in SL_2's center
-    assert not matgrp.is_central_mod(((2, 0), (0, 2)), 5)
+    assert matgrp._central_gcd(((2, 0), (0, 2))) % 5 != 0
