@@ -463,9 +463,7 @@ def commutator_filtration_check(spec: GroupSpec, p: int, k: int) -> CheckResult:
     gens = [filtration_generators(spec, p, k, i) for i in range(k + 1)]
     modes = []
     for i in range(0, k + 1):
-        for j in range(i, k + 1 - i):
-            if i == 0 and j == 0:
-                continue
+        for j in range(max(i, 1), k + 1 - i):
             modes.append(f"({i},{j}):exhaustive")
             escape = _escaping_commutator(gens[i], gens[j], q, p ** (i + j))
             if escape is not None:

@@ -18,7 +18,7 @@ from collections.abc import Iterator
 from . import arith, counterexamples, growth, matgrp, numring
 from . import chevalley
 from .chevalley import BudgetExceededError, GroupSpec
-from .matgrp import RangeExhaustedError, UndetectableError
+from .matgrp import RangeExhaustedError
 
 EXIT_OK = 0
 EXIT_FALSIFIED = 1
@@ -124,11 +124,7 @@ def _cmd_dq(args) -> int:
     spec = _spec_for(args, n=len(a))
     if matgrp.det(a) != 1:
         raise ValueError("matrix must have determinant 1")
-    try:
-        r = matgrp.congruence_D(a, spec, allow_central=args.allow_central)
-    except UndetectableError:
-        print("error: identity is undetectable", file=sys.stderr)
-        return EXIT_USAGE
+    r = matgrp.congruence_D(a, spec, allow_central=args.allow_central)
     line = f"modulus={r.modulus},order={r.quotient_order}"
     if args.allow_central:
         line += f",central={'true' if r.central_quotient else 'false'}"
@@ -252,6 +248,8 @@ def _cmd_verify(args) -> int:
     elif args.suite == "normal-subgroups":
         if args.modulus is None:
             raise ValueError("normal-subgroups needs --modulus")
+        if args.modulus >= 1:  # a composite modulus fails before enumeration
+            chevalley._prime_power_modulus(args.modulus)
         table = chevalley.enumerate_group(spec, args.modulus, budget=args.budget)
         results.append(chevalley.normal_structure_check(table))
     elif args.suite == "centerless":
@@ -287,54 +285,40 @@ def _cmd_verify(args) -> int:
 EXAMPLES_HEADER = ["k", "candidate", "modulus", "order", "certificate_pass"]
 
 
-def _candidate(group: str, k: int):
-    """The examples candidate for k, and its text in the candidate column."""
+def _example_row(group: str, k: int) -> list:
+    """[k, candidate text, modulus, order, certificate or None], the
+    candidate rendered before anything else is computed."""
     if group == "lamplighter":
-        g = counterexamples.lamp_candidate(k)
-        return g, "+".join(f"d{i}" for i in sorted(g.support))
-    if group == "semidirect":
-        g = counterexamples.semidirect_candidate(k)
-        return g, f"{g.vec[0]};{g.vec[1]}"
-    v = counterexamples.abelian_candidate(k)
-    return v, f"{v[0]};{v[1]}"
+        text = "+".join(f"d{i}" for i in sorted(counterexamples.lamp_candidate(k).support))
+        r = counterexamples.lamp_quotient_D(k)
+        cert = counterexamples.lamp_injectivity_certificate(k, r.modulus).passed if k >= 4 else None
+    elif group == "semidirect":
+        vec = counterexamples.semidirect_candidate(k).vec
+        text = f"{vec[0]};{vec[1]}"
+        r = counterexamples.semidirect_quotient_D(k)
+        cert = counterexamples.semidirect_kernel_structure_check(r.modulus).passed
+    else:  # abelian
+        v = counterexamples.abelian_candidate(k)
+        text, r, cert = f"{v[0]};{v[1]}", counterexamples.abelian_D(v), None
+    return [k, text, r.modulus, r.order, cert]
 
 
 def _cmd_examples(args) -> int:
     lo, hi = _parse_range(args.k)
-    # the largest k has the longest candidate: render it before any row, so
-    # a k past Python's integer-to-string limit fails at once (k < 2 fails
-    # at its own row)
+    # the largest k has the longest candidate: build its row before any
+    # other, so a k past Python's integer-to-string limit fails at once
+    # (k < 2 fails at its own row)
     if lo >= 2:
         try:
-            _candidate(args.group, hi)
+            _example_row(args.group, hi)
         except ValueError:
             raise ValueError(
                 f"--k {hi}: the candidate has more digits than Python's "
                 f"{sys.get_int_max_str_digits()}-digit integer-to-string limit"
             ) from None
-    rows = []
-    inconclusive = False
-    for k in range(lo, hi + 1):
-        g, cand = _candidate(args.group, k)
-        cert = None
-        if args.group == "lamplighter":
-            r = counterexamples.lamp_quotient_D(k)
-            if k >= 4:
-                cert = counterexamples.lamp_injectivity_certificate(
-                    k, r.modulus
-                ).passed
-        elif args.group == "semidirect":
-            r = counterexamples.semidirect_quotient_D(k)
-            cert = counterexamples.semidirect_kernel_structure_check(
-                r.modulus
-            ).passed
-        else:  # abelian
-            r = counterexamples.abelian_D(g)
-        if cert is False:
-            inconclusive = True
-        rows.append([k, cand, r.modulus, r.order, cert])
+    rows = [_example_row(args.group, k) for k in range(lo, hi + 1)]
     sys.stdout.writelines(emit(EXAMPLES_HEADER, rows, args.format))
-    return EXIT_FALSIFIED if inconclusive else EXIT_OK
+    return EXIT_FALSIFIED if any(row[4] is False for row in rows) else EXIT_OK
 
 
 def _cmd_ring(args) -> int:
@@ -346,12 +330,8 @@ def _cmd_ring(args) -> int:
     except ValueError as exc:
         raise ValueError(f"bad element text {args.element!r}") from exc
     a = ring.element(coords)
-    try:
-        split = numring.detect_split(a, limit=args.m_max)
-        ideal = numring.min_detecting_ideal(a, limit=args.m_max)
-    except UndetectableError:
-        print("error: zero is undetectable", file=sys.stderr)
-        return EXIT_USAGE
+    split = numring.detect_split(a, limit=args.m_max)
+    ideal = numring.min_detecting_ideal(a, limit=args.m_max)
     print(f"split: prime={split.prime},root={split.root},residue={split.residue}")
     print(
         f"ideal: prime={ideal.prime},factor={numring.format_poly(ideal.factor)},"
@@ -467,7 +447,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(_join_signed_values(argv))
     try:
         return args.func(args)
-    except (UndetectableError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (RangeExhaustedError, BudgetExceededError) as exc:

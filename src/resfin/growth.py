@@ -110,21 +110,12 @@ def _central_key(d: int, det_one: bool):
 
     Lemma: det is multiplicative, so when every generator has det 1, every
     element of the ball and its powers have det 1, and the det g - 1 term is
-    0 and left out (det_one).  Otherwise det g is compiled too, by Leibniz.
+    0 and left out (det_one).  Otherwise matgrp.det supplies it.
     """
     terms = [f"g[{t}]" for t in range(d * d) if t % (d + 1)]
     terms += [f"g[{t}] - g[0]" for t in range(d + 1, d * d, d + 1)]
-    if not det_one:
-        det = " ".join(
-            ("-" if _inversions(perm) % 2 else "+") + " * ".join(f"g[{r * d + c}]" for r, c in enumerate(perm))
-            for perm in itertools.permutations(range(d))
-        )
-        terms.append(f"{det} - 1")
-    return _compile("g", f"gcd({', '.join(terms)})")
-
-
-def _inversions(perm: tuple[int, ...]) -> int:
-    return sum(a > b for a, b in itertools.combinations(perm, 2))
+    key = _compile("g", f"gcd({', '.join(terms)})")
+    return key if det_one else lambda g: math.gcd(key(g), matgrp.det(_nested(g, d)) - 1)
 
 
 def _product(d: int):

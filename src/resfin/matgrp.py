@@ -271,7 +271,7 @@ def congruence_D(a: Mat, spec, allow_central: bool = False) -> DetectionResult:
         raise ValueError(f"matrix size {len(a)} does not match spec n={spec.n}")
     g = detection_gcd(a)
     if g == 0:
-        raise UndetectableError("identity is killed by every quotient")
+        raise UndetectableError("identity is undetectable")
     central = None
     if allow_central:
         h = _central_gcd(a)

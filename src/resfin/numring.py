@@ -263,10 +263,6 @@ def _discriminant(f: tuple) -> int:
 # factorization mod p: distinct-degree, equal-degree
 
 
-def _monic_polys(deg, p):
-    return (low + (1,) for low in itertools.product(range(p), repeat=deg))
-
-
 def _distinct_degree(h, p):
     """[(g, product of the distinct irreducible factors of degree g)] for
     monic h, repeated factors allowed.
@@ -313,7 +309,7 @@ def _split_equal_degree(h, g, p):
     out = []
     if p == 2:
         rest = h
-        for cand in _monic_polys(g, p):
+        for cand in (low + (1,) for low in itertools.product(range(p), repeat=g)):
             if len(rest) - 1 == g:
                 out.append(rest)
                 break
@@ -507,10 +503,6 @@ class NumberRing:
 
     def element(self, coords, denom_exp: int = 0) -> RingElement:
         coords = tuple(int(c) for c in coords)
-        if len(coords) != self.degree:
-            raise ValueError(f"need {self.degree} coordinates, got {len(coords)}")
-        if denom_exp < 0:
-            raise ValueError("denominator exponent must be >= 0")
         while denom_exp > 0 and all(c % self.inverted == 0 for c in coords):
             coords = tuple(c // self.inverted for c in coords)
             denom_exp -= 1
@@ -536,7 +528,7 @@ class RingElement:
 
     def __post_init__(self):
         if len(self.coords) != self.ring.degree:
-            raise ValueError("coordinate length does not match ring degree")
+            raise ValueError(f"need {self.ring.degree} coordinates, got {len(self.coords)}")
         if self.denom_exp < 0:
             raise ValueError("denominator exponent must be >= 0")
         if self.denom_exp > 0 and all(c % self.ring.inverted == 0 for c in self.coords):
@@ -638,7 +630,7 @@ def detect_split(a: RingElement, limit: int = DEFAULT_PRIME_LIMIT) -> SplitDetec
     p, so such p are skipped before any root is computed.
     """
     if a.is_zero():
-        raise UndetectableError("zero maps to zero in every quotient")
+        raise UndetectableError("zero is undetectable")
     for p, roots in _split_rows(a.ring, limit, math.gcd(*a.coords)):
         for root in roots:
             residue = reduce_element(a, p, root)
@@ -676,7 +668,7 @@ def min_detecting_ideal(a: RingElement, limit: int = DEFAULT_PRIME_LIMIT) -> Ide
     only smaller p need the full factorization of f mod p.
     """
     if a.is_zero():
-        raise UndetectableError("zero maps to zero in every quotient")
+        raise UndetectableError("zero is undetectable")
     f = a.ring.min_poly
     skip = a.ring.inverted * math.gcd(*a.coords)
     best: IdealDetection | None = None

@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from resfin import cli
+from resfin import chevalley, cli
 
 
 def run_cli(argv, stdin_text=None):
@@ -514,6 +514,7 @@ USAGE_ERRORS = [  # value errors: exit 2, one "error:" line
     ["dq", "--matrix", "1,a;0,1"],
     ["dq", "--matrix", "2,0;0,1"],
     ["dq", "--matrix", "1,0;0,1"],
+    ["dq", "--matrix", "1,0;0,1", "--allow-central"],
     ["dq", "--group", "gl2", "--matrix", "1,1;0,1"],
     ["dq", "--group", "sl", "--matrix", "1,1;0,1"],
     ["growth", "--group", "sl1", "--n-max", "1"],
@@ -537,6 +538,8 @@ USAGE_ERRORS = [  # value errors: exit 2, one "error:" line
     ["verify", "--suite", "adjoint", "--group", "sl1", "--p", "5"],
     ["verify", "--suite", "normal-subgroups", "--group", "sl2", "--modulus", "0"],
     ["verify", "--suite", "normal-subgroups", "--group", "sl2", "--modulus", "12"],
+    # a composite modulus fails before the budget check of the enumeration
+    ["verify", "--suite", "normal-subgroups", "--group", "sl2", "--modulus", "1000"],
     ["verify", "--suite", "centerless", "--group", "sl2", "--modulus", "-3"],
     ["verify", "--suite", "strong-approx", "--group", "sl2", "--level", "2", "--modulus", "4"],
     ["verify", "--suite", "strong-approx", "--group", "sl2", "--modulus", "5"],
@@ -592,6 +595,139 @@ BUDGET_CASES = [  # exit 3, one "budget:" line
     ["ring", "--ring", "f=1,0,1", "--element", "12,0", "--m-max", "3"],
 ]
 
+TESTS_DIR = os.path.dirname(__file__)
+
+
+def _stable(text):
+    """text with the tests directory, named by the fit rows, as <tests>."""
+    return text.replace(TESTS_DIR, "<tests>")
+
+
+# sha256 of the exact stderr (through _stable) of the USAGE_ERRORS and
+# BUDGET_CASES rows, keyed by their argv joined with spaces, recorded at
+# 790fc5f
+STDERR_DIGESTS = {
+    "dq --matrix 1,2;3":
+        "1b8b410cfd7c0c527a4bdd45223011a995edf9ef7222b5a4aaac44c33dbd442a",
+    "dq --matrix ;":
+        "c525f01f8afa861834977962c53c8a20647ca79bd23bbe97071a564a961c418e",
+    "dq --matrix 1":
+        "eea1e748e775aa7f8e0679a769ceba53e75d9384c718406dbd3cd36662558d23",
+    "dq --matrix 1,a;0,1":
+        "0fe4e3b104fd0ac03b48b0eebbc29ae13bc71bdf89548d2d5cc92d2c1b3c3322",
+    "dq --matrix 2,0;0,1":
+        "090a52a9f220816a6cb477f3ba7276b7859fa261589b5a29bbb369849ab53ecc",
+    "dq --matrix 1,0;0,1":
+        "4e08366e69e243eb69fd6249e26f1a0849f74d6e06edd9168778ee66164dfb3f",
+    "dq --group gl2 --matrix 1,1;0,1":
+        "f8aa600c4a2dd7c5bd351680b27fbf52a55b2e0038ec593925e636b65a3a547a",
+    "dq --group sl --matrix 1,1;0,1":
+        "513b1d3759642cff968fee0e14a932f51bca476a644ef155cb8cce424acc32ee",
+    "growth --group sl1 --n-max 1":
+        "eea1e748e775aa7f8e0679a769ceba53e75d9384c718406dbd3cd36662558d23",
+    "growth --group sl9x --n-max 1":
+        "ccbd97db3b401226cbe48a9dde40045ca40bcbdae08bcd8ba86ef9e2fd067015",
+    "growth --group sl2 --n-max -1":
+        "9f4ea39a2f0b78ccfb5400d78aae98d65fe65a5a2a75df33a0d52529421ea70f",
+    "growth --group sl2 --n-max 3 --power 0":
+        "8592648c6358afd81cfe4636344770f82508c2b135ac8c74d4c394116d4414e9",
+    "growth --group sl3 --gens st --n-max 1":
+        "03e50f45b23f241b0ad93ee363948c1de7064eee2bcce37f44bd41c106245d48",
+    "candidates --group sl2 --k 0..3":
+        "951f50fab381689e01caa9ac168712b2d72ffb2c7ad06a992e7d31b4bff9d260",
+    "candidates --group sl2 --k a..b":
+        "8bc0dd1fb131a81e071fcd7057d99678f63c33b4c0eef16b5bb11ba89c742afc",
+    "candidates --group sl2 --k 5..2":
+        "58189a2fd704f6aca2d77e72b95a628fdd260cbd557e382858c47c7a5e8a6702",
+    "candidates --group sl2 --k 1 --multiplier 0":
+        "109c82227ee32f8356f1de58320e85c3187c5b4c88f6c9da57898eb6370d68f7",
+    "candidates --group sl2 --k 1 --s-primes x":
+        "e2ae0bc270d7a40f5145d8e005da180ee433b33e127d823ed8cd7a02066fbb06",
+    "candidates --group sl2 --k 1 --s-primes 4":
+        "0ef5132775b4e20a72a0a33cdf2c4a6625606719d2cf21bbc902061b93128484",
+    "candidates --group sl2 --k 1 --s-primes -2":
+        "62d9b4745878f829aa55475f6f613e1917a070cbd8f42881b485182c6e1e7cd6",
+    "fit <tests>/no-such-file.csv":
+        "6dcd6d674fe1c9385788d5a96c863fabe6d6f7429c1512a11f342ca0626782f2",
+    "fit <tests>":
+        "e7af5139cb0d532f009a18f75d7e87643e61052109a89d2f0c35f92c9cfdd6e5",
+    "verify --suite moy-prasad --group sl2":
+        "3119395311b2f4fa3db694a82432839c0b9e68d9acd1c32f59c554c7aee911f1",
+    "verify --suite moy-prasad --group sl2 --p 5 --k x":
+        "5926a02ea722c84328278632d5693f1f5ca422d298cb3151571636d40400581f",
+    "verify --suite moy-prasad --group sl2 --p 5 --k 0..1":
+        "90a0b707baeebbf4e829857d6da4a43495ffbf59d0852f79916ae38becd4f1fc",
+    "verify --suite adjoint --group sl2 --p 0":
+        "eb08388fb3257d86974596547f8672f043f9442d7c551b50c81bba6e7a21dc90",
+    "verify --suite adjoint --group sl1 --p 5":
+        "eea1e748e775aa7f8e0679a769ceba53e75d9384c718406dbd3cd36662558d23",
+    "verify --suite normal-subgroups --group sl2 --modulus 0":
+        "a076b870b8560ac8eb7440d77800732db8302a49cc798e26e937444a2ac6a9db",
+    "verify --suite normal-subgroups --group sl2 --modulus 12":
+        "ebd06fb3ae891505714dd3f40c5b0e6194b5cf9c7ecff7f0ef4a6b2f04062bef",
+    "verify --suite centerless --group sl2 --modulus -3":
+        "a076b870b8560ac8eb7440d77800732db8302a49cc798e26e937444a2ac6a9db",
+    "verify --suite strong-approx --group sl2 --level 2 --modulus 4":
+        "a4c90dbfc3d077f328e7bbda3cbc4b19a0bd741b166db631a99dc10502409eaf",
+    "verify --suite strong-approx --group sl2 --modulus 5":
+        "e4098c3bb5dcbaf3c1c8fcec5779d146f673aaf6ff18f47430c5322961dbd796",
+    "verify --suite strong-approx --group sl2 --level 0 --modulus 5":
+        "e067cce05670d11503085df98c23ecc062f23e078b60399b4d1997a4b80c7769",
+    "verify --suite strong-approx --group sl2 --level -2 --modulus 5":
+        "bb351726068626a06f010a3b53b5fdc692cb1efd480e021ae12498fcb19d5210",
+    "verify --suite strong-approx --group sl2 --level 2 --modulus 9 --trials 0":
+        "99b27cf3c55459d15e03c7580a5a7643772d97c6ad71c7b55fa371317e243a95",
+    "verify --suite strong-approx --group sl2 --level 2 --modulus 9 --trials -1":
+        "a8a3e44764b211de8a61ef1f02d252e6f42b252d655147e8293ad67773f64b3d",
+    "examples --group lamplighter --k 1":
+        "7ecbeb5186726e7bdb43b4f58c3d5a5d884d800a057ba46a2c83338caf082892",
+    "examples --group semidirect --k 2..x":
+        "dd55998e45b87e55748e4fa74989668f1e22546593e819a5b3d773628de9c3be",
+    "examples --group abelian --k 3..2":
+        "74f8df334bfa5e1d215606888e85296ba5542bf359161d08f400950125d880f4",
+    "examples --group lamplighter --k 2..9859":
+        "cbb88980848fec67437bdbd09457bf93374f5ec2e6d23b51b41bd4458fd64fea",
+    "examples --group semidirect --k 2..9859":
+        "cbb88980848fec67437bdbd09457bf93374f5ec2e6d23b51b41bd4458fd64fea",
+    "ring --ring f= --element 1":
+        "29275e68815f3848ab2390bf4935e37695c4b77ee967b8ffb0a9e615043e1e5e",
+    "ring --ring f=1 --element 1":
+        "6cdda0b73fcf9c36b56c002c6ebfcaf0e9112def697838e9d4958e50171e560a",
+    "ring --ring f=1,0,1 --element 1,2,3":
+        "b29bafda88e1b2d628160341adc2b1e530ba3fdbcf4c2f0ffa698f4bc055dedd",
+    "ring --ring f=1,0,1 --element 1,x":
+        "fc78f280e10bf1f9ea5a83ef22de227df127ec20f8b828d1a818e96dc575aba0",
+    "ring --ring f=1,0,1;invert=x --element 1,1":
+        "f808a9bc1aa37ee28fdb37564fb836bd23d2db1c8edbf75e816b5051b6a097f9",
+    "ring --ring f=1,0,1 --element 0,0":
+        "69454a019ebb6a9d0730e21e64058122c184ea610b01dfdd4d20f73b02c71bd1",
+    "ring --ring f=1,0,1 --element 1,1 --m-max 1":
+        "9e76cf6ea413acd5abbd236801e0a885bb849a4df98edcde003f4f50b330cc1a",
+    "ring --ring f=1,0,1 --element 1,1 --m-max 0":
+        "bb7b3bc0188641717085af815ff585a5ffe102441626b2a81daff0d8166ca56a",
+    "ring --ring f=1,0,1 --element 1,1 --m-max=-5":
+        "f078bae82c340eceb1f4d3ee6d030a8f32be4e14cb73f07d49d77c3ef10886a0",
+    "ring --ring f=1,0,1 --element 1,1 --m-max 200000000":
+        "ed46161a8aff723c4323f05b81138aa4c913dfaf53172c3098cecbbbfb3de8c9",
+    "ring --ring f=1000000000000000000000001,0,1 --element 1,0":
+        "6b6c7dd239c91113a66cf0fdf3e7021fdcea0f2d17a7a32cb34a9609c98302ca",
+    "dq --matrix 1,0;0,1 --allow-central":
+        "4e08366e69e243eb69fd6249e26f1a0849f74d6e06edd9168778ee66164dfb3f",
+    "verify --suite normal-subgroups --group sl2 --modulus 5 --budget 10":
+        "502d94fbddf229480cdfc0498fbc5455e6183a49a4f756283a7215a76a6760e5",
+    "verify --suite centerless --group sl2 --modulus 5 --budget 10":
+        "502d94fbddf229480cdfc0498fbc5455e6183a49a4f756283a7215a76a6760e5",
+    "verify --suite strong-approx --group sl2 --level 1 --modulus 9 --budget 10":
+        "0ea404fc08571f2ee55b76ffd8e4e3789db89bd2acfe20dc3dd2e8972607970d",
+    "growth --group sl2 --n-max 3 --budget 5":
+        "7952dbee383549c02db3c92e1b594c5f4c690e7f71d2891ad225601794dcbac7",
+    "growth --group sl3 --n-max 2 --budget 5":
+        "989523a441540f8175991c2c7f30a4176534362a819d9a6def6e832ae3cadfec",
+    "ring --ring f=1,0,1 --element 12,0 --m-max 3":
+        "fc448fcbdb70663f783177b6e928901946c2cf9c50aca96ed7dc617093114dc0",
+}
+
+
 # moy-prasad checks generators and builds no group, so it passes on
 # instances whose G^i is far beyond any budget, and --budget does not reach it
 CERTIFICATE_CASES = [  # exit 0, every check passes
@@ -613,6 +749,20 @@ class TestExitCodes:
         rc, out, err = run_cli(argv)
         assert (rc, out) == (2, "")
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+    @pytest.mark.parametrize("key", sorted(STDERR_DIGESTS))
+    def test_error_texts_match_golden_digests(self, key):
+        argv = next(a for a in USAGE_ERRORS + BUDGET_CASES if _stable(" ".join(a)) == key)
+        err = _stable(run_cli(argv)[2])
+        assert hashlib.sha256(err.encode()).hexdigest() == STDERR_DIGESTS[key], err
+
+    def test_composite_modulus_fails_before_enumeration(self, monkeypatch):
+        def enumerate_group(*args, **kwargs):
+            raise AssertionError("enumerated a group for a composite modulus")
+
+        monkeypatch.setattr(chevalley, "enumerate_group", enumerate_group)
+        argv = ["verify", "--suite", "normal-subgroups", "--group", "sl2", "--modulus", "90"]
+        assert run_cli(argv) == (2, "", "error: modulus 90 is not a prime power\n")
 
     @pytest.mark.parametrize("argv", ARGPARSE_ERRORS, ids=" ".join)
     def test_argparse_errors(self, argv):

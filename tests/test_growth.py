@@ -23,15 +23,15 @@ from resfin.chevalley import SL2, SL3, SL4, BudgetExceededError, GroupSpec
 
 @functools.cache
 def brute_ball(gens, n):
-    """Oracle: minimal word length by enumerating all products up to length n."""
-    out = {matgrp.identity(len(gens.mats[0])): 0}
+    """Oracle: minimal word length by enumerating all products up to length n,
+    in lexicographic word order, each word of length L multiplied out as its
+    prefix of length L - 1 times its last letter."""
+    words = [matgrp.identity(len(gens.mats[0]))]
+    out = {words[0]: 0}
     for length in range(1, n + 1):
-        for combo in itertools.product(gens.mats, repeat=length):
-            m = matgrp.identity(len(combo[0]))
-            for s in combo:
-                m = matgrp.mat_mul(m, s)
-            if m not in out:
-                out[m] = length
+        words = [matgrp.mat_mul(w, s) for w in words for s in gens.mats]
+        for m in words:
+            out.setdefault(m, length)
     return out
 
 
