@@ -175,6 +175,19 @@ class TestFit:
         rc, _, err = run_cli(["fit"], stdin_text="a,b\n1,2\n")
         assert rc == 2 and "header" in err
 
+    def test_empty_input(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        assert run_cli(["fit", str(path)]) == (
+            2, "", "error: empty input, expected a candidates or growth CSV\n")
+
+    def test_incomplete_rows_are_skipped(self):
+        complete = ["k,modulus,quotient_order"] + [f"{k},7,{k ** 3}" for k in range(1, 6)]
+        rows = complete[:3] + ["9"] + complete[3:] + ["10,11,"]
+        want = run_cli(["fit"], stdin_text="\n".join(complete) + "\n")
+        assert want[0] == 0 and abs(json.loads(want[1])["slope"] - 3) < 1e-9
+        assert run_cli(["fit"], stdin_text="\n".join(rows) + "\n") == want
+
 
 class TestVerify:
     def test_moy_prasad_suite(self):
@@ -474,6 +487,13 @@ VERIFY_DIGESTS = [
      "b913526cc909391751cfa31e03f4fd433feb21f6b01020e7d3a18be01ba04b45"),
     (["verify", "--suite", "adjoint", "--group", "sl4", "--p", "3"],
      "34f20d2fa66070c0e082c46cd7688e6eea4bec11b85a06a039ea2315c7827c26"),
+    # recorded at 3ff9145: the Lie center where p | n with n != p, and at n = 5
+    (["verify", "--suite", "adjoint", "--group", "sl4", "--p", "2"],
+     "681f85f595abea690f38ebdd3df8e8bf7963adf71f77d6b38aa839f091bd3eef"),
+    (["verify", "--suite", "adjoint", "--group", "sl4", "--p", "5"],
+     "b40c387a4e02ac8a8a0b59f3fc74cc7041b9e3ec323adcf69e42a98a44e7881b"),
+    (["verify", "--suite", "adjoint", "--group", "sl5", "--p", "5"],
+     "d83938dfe47cfb0ad83d7579292d372c648cdb363e72f0ceb90ef4d6a624b6f0"),
 ]
 
 
@@ -522,6 +542,7 @@ USAGE_ERRORS = [  # value errors: exit 2, one "error:" line
     ["growth", "--group", "sl2", "--n-max", "-1"],
     ["growth", "--group", "sl2", "--n-max", "3", "--power", "0"],
     ["growth", "--group", "sl3", "--gens", "st", "--n-max", "1"],
+    ["growth", "--group=", "--n-max", "2"],
     ["candidates", "--group", "sl2", "--k", "0..3"],
     ["candidates", "--group", "sl2", "--k", "a..b"],
     ["candidates", "--group", "sl2", "--k", "5..2"],
@@ -534,8 +555,10 @@ USAGE_ERRORS = [  # value errors: exit 2, one "error:" line
     ["verify", "--suite", "moy-prasad", "--group", "sl2"],
     ["verify", "--suite", "moy-prasad", "--group", "sl2", "--p", "5", "--k", "x"],
     ["verify", "--suite", "moy-prasad", "--group", "sl2", "--p", "5", "--k", "0..1"],
+    ["verify", "--suite", "adjoint", "--group", "sl2"],
     ["verify", "--suite", "adjoint", "--group", "sl2", "--p", "0"],
     ["verify", "--suite", "adjoint", "--group", "sl1", "--p", "5"],
+    ["verify", "--suite", "normal-subgroups", "--group", "sl2"],
     ["verify", "--suite", "normal-subgroups", "--group", "sl2", "--modulus", "0"],
     ["verify", "--suite", "normal-subgroups", "--group", "sl2", "--modulus", "12"],
     # a composite modulus fails before the budget check of the enumeration
@@ -711,6 +734,13 @@ STDERR_DIGESTS = {
         "ed46161a8aff723c4323f05b81138aa4c913dfaf53172c3098cecbbbfb3de8c9",
     "ring --ring f=1000000000000000000000001,0,1 --element 1,0":
         "6b6c7dd239c91113a66cf0fdf3e7021fdcea0f2d17a7a32cb34a9609c98302ca",
+    # recorded at 3ff9145
+    "verify --suite adjoint --group sl2":
+        "b3a8d841fcb8d15c9786fe761428306da1c8652a8215499f42de09e0d698237b",
+    "verify --suite normal-subgroups --group sl2":
+        "c87a2fa6b5f7fe63182595728eecc737de5da8d3b030def90e4c2409a17ce6df",
+    "growth --group= --n-max 2":
+        "c2e978e37dc0c429071c7bcaaada642ee6b04d7169148cbd4c3ed55d87d57b5e",
     "dq --matrix 1,0;0,1 --allow-central":
         "4e08366e69e243eb69fd6249e26f1a0849f74d6e06edd9168778ee66164dfb3f",
     "verify --suite normal-subgroups --group sl2 --modulus 5 --budget 10":
