@@ -176,9 +176,12 @@ def closure(
     Row lemma: row r of x * s is (row r of x) * s.  So the walk codes an
     element as one int, the base-m digits of its entries in row-major order
     (a row is a code below size = m^n), and gives each s two block tables
-    built from its row table on (Z/m)^n: hi on the top ceil(n/2) rows,
-    pre-scaled by low = m^(n floor(n/2)), and lo on the bottom floor(n/2)
-    rows.  With (a, b) = divmod(x, low), x * s is hi[a] + lo[b].  The
+    built from its row table on (Z/m)^n (_row_images): hi on the top
+    ceil(n/2) rows, pre-scaled by low = m^(n floor(n/2)), and lo on the
+    bottom floor(n/2) rows.  With (a, b) = divmod(x, low), x * s is
+    hi[a] + lo[b].  Every table is a _digit_table: the code of a block's
+    image is the sum of its rows' image codes, each at its place, and an
+    entry of a row's image the sum of one term per coordinate.  The
     elements are decoded at the end, sharing one tuple per row vector.
 
     Table bound: hi has m^(n ceil(n/2)) entries, fewer than |SL_n(Z/m)| =
@@ -194,13 +197,12 @@ def closure(
     low = size ** (n - top)
     if size**top > budget:
         raise BudgetExceededError(f"closure tables of {size**top} entries exceed budget {budget}")
-    vecs = list(itertools.product(range(m), repeat=n))  # row code -> row vector
-    places = [m ** (n - 1 - c) for c in range(n)]
     steps = []
     for s, gen in enumerate(gens):
-        cols = list(zip(zip(*gen), places))
-        images = [sum(sum(map(operator.mul, v, col)) % m * w for col, w in cols) for v in vecs]
-        steps.append((s, _block_table(images, size, top, low), _block_table(images, size, n - top, 1), []))
+        images = _row_images(gen, m)
+        hi = _digit_table([[low * size**r * v for v in images] for r in range(top)])
+        lo = _digit_table([[size**r * v for v in images] for r in range(n - top)])
+        steps.append((s, hi, lo, []))
     first = sum(m ** ((n + 1) * r) for r in range(n)) % size**n  # the code of I, 0 for m = 1
     codes, parent, via = [first], [-1], [-1]
     seen = {first: 0}.setdefault  # code -> index, inserting the next index
@@ -221,19 +223,33 @@ def closure(
         if count == stop_at:
             break
     del seen
+    vecs = list(itertools.product(range(m), repeat=n))  # row code -> row vector
     rows = [[vecs[g // w % size] for g in codes] for w in (size**r for r in reversed(range(n)))]
     right = [array("i", row) for *_, row in steps]
     return list(zip(*rows)), right, array("i", parent), array("i", via)
 
 
-def _block_table(images: list[int], size: int, rows: int, scale: int) -> list[int]:
-    """x -> scale * (code of x * s) on blocks x of `rows` consecutive rows,
-    coded like elements, given the codes of the row images under s."""
+def _digit_table(digits: list[list[int]]) -> list[int]:
+    """The table of a map that adds one term per digit of its argument:
+    entry x is the sum of digits[i][x_i] over the mixed-radix digits x_i
+    of x (radix len(digits[i])), digits[0] the least significant."""
     table = [0]
-    for _ in range(rows):
-        table = [u + t for u in [scale * v for v in images] for t in table]
-        scale *= size
+    for part in digits:
+        table = [u + t for u in part for t in table]
     return table
+
+
+def _row_images(gen: Mat, m: int) -> list[int]:
+    """Row code -> code of (row vector) * gen on (Z/m)^n, built column by
+    column: entry c of v * gen is sum_k v_k gen[k][c] mod m, one term per
+    coordinate v_k, so it is a _digit_table over the coordinates."""
+    n = len(gen)
+    images = [0] * m**n
+    for c, col in enumerate(zip(*gen)):
+        entry = _digit_table([[a * v % m for v in range(m)] for a in reversed(col)])
+        w = m ** (n - 1 - c)
+        images = list(map(operator.add, images, [e % m * w for e in entry]))
+    return images
 
 
 @dataclass(eq=False, repr=False)
@@ -258,7 +274,7 @@ class FiniteGroupTable:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def left(self, a: int) -> array:
+    def left(self, a: int) -> list[int]:
         """x -> index of elements[a] * elements[x].
 
         elements[x] = elements[parent[x]] * gens[via[x]] with parent[x] < x,
@@ -266,9 +282,10 @@ class FiniteGroupTable:
         lookup in right[via[x]] per x, from left[0] = a (elements[0] = I).
         """
         right = self.right
-        out = array("i", [a]) * len(self.elements)
-        for x, p, s in zip(range(1, len(out)), self.parent[1:], self.via[1:]):
-            out[x] = right[s][out[p]]
+        out = [a]
+        add = out.append
+        for p, s in zip(self.parent[1:], self.via[1:]):
+            add(right[s][out[p]])
         return out
 
     @cached_property
@@ -282,8 +299,13 @@ class FiniteGroupTable:
     @cached_property
     def center(self) -> list[int]:
         """Indices of the elements fixed by conjugation by every generator."""
-        conj = self.conjugations
-        return [x for x in range(len(self)) if all(c[x] == x for c in conj)]
+        return sorted(set.intersection(*(_fixed(c, range(len(self))) for c in self.conjugations)))
+
+
+def _fixed(f, g) -> set[int]:
+    """The x with f[x] == g[x], for int sequences of one length, in one
+    C-level pass."""
+    return set(itertools.compress(range(len(f)), map(operator.eq, f, g)))
 
 
 def enumerate_group(spec: GroupSpec, m: int, budget: int = DEFAULT_ENUM_BUDGET) -> FiniteGroupTable:
@@ -770,16 +792,29 @@ def class_product_table(table: FiniteGroupTable, classes: list[list[int]]) -> li
     y = g x g^-1 we have y * C_b = g (x * C_b) g^-1 since C_b is normal, which
     meets the same classes as x * C_b.  So one representative x of C_a
     suffices, and the table costs #classes * |G| lookups.
+
+    Each row is one pass that replays left(x) along the BFS tree and ORs in
+    the class of each product as it is made, over an edge list (parent[y],
+    right[via[y]], class of y) for y = 1, 2, ... built once for all rows.
     """
-    class_of = array("i", [0]) * len(table)
+    class_of = [0] * len(table)
     for ci, cls in enumerate(classes):
         for x in cls:
             class_of[x] = ci
-    bit = [1 << ci for ci in class_of]
+    bits = [1 << ci for ci in range(len(classes))]
+    bit = [bits[ci] for ci in class_of]  # shared: one int object per class, not per element
+    right = table.right
+    edges = list(zip(table.parent[1:], [right[s] for s in table.via[1:]], class_of[1:]))
     prod = []
     for cls in classes:
+        x = cls[0]
+        out = [x]  # out[y] = index of elements[x] * elements[y]
+        add = out.append
         row = [0] * len(classes)
-        for cy, xy in zip(class_of, table.left(cls[0])):
+        row[class_of[0]] = bit[x]
+        for p, r, cy in edges:
+            xy = r[out[p]]
+            add(xy)
             row[cy] |= bit[xy]
         prod.append(row)
     return prod
@@ -848,21 +883,30 @@ def normal_subgroups_containing_center(table: FiniteGroupTable) -> list[frozense
 def filtration_center_subgroups(table: FiniteGroupTable) -> list[frozenset[int]]:
     """The predicted normal subgroups G^i Z(G) for i = 0..k, as index sets.
 
-    One pass: g lies in G^i exactly when its level, v_p of
+    g lies in G^i exactly when its level, v_p of
     gcd(p^k, detection_gcd(g)), is at least i; so
-    G^i Z = G^(i+1) Z + Z (level-i elements)."""
+    G^i Z = G^(i+1) Z + Z (level-i elements).  One compiled gcd per
+    element, then one fixed-value pass per level."""
     p, k = _prime_power_modulus(table.modulus)
-    level_of = {p**i: i for i in range(k + 1)}
-    levels: list[list[int]] = [[] for _ in range(k + 1)]
-    for x, g in enumerate(table.elements):
-        levels[level_of[math.gcd(p**k, matgrp.detection_gcd(g))]].append(x)
-    by_center = [table.left(z) for z in table.center]  # g -> z * g = g * z
+    gcds = list(map(_level_key(table.spec.n, p**k), table.elements))
+    by_center = [table.left(z) for z in table.center if z]  # g -> z * g = g * z
     sub: set[int] = set()
     out = set()
-    for level in reversed(levels):
-        sub.update(lz[x] for x in level for lz in by_center)
+    for i in reversed(range(k + 1)):
+        at_level = map(operator.eq, gcds, itertools.repeat(p**i))
+        level = list(itertools.compress(range(len(gcds)), at_level))
+        sub.update(level)  # z = I, with no replay
+        for lz in by_center:
+            sub.update(map(lz.__getitem__, level))
         out.add(frozenset(sub))
     return sorted(out, key=lambda s: (len(s), sorted(s)))
+
+
+def _level_key(n: int, q: int):
+    """g -> gcd(q, matgrp.detection_gcd(g)) on nested n x n rows, compiled."""
+    terms = ", ".join(f"g[{r}][{c}]" + (" - 1" if r == c else "") for r in range(n) for c in range(n))
+    # the source is built here from integer literals and indices only
+    return eval(f"lambda g: gcd({q}, {terms})", {"gcd": math.gcd})
 
 
 def normal_structure_check(table: FiniteGroupTable) -> CheckResult:
@@ -910,14 +954,10 @@ def _second_center_indices(table: FiniteGroupTable, center: list[int]) -> list[i
     For central z, g s g^-1 s^-1 = z iff g s = z s g iff s^-1 g s = z g, so
     the test is conj_s(g) in the coset Z g, read through left(z).
     """
-    conj = table.conjugations
-    by_center = [table.left(z) for z in center]
-    out = []
-    for g in range(len(table)):
-        coset = {lz[g] for lz in by_center}
-        if all(c[g] in coset for c in conj):
-            out.append(g)
-    return out
+    by_center = [table.left(z) if z else range(len(table)) for z in center]
+    return sorted(set.intersection(
+        *(set().union(*(_fixed(c, lz) for lz in by_center)) for c in table.conjugations)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -943,9 +983,9 @@ def strong_approx_check(
     under products is <X>.  So E_ij(1) stands for E_ij(-1) = E_ij(1)^(m-1),
     and no sampled conjugate needs its inverse beside it.
     """
+    expected = spec.order_mod(m)  # rejects m < 1 first
     if math.gcd(N, m) != 1:
         raise ValueError(f"need gcd(N, m) = 1, got N={N}, m={m}")
-    expected = spec.order_mod(m)
     if expected > budget:
         raise BudgetExceededError(f"target order {expected} exceeds budget {budget}")
     instance = f"{spec.name},N={N},m={m}"

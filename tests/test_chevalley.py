@@ -9,6 +9,7 @@ anyway and the first moduli where they break.
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -807,8 +808,8 @@ def oracle_lie_center_dim(spec, p):
 
 @pytest.mark.parametrize("spec", [SL2, SL3, SL4, ch.GroupSpec(5)], ids=lambda s: s.name)
 def test_lie_center_matches_bracket_nullspace(spec, monkeypatch):
-    # the check reads the center off the centralizer C of sl_n in M_n; the
-    # invariant-subspace part (b) between (a) and (c) is stubbed out
+    # the check reads part (a), the Lie center, off n and p alone; the test
+    # stubs part (b), the invariant-subspace scan
     monkeypatch.setattr(ch, "_invariant_subspace_scan", lambda *a: ("stub", None))
     for p in (2, 3, 5, 7, 11, 13):
         dim = oracle_lie_center_dim(spec, p)
@@ -1302,6 +1303,20 @@ class TestTableClosure:
         with_inverses = gens + [matgrp.mat_inv_mod(g, m) for g in gens]
         assert set(ch.closure(with_inverses, m)[0]) == set(got[0])
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("m", [5, 6, 8, 9])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_generators_match(self, n, m, seed):
+        # dense generators with entries anywhere in [0, m), invertible or not,
+        # so every column of the row tables is a general one; two generators
+        # for n = 2 (at most m^4 matrices), one for n = 3 (a cyclic monoid)
+        rng = random.Random(1000 * n + 10 * m + seed)
+        gens = [
+            tuple(tuple(rng.randrange(m) for _ in range(n)) for _ in range(n))
+            for _ in range(4 - n)
+        ]
+        assert as_lists(ch.closure(gens, m)) == oracle_closure(gens, m)
+
     def test_budget_boundary(self):
         gens = ch._elementary_mod(SL2, 13, signs=(1,))
         order = SL2.order_mod(13)
@@ -1381,6 +1396,14 @@ class TestCenterlessAndReduction:
         assert r.status == "fail"
         assert "8" in r.detail and "4" in r.detail
 
+    def test_mod_16_centers_match_oracles(self):
+        # the one failing instance: both fixed-point passes, exactly
+        t16 = ch.enumerate_group(SL2, 16)
+        center = [t16.elements[x] for x in t16.center]
+        second = [t16.elements[x] for x in ch._second_center_indices(t16, t16.center)]
+        assert center == oracle_center(t16) and len(center) == 4
+        assert second == oracle_second_center(t16) and len(second) == 8
+
     def test_center_reduction(self):
         assert center_reduction_check(SL2, 5, 2).passed
         assert center_reduction_check(SL2, 7, 3).passed
@@ -1409,8 +1432,11 @@ class TestStrongApprox:
         assert "648" in r.detail
 
     def test_rejections(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="gcd"):
             ch.strong_approx_check(SL2, 2, 4)
+        # m < 1 is rejected before the gcd test, which gcd(2, 0) = 2 fails
+        with pytest.raises(ValueError, match="modulus must be >= 1"):
+            ch.strong_approx_check(SL2, 2, 0)
         with pytest.raises(ch.BudgetExceededError):
             ch.strong_approx_check(SL3, 1, 9)
 

@@ -565,6 +565,8 @@ USAGE_ERRORS = [  # value errors: exit 2, one "error:" line
     ["verify", "--suite", "normal-subgroups", "--group", "sl2", "--modulus", "1000"],
     ["verify", "--suite", "centerless", "--group", "sl2", "--modulus", "-3"],
     ["verify", "--suite", "strong-approx", "--group", "sl2", "--level", "2", "--modulus", "4"],
+    # the modulus is checked before gcd(N, m)
+    ["verify", "--suite", "strong-approx", "--group", "sl2", "--level", "2", "--modulus", "0"],
     ["verify", "--suite", "strong-approx", "--group", "sl2", "--modulus", "5"],
     ["verify", "--suite", "strong-approx", "--group", "sl2", "--level", "0", "--modulus", "5"],
     ["verify", "--suite", "strong-approx", "--group", "sl2", "--level", "-2", "--modulus", "5"],
@@ -755,6 +757,9 @@ STDERR_DIGESTS = {
         "989523a441540f8175991c2c7f30a4176534362a819d9a6def6e832ae3cadfec",
     "ring --ring f=1,0,1 --element 12,0 --m-max 3":
         "fc448fcbdb70663f783177b6e928901946c2cf9c50aca96ed7dc617093114dc0",
+    # the modulus check ahead of the gcd test
+    "verify --suite strong-approx --group sl2 --level 2 --modulus 0":
+        "a076b870b8560ac8eb7440d77800732db8302a49cc798e26e937444a2ac6a9db",
 }
 
 
