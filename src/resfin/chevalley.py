@@ -888,7 +888,8 @@ def filtration_center_subgroups(table: FiniteGroupTable) -> list[frozenset[int]]
     G^i Z = G^(i+1) Z + Z (level-i elements).  One compiled gcd per
     element, then one fixed-value pass per level."""
     p, k = _prime_power_modulus(table.modulus)
-    gcds = list(map(_level_key(table.spec.n, p**k), table.elements))
+    key = matgrp.gcd_key(table.spec.n, False, False)
+    gcds = list(map(math.gcd, itertools.repeat(p**k), map(key, table.elements)))
     by_center = [table.left(z) for z in table.center if z]  # g -> z * g = g * z
     sub: set[int] = set()
     out = set()
@@ -900,13 +901,6 @@ def filtration_center_subgroups(table: FiniteGroupTable) -> list[frozenset[int]]
             sub.update(map(lz.__getitem__, level))
         out.add(frozenset(sub))
     return sorted(out, key=lambda s: (len(s), sorted(s)))
-
-
-def _level_key(n: int, q: int):
-    """g -> gcd(q, matgrp.detection_gcd(g)) on nested n x n rows, compiled."""
-    terms = ", ".join(f"g[{r}][{c}]" + (" - 1" if r == c else "") for r in range(n) for c in range(n))
-    # the source is built here from integer literals and indices only
-    return eval(f"lambda g: gcd({q}, {terms})", {"gcd": math.gcd})
 
 
 def normal_structure_check(table: FiniteGroupTable) -> CheckResult:

@@ -102,6 +102,13 @@ def _require_prime_p(args) -> None:
         raise ValueError(f"--p must be prime, got {args.p}")
 
 
+def _budget(args) -> int:
+    """--budget, checked where it is read, before any ball or table."""
+    if args.budget < 1:
+        raise ValueError(f"--budget must be >= 1, got {args.budget}")
+    return args.budget
+
+
 def _spec_for(args, n: int | None = None) -> GroupSpec:
     if getattr(args, "group", None):
         spec = GroupSpec.from_name(args.group)
@@ -153,7 +160,7 @@ def _cmd_growth(args) -> int:
         args.n_max,
         k=args.power,
         allow_central=args.allow_central,
-        budget=args.budget,
+        budget=_budget(args),
     )
     rows = []
     for row in table.rows:
@@ -250,12 +257,12 @@ def _cmd_verify(args) -> int:
             raise ValueError("normal-subgroups needs --modulus")
         if args.modulus >= 1:  # a composite modulus fails before enumeration
             chevalley._prime_power_modulus(args.modulus)
-        table = chevalley.enumerate_group(spec, args.modulus, budget=args.budget)
+        table = chevalley.enumerate_group(spec, args.modulus, budget=_budget(args))
         results.append(chevalley.normal_structure_check(table))
     elif args.suite == "centerless":
         if args.modulus is None:
             raise ValueError("centerless needs --modulus")
-        table = chevalley.enumerate_group(spec, args.modulus, budget=args.budget)
+        table = chevalley.enumerate_group(spec, args.modulus, budget=_budget(args))
         results.append(chevalley.centerless_quotient_check(table))
     else:  # strong-approx
         if args.level is None or args.modulus is None:
@@ -267,7 +274,7 @@ def _cmd_verify(args) -> int:
         results.append(
             chevalley.strong_approx_check(
                 spec, args.level, args.modulus, trials=args.trials, seed=args.seed,
-                budget=args.budget,
+                budget=_budget(args),
             )
         )
     rows = []

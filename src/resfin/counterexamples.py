@@ -338,8 +338,5 @@ def abelian_D(v: tuple[int, ...]) -> Detection:
     Z/a for the least a not dividing gcd(v)."""
     if not v or all(c == 0 for c in v):
         raise UndetectableError("zero survives in no finite quotient")
-    g = 0
-    for c in v:
-        g = math.gcd(g, c)
-    a = arith.least_nondivisor(g)
+    a = arith.least_nondivisor(math.gcd(*v))
     return Detection(a, a)

@@ -94,28 +94,7 @@ def _right_multiplier(s: Mat):
                 for k, v in col
             ]
             cells.append(" + ".join(terms) or "0")
-    return _compile("g", f"({', '.join(cells)},)")
-
-
-def _detection_key(d: int):
-    """g -> matgrp.detection_gcd of the flat d x d matrix g, compiled."""
-    return _compile(
-        "g", "gcd(" + ", ".join(f"g[{t}] - 1" if t % (d + 1) == 0 else f"g[{t}]" for t in range(d * d)) + ")"
-    )
-
-
-def _central_key(d: int, det_one: bool):
-    """g -> matgrp._central_gcd of the flat d x d matrix g, compiled: the gcd
-    of the off-diagonal entries, of the g_ii - g_11 and of det g - 1.
-
-    Lemma: det is multiplicative, so when every generator has det 1, every
-    element of the ball and its powers have det 1, and the det g - 1 term is
-    0 and left out (det_one).  Otherwise matgrp.det supplies it.
-    """
-    terms = [f"g[{t}]" for t in range(d * d) if t % (d + 1)]
-    terms += [f"g[{t}] - g[0]" for t in range(d + 1, d * d, d + 1)]
-    key = _compile("g", f"gcd({', '.join(terms)})")
-    return key if det_one else lambda g: math.gcd(key(g), matgrp.det(_nested(g, d)) - 1)
+    return matgrp.compile_lambda("g", f"({', '.join(cells)},)")
 
 
 def _product(d: int):
@@ -125,7 +104,7 @@ def _product(d: int):
         for r in range(0, d * d, d)
         for c in range(d)
     ]
-    return _compile("a, b", f"({', '.join(cells)},)")
+    return matgrp.compile_lambda("a, b", f"({', '.join(cells)},)")
 
 
 def _flat_power(g: tuple[int, ...], k: int, product) -> tuple[int, ...]:
@@ -138,11 +117,6 @@ def _flat_power(g: tuple[int, ...], k: int, product) -> tuple[int, ...]:
         if not k:
             return out
         g = product(g, g)
-
-
-def _compile(params: str, expr: str):
-    # expr is built here from integer literals and indices only
-    return eval(f"lambda {params}: {expr}", {"gcd": math.gcd})
 
 
 def _nested(g: tuple[int, ...], d: int) -> Mat:
@@ -192,10 +166,9 @@ def farb_growth(
 
     D depends on a target only through its detection key (see
     matgrp.congruence_D): g = detection_gcd, paired with the central gcd h
-    under allow_central.  Both are compiled once per table on the flat
-    tuples (_detection_key, _central_key).  congruence_D runs once per
-    distinct key, on the first target with that key; a ball shares only a
-    handful of keys.
+    under allow_central, both read off the flat tuples by matgrp.gcd_key.
+    congruence_D runs once per distinct key, on the first target with that
+    key; a ball shares only a handful of keys.
 
     Witnesses are the first maximizer in (word length, entries) order.  The
     spheres are read directly, with no sort of the ball: a sphere changes
@@ -209,9 +182,14 @@ def farb_growth(
         raise ValueError("power must be >= 1")
     d = len(gens.mats[0])
     spheres = _spheres(gens, n_max, budget)
-    flat_key = _detection_key(d)
+    flat_key = matgrp.gcd_key(d, True, False)
     if allow_central:
-        central_key = _central_key(d, all(matgrp.det(s) == 1 for s in gens.mats))
+        # Lemma: det is multiplicative, so when every generator has det 1,
+        # so has every target, and the det g - 1 term of the central gcd is 0
+        if all(matgrp.det(s) == 1 for s in gens.mats):
+            central_key = matgrp.gcd_key(d, True, True)
+        else:
+            central_key = lambda g: matgrp._central_gcd(_nested(g, d))  # noqa: E731
     product = _product(d)
     by_key: dict[object, DetectionResult] = {}
 
@@ -280,7 +258,7 @@ class CandidateSeq:
                 f"k = {k} exceeds the materialization limit {MATERIALIZE_LIMIT};"
                 " use the valuation-based path"
             )
-        return self.alpha**k * math.lcm(*range(1, k + 1))
+        return self.alpha**k * arith.lcm_upto(k)
 
     def r_log2(self, k: int) -> float:
         """log2(r_k) from valuations; no huge integers formed.  The primes

@@ -14,8 +14,8 @@ powers q not dividing that gcd.
 
 from __future__ import annotations
 
+import functools
 import heapq
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -170,13 +170,34 @@ def format_matrix(a: Mat) -> str:
     return ";".join(",".join(str(x) for x in row) for row in a)
 
 
+def compile_lambda(params: str, expr: str):
+    """The function lambda params: expr, with gcd in scope; expr is built
+    from integer literals and indices only."""
+    return eval(f"lambda {params}: {expr}", {"gcd": math.gcd})
+
+
+@functools.lru_cache(maxsize=None)
+def gcd_key(n: int, flat: bool, central: bool):
+    """g -> the detection gcd (of the entries of g - I) or, with central,
+    the gcd of the off-diagonal entries and the g_ii - g_11, which
+    _central_gcd completes with det g - 1; compiled once per (n, layout,
+    kind), for nested rows or, with flat, row-major flat tuples."""
+    at = (lambda r, c: f"g[{r * n + c}]") if flat else (lambda r, c: f"g[{r}][{c}]")
+    if central:
+        terms = [at(r, c) for r in range(n) for c in range(n) if r != c]
+        terms += [f"{at(i, i)} - {at(0, 0)}" for i in range(1, n)]
+    else:
+        terms = [at(r, c) + (" - 1" if r == c else "") for r in range(n) for c in range(n)]
+    return compile_lambda("g", f"gcd({', '.join(terms)})")
+
+
 def detection_gcd(a: Mat) -> int:
     """gcd of the entries of A - I; 0 encodes the identity matrix.
 
     A dies in SL_n(Z/m) exactly when m divides this gcd (with the usual
     convention that every m divides 0).
     """
-    return math.gcd(*(x - 1 if i == j else x for i, row in enumerate(a) for j, x in enumerate(row)))
+    return gcd_key(len(a), False, False)(a)
 
 
 @dataclass(frozen=True)
@@ -197,11 +218,7 @@ def _central_gcd(a: Mat) -> int:
     a = lambda * I mod q, and then lambda^n = det a mod q; for det a = 1 the
     last part is 0, as lambda^n = 1 comes for free.
     """
-    entries = list(itertools.chain.from_iterable(a))
-    a11 = entries[0]
-    for t in range(0, len(entries), len(a) + 1):  # the diagonal
-        entries[t] -= a11
-    return math.gcd(det(a) - 1, *entries)
+    return math.gcd(det(a) - 1, gcd_key(len(a), False, True)(a))
 
 
 class QuotientSearch:

@@ -192,7 +192,7 @@ def _powmod_kernels(n: int):
     return namespace["x_power"], namespace["power"]
 
 
-def _peval(a, x, p):
+def _poly_at(a, x, p):
     acc = 0
     for c in reversed(a):
         acc = (acc * x + c) % p
@@ -604,9 +604,9 @@ def reduce_element(a: RingElement, p: int, root: int) -> int:
         raise ValueError(f"{p} is not prime")
     if ring.inverted % p == 0:
         raise ValueError(f"localized integer {ring.inverted} is not invertible mod {p}")
-    if _peval(ring.min_poly, root, p) != 0:
+    if _poly_at(ring.min_poly, root, p) != 0:
         raise ValueError(f"{root} is not a root of the minimal polynomial mod {p}")
-    value = _peval(a.coords, root, p)
+    value = _poly_at(a.coords, root, p)
     if a.denom_exp:
         value = value * pow(pow(ring.inverted, a.denom_exp, p), -1, p) % p
     return value

@@ -543,6 +543,8 @@ USAGE_ERRORS = [  # value errors: exit 2, one "error:" line
     ["growth", "--group", "sl2", "--n-max", "3", "--power", "0"],
     ["growth", "--group", "sl3", "--gens", "st", "--n-max", "1"],
     ["growth", "--group=", "--n-max", "2"],
+    # a budget below 1 fails before the ball is built
+    ["growth", "--group", "sl2", "--n-max", "3", "--budget", "-5"],
     ["candidates", "--group", "sl2", "--k", "0..3"],
     ["candidates", "--group", "sl2", "--k", "a..b"],
     ["candidates", "--group", "sl2", "--k", "5..2"],
@@ -564,6 +566,7 @@ USAGE_ERRORS = [  # value errors: exit 2, one "error:" line
     # a composite modulus fails before the budget check of the enumeration
     ["verify", "--suite", "normal-subgroups", "--group", "sl2", "--modulus", "1000"],
     ["verify", "--suite", "centerless", "--group", "sl2", "--modulus", "-3"],
+    ["verify", "--suite", "centerless", "--group", "sl2", "--modulus", "4", "--budget", "-1"],
     ["verify", "--suite", "strong-approx", "--group", "sl2", "--level", "2", "--modulus", "4"],
     # the modulus is checked before gcd(N, m)
     ["verify", "--suite", "strong-approx", "--group", "sl2", "--level", "2", "--modulus", "0"],
@@ -760,6 +763,11 @@ STDERR_DIGESTS = {
     # the modulus check ahead of the gcd test
     "verify --suite strong-approx --group sl2 --level 2 --modulus 0":
         "a076b870b8560ac8eb7440d77800732db8302a49cc798e26e937444a2ac6a9db",
+    # a budget below 1 is a usage error
+    "growth --group sl2 --n-max 3 --budget -5":
+        "f5c09fbadec59e089776a81d06d1541979b131db4b345e967eb66063a90f1513",
+    "verify --suite centerless --group sl2 --modulus 4 --budget -1":
+        "cced38b2e559451dbae447a1ef4b6508342005be2ee0c3dc0240e2573142cb57",
 }
 
 

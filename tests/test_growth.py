@@ -292,13 +292,18 @@ class TestFarbGrowth:
     ])
     def test_central_key_matches_central_gcd(self, gens, radius):
         # -I_3 has off-diagonal and diagonal-difference gcd 0; only its
-        # det - 1 term makes its central gcd 2
+        # det - 1 term makes its central gcd 2.  On sets of det-1
+        # generators the flat key alone is the central gcd (the lemma in
+        # farb_growth)
         d = len(gens.mats[0])
-        key = gr._central_key(d, all(matgrp.det(s) == 1 for s in gens.mats))
+        key = matgrp.gcd_key(d, True, True)
+        det_one = all(matgrp.det(s) == 1 for s in gens.mats)
         for g in brute_ball(gens, radius):
             power = g
             for _ in range(3):
-                assert key(sum(power, ())) == matgrp._central_gcd(power), power
+                h, full = key(sum(power, ())), matgrp._central_gcd(power)
+                assert math.gcd(h, matgrp.det(power) - 1) == full, power
+                assert h == full or not det_one, power
                 power = matgrp.mat_mul(power, g)
 
     def test_witness_is_the_entry_least_of_a_tied_sphere(self):

@@ -5,6 +5,8 @@ search; frozen expected values below were computed with it first.
 """
 
 import itertools
+import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +44,40 @@ def laplace_det(a):
 small_entries = st.integers(min_value=-30, max_value=30)
 # mostly zeros, so that elimination meets zero pivots and singular matrices
 sparse_entries = st.sampled_from((0, 0, 0, 1, -1, 2))
+
+
+def detection_gcd_oracle(a):
+    """Interpreted oracle: the gcd of the entries of a - I."""
+    return math.gcd(*(x - 1 if i == j else x for i, row in enumerate(a) for j, x in enumerate(row)))
+
+
+def central_gcd_oracle(a):
+    """Interpreted oracle: the gcd of the off-diagonal entries, of the
+    a_ii - a_11 and of det a - 1."""
+    entries = list(itertools.chain.from_iterable(a))
+    a11 = entries[0]
+    for t in range(0, len(entries), len(a) + 1):  # the diagonal
+        entries[t] -= a11
+    return math.gcd(permutation_det(a) - 1, *entries)
+
+
+def key_matrices(n, count=80):
+    """Seeded integer n x n matrices with gcds of every size: c I + m R for a
+    random R (det != 1 in general), words in the E_ij(m z) (det 1), and the
+    scalars +-I."""
+    rng = random.Random(n)
+    out = [matgrp.identity(n), tuple(tuple(-x for x in row) for row in matgrp.identity(n))]
+    for _ in range(count):
+        m = rng.choice((0, 1, 2, 3, 4, 6, 12, 49))
+        c = rng.choice((1, 1, -1, 2, 5))
+        r = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        out.append(matgrp.mat([[c * (i == j) + m * r[i][j] for j in range(n)] for i in range(n)]))
+        a = matgrp.identity(n)
+        for _ in range(rng.randint(1, 4) if n > 1 else 0):
+            i, j = rng.sample(range(1, n + 1), 2)
+            a = matgrp.mat_mul(a, matgrp.elementary(n, i, j, m * rng.randint(-3, 3)))
+        out.append(a)
+    return out
 
 
 def square_matrix(n, entries=small_entries):
@@ -166,6 +202,21 @@ class TestDetectionGcd:
         g = matgrp.detection_gcd(a)
         dies = matgrp.reduce_mod(a, m) == matgrp.identity(2)
         assert dies == (g % m == 0)
+
+
+@pytest.mark.parametrize("flat", [False, True], ids=["rows", "flat"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_gcd_keys_match_interpreted_oracles(n, flat):
+    # the compiled keys in both layouts, and detection_gcd and _central_gcd
+    # built on them, against the interpreted gcds
+    mats = key_matrices(n)
+    assert {matgrp.det(a) == 1 for a in mats} == {True, False}
+    detection, central = matgrp.gcd_key(n, flat, False), matgrp.gcd_key(n, flat, True)
+    for a in mats:
+        g = sum(a, ()) if flat else a
+        assert detection(g) == matgrp.detection_gcd(a) == detection_gcd_oracle(a), a
+        h = central_gcd_oracle(a)
+        assert math.gcd(permutation_det(a) - 1, central(g)) == matgrp._central_gcd(a) == h, a
 
 
 class TestCongruenceD:
