@@ -22,7 +22,8 @@ FiniteGroupTable is the elements in BFS order plus that graph.  The walk
 reads tables, not products: row r of x * s is (row r of x) * s, so on
 elements coded as ints (the base-m digits of their rows) right
 multiplication by s is two lookups in tables of at most
-m^(n ceil(n/2)) < |SL_n(Z/m)| entries.  Groups are walked over the E_ij(1)
+m^(n ceil(n/2)) < |SL_n(Z/m)| entries.  A table keeps the codes, and no
+check decodes them into matrices.  Groups are walked over the E_ij(1)
 alone.  Left multiplication replays the BFS tree through the graph and s^-1
 is read off it, so conjugacy classes, centers and the class-product table
 behind the normal-subgroup lattice are integer-array lookups, with no
@@ -159,19 +160,20 @@ def closure(
     m: int,
     budget: int = DEFAULT_ENUM_BUDGET,
     stop_at: int | None = None,
-) -> tuple[list[Mat], list[array], array, array]:
+) -> tuple[list[int], list[array], array, array]:
     """BFS closure of I under right multiplication by gens (nonempty) mod m.
 
-    Returns (elements, right, parent, via): the elements in BFS order, I mod
-    m first (for m = 1 the one zero matrix, code 0); right[s][x], the index
-    of elements[x] * gens[s]; and the BFS tree, elements[x] =
-    elements[parent[x]] * gens[via[x]] with parent[x] < x for x >= 1
-    (parent[0] = via[0] = -1).  This is the right Cayley graph of the group
-    the gens generate: a multiplicatively closed subset of a finite group is
-    a subgroup.  Raises BudgetExceededError past `budget` elements.  With
-    stop_at, the walk ends as soon as that many elements are found (for a
-    caller that knows the order of a group containing the closure and wants
-    only the count); right then covers only the elements walked.
+    Returns (codes, right, parent, via): the elements in BFS order as codes
+    (below; _decode gives the matrices), I mod m first (for m = 1 the one
+    zero matrix, code 0); right[s][x], the index of elements[x] * gens[s];
+    and the BFS tree, elements[x] = elements[parent[x]] * gens[via[x]] with
+    parent[x] < x for x >= 1 (parent[0] = via[0] = -1).  This is the right
+    Cayley graph of the group the gens generate: a multiplicatively closed
+    subset of a finite group is a subgroup.  Raises BudgetExceededError
+    past `budget` elements.  With stop_at, the walk ends as soon as that
+    many elements are found (for a caller that knows the order of a group
+    containing the closure and wants only the count); right then covers
+    only the elements walked.
 
     Row lemma: row r of x * s is (row r of x) * s.  So the walk codes an
     element as one int, the base-m digits of its entries in row-major order
@@ -181,8 +183,7 @@ def closure(
     bottom floor(n/2) rows.  With (a, b) = divmod(x, low), x * s is
     hi[a] + lo[b].  Every table is a _digit_table: the code of a block's
     image is the sum of its rows' image codes, each at its place, and an
-    entry of a row's image the sum of one term per coordinate.  The
-    elements are decoded at the end, sharing one tuple per row vector.
+    entry of a row's image the sum of one term per coordinate.
 
     Table bound: hi has m^(n ceil(n/2)) entries, fewer than |SL_n(Z/m)| =
     m^(n^2 - 1) prod_(p | m) prod_(i = 2..n) (1 - p^-i) for n, m >= 2: the
@@ -223,10 +224,22 @@ def closure(
         if count == stop_at:
             break
     del seen
-    vecs = list(itertools.product(range(m), repeat=n))  # row code -> row vector
-    rows = [[vecs[g // w % size] for g in codes] for w in (size**r for r in reversed(range(n)))]
     right = [array("i", row) for *_, row in steps]
-    return list(zip(*rows)), right, array("i", parent), array("i", via)
+    return codes, right, array("i", parent), array("i", via)
+
+
+def _row_codes(codes: list[int], n: int, m: int) -> list:
+    """code // size^(n-1-r) % size for r = 0..n-1, one lazy pass per row r:
+    row n-1 skips the division and row 0 the remainder (it is < size)."""
+    size = m**n
+    shifted = [map(operator.floordiv, codes, itertools.repeat(size**r)) if r else codes for r in range(n)]
+    return [shifted[-1], *(map(operator.mod, it, itertools.repeat(size)) for it in reversed(shifted[:-1]))]
+
+
+def _decode(codes: list[int], n: int, m: int) -> list[Mat]:
+    """The matrices of closure's codes, sharing one tuple per row vector."""
+    vecs = list(itertools.product(range(m), repeat=n))  # row code -> row vector
+    return list(zip(*(map(vecs.__getitem__, rows) for rows in _row_codes(codes, n, m))))
 
 
 def _digit_table(digits: list[list[int]]) -> list[int]:
@@ -255,7 +268,7 @@ def _row_images(gen: Mat, m: int) -> list[int]:
 @dataclass(eq=False, repr=False)
 class FiniteGroupTable:
     """A fully enumerated SL_n(Z/m): the elements in deterministic BFS order
-    plus the right Cayley graph of the generators (see closure).
+    as codes, plus the right Cayley graph of the generators (see closure).
 
     Structural questions are integer-array lookups: left(a) is left
     multiplication by elements[a], replayed along the BFS tree,
@@ -265,14 +278,19 @@ class FiniteGroupTable:
 
     spec: GroupSpec
     modulus: int
-    elements: list[Mat]
+    codes: list[int]
     generators: list[Mat]
     right: list[array]
     parent: array
     via: array
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.codes)
+
+    @cached_property
+    def elements(self) -> list[Mat]:
+        """The matrices, in the order of codes, decoded on first read."""
+        return _decode(self.codes, self.spec.n, self.modulus)
 
     def left(self, a: int) -> list[int]:
         """x -> index of elements[a] * elements[x].
@@ -325,8 +343,8 @@ def enumerate_group(spec: GroupSpec, m: int, budget: int = DEFAULT_ENUM_BUDGET) 
             f"|SL{spec.n}(Z/{m})| = {expected} exceeds budget {budget}"
         )
     gens = _elementary_mod(spec, m, signs=(1,))
-    elements, right, parent, via = closure(gens, m, budget)
-    return FiniteGroupTable(spec, m, elements, gens, right, parent, via)
+    codes, right, parent, via = closure(gens, m, budget)
+    return FiniteGroupTable(spec, m, codes, gens, right, parent, via)
 
 
 def _elementary_mod(spec: GroupSpec, m: int, signs: tuple[int, ...] = (1, -1)) -> list[Mat]:
@@ -683,14 +701,15 @@ def _invariant_subspace_scan(
     Exhaustive over all proper subspaces when their count fits the budget;
     otherwise the operator algebra first, and only if it is proper, the
     closure of every line, whose generating line is then the first row.
+    An RREF basis, 1 at each pivot and 0 at the others, already meets
+    _Echelon's pivot invariant, so it is taken as the echelon as it stands.
     """
     nils = _nilpotent_parts(ops, p)
     if sum(gaussian_binomial(d, t, p) for t in range(1, d)) <= subspace_budget:
+        span = _Echelon(p)
         for t in range(1, d):
             for rows in _enumerate_subspaces(d, p, t):
-                span = _Echelon(p)
-                for v in rows:
-                    span.add(v)
+                span.rows, span.pivots = rows, [row.index(1) for row in rows]
                 if not any(any(span.reduce(_left_mul(nil, v, 1))) for nil in nils for v in rows):
                     return "exhaustive-subspaces", rows
         return "exhaustive-subspaces", None
@@ -885,11 +904,10 @@ def filtration_center_subgroups(table: FiniteGroupTable) -> list[frozenset[int]]
 
     g lies in G^i exactly when its level, v_p of
     gcd(p^k, detection_gcd(g)), is at least i; so
-    G^i Z = G^(i+1) Z + Z (level-i elements).  One compiled gcd per
-    element, then one fixed-value pass per level."""
+    G^i Z = G^(i+1) Z + Z (level-i elements).  The gcds come from the
+    codes (_levels), then one fixed-value pass per level."""
     p, k = _prime_power_modulus(table.modulus)
-    key = matgrp.gcd_key(table.spec.n, False, False)
-    gcds = list(map(math.gcd, itertools.repeat(p**k), map(key, table.elements)))
+    gcds = _levels(table)
     by_center = [table.left(z) for z in table.center if z]  # g -> z * g = g * z
     sub: set[int] = set()
     out = set()
@@ -901,6 +919,15 @@ def filtration_center_subgroups(table: FiniteGroupTable) -> list[frozenset[int]]
             sub.update(map(lz.__getitem__, level))
         out.add(frozenset(sub))
     return sorted(out, key=lambda s: (len(s), sorted(s)))
+
+
+def _levels(table: FiniteGroupTable) -> list[int]:
+    """gcd(m, detection_gcd(g)) per element g, off its code: row r of g - I
+    adds gcd(m, row - e_r), one lookup in a table by row code."""
+    n, m = table.spec.n, table.modulus
+    vecs = list(itertools.product(range(m), repeat=n))  # row code -> row vector
+    gets = [[math.gcd(m, *v[:r], v[r] - 1, *v[r + 1:]) for v in vecs].__getitem__ for r in range(n)]
+    return list(map(math.gcd, *map(map, gets, _row_codes(table.codes, n, m))))
 
 
 def normal_structure_check(table: FiniteGroupTable) -> CheckResult:

@@ -381,8 +381,14 @@ def _ids(v):
     return str(getattr(v, "name", v))
 
 
+def closure_elements(gens, m, *args, **kwargs):
+    """ch.closure with its codes decoded: (elements, right, parent, via)."""
+    codes, *rest = ch.closure(gens, m, *args, **kwargs)
+    return (ch._decode(codes, len(gens[0]), m), *rest)
+
+
 def closed(gens, m):
-    return set(ch.closure(gens, m)[0])
+    return set(closure_elements(gens, m)[0])
 
 
 def explicit_filtration_generators(spec, p, k, i):
@@ -821,6 +827,20 @@ def test_lie_center_matches_bracket_nullspace(spec, monkeypatch):
             assert (r.status, r.mode) == ("pass", "stub"), (spec.n, p)
 
 
+def echelon_subspace_scan(ops, p, d):
+    """The exhaustive branch of _invariant_subspace_scan as it was: an
+    _Echelon built row by row for every candidate subspace."""
+    nils = ch._nilpotent_parts(ops, p)
+    for t in range(1, d):
+        for rows in ch._enumerate_subspaces(d, p, t):
+            span = ch._Echelon(p)
+            for v in rows:
+                span.add(v)
+            if not any(any(span.reduce(ch._left_mul(nil, v, 1))) for nil in nils for v in rows):
+                return "exhaustive-subspaces", rows
+    return "exhaustive-subspaces", None
+
+
 class TestEchelonKernel:
     @pytest.mark.parametrize("spec,p", ORACLE_AD, ids=_ids)
     def test_ad_operators_match_oracle(self, spec, p):
@@ -851,11 +871,26 @@ class TestEchelonKernel:
         assume(d > 1)  # F_p^1 has no proper subspace to count, so no line branch
         exhaustive = ch._invariant_subspace_scan(ops, p, d, 10**5)
         by_lines = ch._invariant_subspace_scan(ops, p, d, 0)
-        assert exhaustive[0] == "exhaustive-subspaces"
+        assert exhaustive == echelon_subspace_scan(ops, p, d)
         assert by_lines[0].startswith("line-closure-scan")
         assert (exhaustive[1] is None) == (by_lines[1] is None)
         for _, sub in (exhaustive, by_lines):
             assert sub is None or is_proper_invariant(sub, ops, p, d)
+
+    def test_exhaustive_scan_matches_echelon_loop_on_fixed_modules(self):
+        modules = [
+            ([[[1, 2, 3, 0], [0, 1, 4, 1], [0, 0, 1, 2], [0, 0, 0, 1]],
+              [[2, 1, 0, 4], [3, 3, 1, 0], [0, 0, 1, 1], [0, 0, 4, 2]]], 5, 4),
+            ([[[0, 2], [1, 0]]], 3, 2),
+        ]
+        modules += [(ad_ops(SL2, p), p, SL2.dim) for p in (2, 3, 5, 7, 11, 13)]
+        found = 0
+        for ops, p, d in modules:
+            got = ch._invariant_subspace_scan(ops, p, d)
+            assert got[0] == "exhaustive-subspaces"
+            assert got == echelon_subspace_scan(ops, p, d)
+            found += got[1] is not None
+        assert found == 2  # the block-triangular set and sl2 mod 2
 
     def test_reducible_set_fails_on_both_branches(self):
         p, d = 5, 4
@@ -1003,12 +1038,14 @@ class TestNormalSubgroups:
         assert all(f in subs for f in filt)
 
     @pytest.mark.parametrize(
-        "n, m", [(2, 4), (2, 8), (2, 9), (2, 25), (2, 27), (3, 2), (3, 3), (3, 4)]
+        "n, m", [(2, 4), (2, 8), (2, 9), (2, 16), (2, 25), (2, 27), (3, 2), (3, 3), (3, 4)]
     )
     def test_one_pass_levels_match_filtration_subgroups(self, n, m):
-        # oracle: each G^i from filtration_subgroup's congruence scan, times
-        # every central matrix by matrix products
+        # oracles: each G^i from filtration_subgroup's congruence scan, times
+        # every central matrix by matrix products; and the levels, read off
+        # the codes, against the detection gcd of the decoded elements
         table = ch.enumerate_group(ch.GroupSpec(n), m)
+        assert ch._levels(table) == [math.gcd(m, matgrp.detection_gcd(g)) for g in table.elements]
         k = arith.is_prime_power(m)[1]
         center = center_of(table)
         index = index_of(table)
@@ -1021,7 +1058,24 @@ class TestNormalSubgroups:
             for i in range(k + 1)
         }
         want = sorted(want, key=lambda s: (len(s), sorted(s)))
-        assert ch.filtration_center_subgroups(table) == want
+        assert ch.filtration_center_subgroups(table) == want == filtration_center_subgroups_by_elements(table)
+
+
+def filtration_center_subgroups_by_elements(table):
+    """filtration_center_subgroups with its levels read off the decoded
+    elements by the compiled detection gcd, as before tables held codes."""
+    p, k = ch._prime_power_modulus(table.modulus)
+    key = matgrp.gcd_key(table.spec.n, False, False)
+    gcds = list(map(math.gcd, itertools.repeat(p**k), map(key, table.elements)))
+    by_center = [table.left(z) for z in table.center if z]
+    sub, out = set(), set()
+    for i in reversed(range(k + 1)):
+        level = [x for x, g in enumerate(gcds) if g == p**i]
+        sub.update(level)
+        for lz in by_center:
+            sub.update(lz[x] for x in level)
+        out.add(frozenset(sub))
+    return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 
 # ---------------------------------------------------------------------------
@@ -1256,6 +1310,14 @@ class TestEngineAgainstOracles:
 # the table-driven closure against oracle_closure
 
 
+def encode(g, m):
+    """The code of a matrix mod m: its entries as base-m digits, row-major."""
+    code = 0
+    for entry in itertools.chain.from_iterable(g):
+        code = code * m + entry
+    return code
+
+
 def as_lists(result):
     elements, right, parent, via = result
     return elements, [list(row) for row in right], list(parent), list(via)
@@ -1282,7 +1344,7 @@ class TestTableClosure:
     @pytest.mark.parametrize("spec,m", TABLE_INSTANCES, ids=_ids)
     def test_matches_matrix_product_bfs(self, spec, m):
         gens = ch._elementary_mod(spec, m, signs=(1,))
-        got = ch.closure(gens, m)
+        got = closure_elements(gens, m)
         assert as_lists(got) == oracle_closure(gens, m)
         assert len(got[0]) == spec.order_mod(m)
         # rows are shared: one tuple per row vector, at most m^n of them
@@ -1291,17 +1353,17 @@ class TestTableClosure:
     @pytest.mark.parametrize("spec,m", [(SL2, 4), (SL2, 9), (SL3, 2)], ids=_ids)
     def test_signed_generators_match(self, spec, m):
         gens = ch._elementary_mod(spec, m)
-        assert as_lists(ch.closure(gens, m)) == oracle_closure(gens, m)
+        assert as_lists(closure_elements(gens, m)) == oracle_closure(gens, m)
 
     @pytest.mark.parametrize("N,m", [(5, 9), (3, 8)])
     def test_strong_approx_conjugates(self, monkeypatch, N, m):
         gens = strong_approx_generators(monkeypatch, SL2, N, m)
         assert not all(g in ch._elementary_mod(SL2, m) for g in gens)
-        got = ch.closure(gens, m)
+        got = closure_elements(gens, m)
         assert as_lists(got) == oracle_closure(gens, m)
         # the finite-group lemma: adding the inverses closes to the same set
         with_inverses = gens + [matgrp.mat_inv_mod(g, m) for g in gens]
-        assert set(ch.closure(with_inverses, m)[0]) == set(got[0])
+        assert set(closure_elements(with_inverses, m)[0]) == set(got[0])
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("m", [5, 6, 8, 9])
@@ -1315,20 +1377,36 @@ class TestTableClosure:
             tuple(tuple(rng.randrange(m) for _ in range(n)) for _ in range(n))
             for _ in range(4 - n)
         ]
-        assert as_lists(ch.closure(gens, m)) == oracle_closure(gens, m)
+        assert as_lists(closure_elements(gens, m)) == oracle_closure(gens, m)
+
+    @pytest.mark.parametrize("spec,m", [(SL2, 1), (SL3, 1), (SL2, 6)], ids=_ids)
+    def test_codes_round_trip(self, spec, m):
+        # a code is the base-m digits of the entries in row-major order:
+        # encoding the decoded elements gives the codes back, and at m = 1
+        # the one code is 0 and its element the zero matrix
+        gens = ch._elementary_mod(spec, m, signs=(1,))
+        codes = ch.closure(gens, m)[0]
+        elements = ch._decode(codes, spec.n, m)
+        assert elements == oracle_closure(gens, m)[0]
+        assert [encode(g, m) for g in elements] == codes
+        if m == 1:
+            assert codes == [0] and elements == [((0,) * spec.n,) * spec.n]
+        table = ch.enumerate_group(spec, m)
+        assert table.codes == codes and table.elements == elements
+        assert table.elements is table.elements  # decoded once
 
     def test_budget_boundary(self):
         gens = ch._elementary_mod(SL2, 13, signs=(1,))
         order = SL2.order_mod(13)
-        assert len(ch.closure(gens, 13, budget=order)[0]) == order
+        assert len(closure_elements(gens, 13, budget=order)[0]) == order
         with pytest.raises(ch.BudgetExceededError, match="closure exceeded"):
             ch.closure(gens, 13, budget=order - 1)
 
     def test_stop_at_ends_the_walk(self):
         gens = ch._elementary_mod(SL3, 3, signs=(1,))
         order = SL3.order_mod(3)
-        elements, right, parent, via = ch.closure(gens, 3, stop_at=order)
-        full = ch.closure(gens, 3)
+        elements, right, parent, via = closure_elements(gens, 3, stop_at=order)
+        full = closure_elements(gens, 3)
         assert elements == full[0] and parent == full[2] and via == full[3]
         walked = len(right[0])
         assert walked < order
@@ -1338,7 +1416,7 @@ class TestTableClosure:
         # a one-element closure still needs tables of m^(n ceil(n/2))
         # entries, and they are checked before the walk
         one = [matgrp.identity(3)]
-        assert len(ch.closure(one, 5, budget=5**6)[0]) == 1
+        assert len(closure_elements(one, 5, budget=5**6)[0]) == 1
         with pytest.raises(ch.BudgetExceededError, match="tables"):
             ch.closure(one, 5, budget=5**6 - 1)
 

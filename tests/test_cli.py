@@ -503,6 +503,26 @@ def test_verify_and_windows_match_golden_digests(argv, want):
     assert got == want
 
 
+TABLE_SUITES = ("normal-subgroups", "centerless", "strong-approx")
+
+
+def test_table_suites_never_decode_a_matrix(monkeypatch):
+    # the structure checks read codes, counts and indices only: with the one
+    # decoder raising, every table suite row and every order still matches
+    def no_decode(*args):
+        raise AssertionError("a group table was decoded")
+
+    monkeypatch.setattr(chevalley, "_decode", no_decode)
+    rows = [(argv, want) for argv, want in VERIFY_DIGESTS if argv[2] in TABLE_SUITES]
+    assert {argv[2] for argv, _ in rows} == set(TABLE_SUITES) and len(rows) == 14
+    for argv, want in rows:
+        assert hashlib.sha256(json.dumps(list(run_cli(argv))).encode()).hexdigest() == want, argv
+    for spec, m in [(chevalley.SL2, 1), (chevalley.SL2, 12), (chevalley.SL3, 3)]:
+        assert len(chevalley.enumerate_group(spec, m)) == spec.order_mod(m)
+    with pytest.raises(AssertionError, match="decoded"):
+        chevalley.enumerate_group(chevalley.SL2, 4).elements
+
+
 DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
 
 # sha256 of each demo's stdout, run in process, recorded at b870c6a
