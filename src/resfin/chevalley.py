@@ -883,7 +883,7 @@ def normal_subgroups_containing_center(table: FiniteGroupTable) -> list[frozense
     z_mask = sum(1 << ci for ci, cls in enumerate(classes) if len(cls) == 1)
 
     atoms = {_class_closure(z_mask | 1 << ci, prod) for ci in range(len(classes))}
-    found = [_class_closure(z_mask, prod)]
+    found = [z_mask]  # the center is already a subgroup
     subgroups = set(found)
     for sub in found:  # the list grows while it is walked
         for atom in atoms:
@@ -902,23 +902,19 @@ def normal_subgroups_containing_center(table: FiniteGroupTable) -> list[frozense
 def filtration_center_subgroups(table: FiniteGroupTable) -> list[frozenset[int]]:
     """The predicted normal subgroups G^i Z(G) for i = 0..k, as index sets.
 
-    g lies in G^i exactly when its level, v_p of
-    gcd(p^k, detection_gcd(g)), is at least i; so
-    G^i Z = G^(i+1) Z + Z (level-i elements).  The gcds come from the
-    codes (_levels), then one fixed-value pass per level."""
+    g lies in G^i exactly when its level, gcd(p^k, detection_gcd(g)), is at
+    least p^i (_levels).  One max pass per central z != I, through left(z),
+    leaves each g with the largest level over its coset Z g (Z is a group),
+    and g lies in G^i Z exactly when that central level is at least p^i.
+    The G^i Z form a chain, so distinct ones differ in size."""
     p, k = _prime_power_modulus(table.modulus)
-    gcds = _levels(table)
-    by_center = [table.left(z) for z in table.center if z]  # g -> z * g = g * z
-    sub: set[int] = set()
-    out = set()
-    for i in reversed(range(k + 1)):
-        at_level = map(operator.eq, gcds, itertools.repeat(p**i))
-        level = list(itertools.compress(range(len(gcds)), at_level))
-        sub.update(level)  # z = I, with no replay
-        for lz in by_center:
-            sub.update(map(lz.__getitem__, level))
-        out.add(frozenset(sub))
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
+    level = _levels(table)
+    for z in table.center[1:]:  # center[0] = 0 is I
+        # max of each pair, inline: a call to the builtin max costs twice as much
+        level = [a if a > b else b for a, b in zip(level, map(level.__getitem__, table.left(z)))]
+    above = (map(operator.ge, level, itertools.repeat(p**i)) for i in range(k + 1))
+    out = {frozenset(itertools.compress(range(len(level)), at)) for at in above}
+    return sorted(out, key=len)
 
 
 def _levels(table: FiniteGroupTable) -> list[int]:

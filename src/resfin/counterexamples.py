@@ -1,22 +1,27 @@
-"""Two groups whose detection growth separates from their relatives.
+"""Two groups whose fold detection growth separates from their relatives.
+
+For both groups, D here is the least *fold*: an upper bound on the least
+detecting quotient, not that quotient itself.
 
 The lamplighter Z/2 wr Z has candidates delta_1 + delta_{1+lcm(1..k)} whose
-minimal detecting fold Z/2 wr Z/m needs m > k, so the quotient order m*2^m
-explodes while every SQUARED element is already seen by a logarithmically
-small fold: detection growth and its squared variant genuinely differ.
+least fold Z/2 wr Z/m needs m > k, so the fold order m*2^m explodes while
+every SQUARED element is already seen by a logarithmically small fold.
+Smaller quotients exist: at k = 4 the candidate maps to t^2 + t + 1 != 0 in
+F_2[t]/(t^3+t+1) x| Z/7 (t^7 = 1), of order 56 against the fold's 160.
 
 The plane group Z^2 x| Q (Q the eight signed permutation matrices) contains
-Z^2 with index 8, yet the candidates (lcm(1..k), 0) need quotients of order
+Z^2 with index 8, yet the candidates (lcm(1..k), 0) need folds of order
 8d^2 with d > k, against the log-sized quotients that suffice inside Z^2
-itself: detection growth is not stable under finite index.
+itself.  At k = 6, (60, 0) survives in (Z^2/L) x| Q for the Q-stable
+L = 8Z^2 + Z(4,4) not containing it, of order 256 against the fold's 392.
 
-Both families come with the certificates that make the lower bounds checkable
-on concrete quotients: injectivity of the witness set for the lamplighter,
-and the kernel-lattice index bound for the semidirect product.  The kernel
-certificate scans no vectors: the fold is additive on translations, so the
-kernel lattice is the solution set of a u1 + b u2 = 0 for the folds u1, u2
-of the two unit vectors, and its Hermite basis comes from u1 and u2 by
-extended gcds, in O(log d).
+Both families come with the certificates that make the fold lower bounds
+checkable on concrete quotients: injectivity of the witness set for the
+lamplighter, and the kernel-lattice index bound for the semidirect product.
+The kernel certificate scans no vectors: the fold is additive on
+translations, so the kernel lattice is the solution set of a u1 + b u2 = 0
+for the folds u1, u2 of the two unit vectors, and its Hermite basis comes
+from u1 and u2 by extended gcds, in O(log d).
 """
 
 from __future__ import annotations
@@ -31,8 +36,8 @@ from resfin.matgrp import Mat, RangeExhaustedError, UndetectableError
 
 @dataclass(frozen=True)
 class Detection:
-    """The least detecting quotient of a family: its modulus (the fold
-    modulus, or a for Z/a) and its order."""
+    """The least detecting fold of a family (for Z^d, the least quotient
+    Z/a): its modulus (the fold modulus, or a) and its order."""
 
     modulus: int
     order: int
@@ -118,7 +123,7 @@ def lamp_detect(g: LampElement, m_max: int = DEFAULT_FOLD_LIMIT) -> Detection:
 
 
 def lamp_quotient_D(k: int, corrected: bool = True) -> Detection:
-    """Minimal detecting fold of the k-th candidate, without materializing
+    """Least fold of the k-th candidate, without materializing
     the fold: the corrected candidate survives mod m iff m does not divide
     lcm(1..k), so the answer is the least prime power above k."""
     if k < 2:
@@ -225,17 +230,14 @@ def semidirect_detect(g: SemidirectElement, d_max: int = DEFAULT_FOLD_LIMIT) -> 
     """Smallest d with nontrivial image in (Z/d)^2 x| Q, of order 8 d^2."""
     if g.is_identity():
         raise UndetectableError("identity dies in every fold")
-    if g.rot != matgrp.identity(2):
-        return Detection(1, 8)
-    for d in range(2, d_max + 1):
-        vec, _ = semidirect_fold(g, d)
-        if vec != (0, 0):
+    for d in range(1, d_max + 1):  # d = 1 is Q itself: it sees the rotation part
+        if semidirect_fold(g, d) != ((0, 0), matgrp.identity(2)):
             return Detection(d, 8 * d * d)
     raise RangeExhaustedError(f"no fold modulus <= {d_max} detects the element")
 
 
 def semidirect_quotient_D(k: int) -> Detection:
-    """Minimal detecting fold of (lcm(1..k), 0): the least d not dividing
+    """Least fold of (lcm(1..k), 0): the least d not dividing
     the lcm, i.e. the least prime power above k, with quotient order 8 d^2."""
     if k < 2:
         raise ValueError("k must be >= 2")

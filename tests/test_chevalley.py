@@ -1038,7 +1038,7 @@ class TestNormalSubgroups:
         assert all(f in subs for f in filt)
 
     @pytest.mark.parametrize(
-        "n, m", [(2, 4), (2, 8), (2, 9), (2, 16), (2, 25), (2, 27), (3, 2), (3, 3), (3, 4)]
+        "n, m", [(2, 4), (2, 8), (2, 9), (2, 16), (2, 25), (2, 27), (2, 32), (3, 2), (3, 3), (3, 4)]
     )
     def test_one_pass_levels_match_filtration_subgroups(self, n, m):
         # oracles: each G^i from filtration_subgroup's congruence scan, times
