@@ -41,7 +41,7 @@ import math
 import operator
 import random
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from resfin import arith, matgrp
@@ -59,18 +59,18 @@ DEFAULT_ENUM_BUDGET = 10**6
 # group specs and order formulas
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(namedtuple("GroupSpec", "n")):
     """A split form SL_n with its numerical invariants: the order and center
     of SL_n(Z/p^e) per prime power, their products over Z/m, and the order
     floor behind QuotientSearch's stop rule, with its lemma; and its roots,
     whose one order every list of root elements E_ij in resfin follows."""
 
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 2:
+    def __new__(cls, n: int):
+        if n < 2:
             raise ValueError("need n >= 2")
+        return super().__new__(cls, n)
 
     @property
     def dim(self) -> int:
@@ -94,8 +94,9 @@ class GroupSpec:
     def order_pp(self, p: int, e: int) -> int:
         """|SL_n(Z/p^e)| = p^((e-1) dim) |SL_n(F_p)| for a prime p and e >= 1,
         where |SL_n(F_p)| = p^(n(n-1)/2) prod_{i=2..n} (p^i - 1)."""
-        out = p ** ((e - 1) * self.dim + self.n * (self.n - 1) // 2)
-        for i in range(2, self.n + 1):
+        n = self.n
+        out = p ** ((e - 1) * (n * n - 1) + n * (n - 1) // 2)
+        for i in range(2, n + 1):
             out *= p**i - 1
         return out
 
@@ -265,7 +266,6 @@ def _row_images(gen: Mat, m: int) -> list[int]:
     return images
 
 
-@dataclass(eq=False, repr=False)
 class FiniteGroupTable:
     """A fully enumerated SL_n(Z/m): the elements in deterministic BFS order
     as codes, plus the right Cayley graph of the generators (see closure).
@@ -276,13 +276,10 @@ class FiniteGroupTable:
     indices they all fix.
     """
 
-    spec: GroupSpec
-    modulus: int
-    codes: list[int]
-    generators: list[Mat]
-    right: list[array]
-    parent: array
-    via: array
+    def __init__(self, spec: GroupSpec, modulus: int, codes: list[int], generators: list[Mat],
+                 right: list[array], parent: array, via: array):
+        self.spec, self.modulus, self.codes, self.generators = spec, modulus, codes, generators
+        self.right, self.parent, self.via = right, parent, via
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -421,15 +418,12 @@ def graded_image(g: Mat, p: int, i: int) -> Mat:
 # check results
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    """Outcome of a structural verification, ready for CSV emission."""
+class CheckResult(namedtuple("CheckResult", "check instance status detail mode",
+                             defaults=("exhaustive",))):
+    """Outcome of a structural verification, ready for CSV emission; status
+    is "pass", "fail" or "inconclusive"."""
 
-    check: str
-    instance: str
-    status: str  # "pass" | "fail" | "inconclusive"
-    detail: str
-    mode: str = "exhaustive"
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

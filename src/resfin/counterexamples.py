@@ -27,20 +27,16 @@ from u1 and u2 by extended gcds, in O(log d).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from resfin import arith, matgrp
 from resfin.chevalley import CheckResult
-from resfin.matgrp import Mat, RangeExhaustedError, UndetectableError
+from resfin.matgrp import Mat, RangeExhaustedError, Record, UndetectableError
 
 
-@dataclass(frozen=True)
-class Detection:
-    """The least detecting fold of a family (for Z^d, the least quotient
-    Z/a): its modulus (the fold modulus, or a) and its order."""
-
-    modulus: int
-    order: int
+# The least detecting fold of a family (for Z^d, the least quotient Z/a):
+# its modulus (the fold modulus, or a) and its order.
+Detection = namedtuple("Detection", "modulus order")
 
 
 DEFAULT_FOLD_LIMIT = 256
@@ -50,13 +46,15 @@ DEFAULT_FOLD_LIMIT = 256
 # lamplighter Z/2 wr Z
 
 
-@dataclass(frozen=True)
-class LampElement:
+class LampElement(Record):
     """(lamp configuration, lamplighter position): support is the set of
     lit positions, multiplication shifts the right factor's lamps."""
 
-    support: frozenset[int]
-    shift: int
+    __slots__ = ("support", "shift")
+
+    def __init__(self, support: frozenset[int], shift: int):
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "shift", shift)
 
     def __mul__(self, other: LampElement) -> LampElement:
         moved = {i + self.shift for i in other.support}
@@ -183,16 +181,16 @@ def _apply(q: Mat, v: tuple[int, int]) -> tuple[int, int]:
     )
 
 
-@dataclass(frozen=True)
-class SemidirectElement:
+class SemidirectElement(Record):
     """(vector, signed permutation) with (v, q)(w, r) = (v + q w, q r)."""
 
-    vec: tuple[int, int]
-    rot: Mat
+    __slots__ = ("vec", "rot")
 
-    def __post_init__(self):
-        if self.rot not in SIGNED_PERMUTATIONS:
+    def __init__(self, vec: tuple[int, int], rot: Mat):
+        if rot not in SIGNED_PERMUTATIONS:
             raise ValueError("rotation part must be one of the 8 signed permutations")
+        object.__setattr__(self, "vec", vec)
+        object.__setattr__(self, "rot", rot)
 
     def __mul__(self, other: SemidirectElement) -> SemidirectElement:
         w = _apply(self.rot, other.vec)

@@ -10,10 +10,11 @@ the empirical exponent run to k = 10^6 and recover dim(G).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from resfin import arith, matgrp
 from resfin.chevalley import BudgetExceededError, GroupSpec
@@ -27,18 +28,17 @@ MATERIALIZE_LIMIT = 64
 # generating sets and word balls
 
 
-@dataclass(frozen=True)
-class GeneratingSet:
+class GeneratingSet(namedtuple("GeneratingSet", "name mats")):
     """A named generating set, closed under inverses."""
 
-    name: str
-    mats: tuple[Mat, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        pool = set(self.mats)
-        for m in self.mats:
+    def __new__(cls, name: str, mats: tuple[Mat, ...]):
+        pool = set(mats)
+        for m in mats:
             if matgrp.mat_inv(m) not in pool:
                 raise ValueError(f"set not closed under inverse at {m}")
+        return super().__new__(cls, name, mats)
 
 
 def sl2_st() -> GeneratingSet:
@@ -78,6 +78,7 @@ def _spheres(gens: GeneratingSet, n: int, budget: int) -> list[list[tuple[int, .
     return spheres
 
 
+@functools.lru_cache(maxsize=None)
 def _right_multiplier(s: Mat):
     """g -> g * s on row-major flat tuples, compiled once per generator.
 
@@ -97,6 +98,7 @@ def _right_multiplier(s: Mat):
     return matgrp.compile_lambda("g", f"({', '.join(cells)},)")
 
 
+@functools.lru_cache(maxsize=None)
 def _product(d: int):
     """(a, b) -> a * b on flat d x d matrices, compiled."""
     cells = [
@@ -127,23 +129,14 @@ def _nested(g: tuple[int, ...], d: int) -> Mat:
 # growth tables
 
 
-@dataclass(frozen=True)
-class GrowthRow:
-    n: int
-    ball_size: int
-    f_value: int
-    witness: Mat | None
-    detection: DetectionResult | None
+# F at radius n; witness and detection are None where F is 0.
+GrowthRow = namedtuple("GrowthRow", "n ball_size f_value witness detection")
 
 
-@dataclass(frozen=True)
-class GrowthTable:
+class GrowthTable(namedtuple("GrowthTable", "gens_name power allow_central rows")):
     """F (or F^k) along word balls, with witnesses; family label F_cong."""
 
-    gens_name: str
-    power: int
-    allow_central: bool
-    rows: tuple[GrowthRow, ...]
+    __slots__ = ()
 
     @property
     def family(self) -> str:
@@ -191,7 +184,8 @@ def farb_growth(
         else:
             central_key = lambda g: matgrp._central_gcd(_nested(g, d))  # noqa: E731
     product = _product(d)
-    by_key: dict[object, DetectionResult] = {}
+    # the order rides beside its detection: one field read per key, not per target
+    by_key: dict[object, tuple[int, DetectionResult]] = {}
 
     rows = [GrowthRow(0, 1, 0, None, None)]
     best = 0
@@ -209,12 +203,11 @@ def farb_growth(
                 continue  # gamma^k = 1
             if allow_central:
                 key = (key, central_key(tg))
-            det = by_key.get(key)
-            if det is None:
-                det = by_key[key] = matgrp.congruence_D(
-                    _nested(tg, d), spec, allow_central=allow_central
-                )
-            order = det.quotient_order
+            found = by_key.get(key)
+            if found is None:
+                det = matgrp.congruence_D(_nested(tg, d), spec, allow_central=allow_central)
+                found = by_key[key] = det.quotient_order, det
+            order, det = found
             if order > top or (order == top and top_g is not None and g < top_g):
                 top, top_g, top_det = order, g, det
         if top_g is not None:
@@ -227,22 +220,20 @@ def farb_growth(
 # candidate sequences
 
 
-@dataclass(frozen=True)
-class CandidateSeq:
+class CandidateSeq(namedtuple("CandidateSeq", "spec s_primes e")):
     """The probe family A_k = E_12(e * alpha^k * lcm(1..k)), alpha = prod(S)."""
 
-    spec: object
-    s_primes: tuple[int, ...] = ()
-    e: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.e < 1:
+    def __new__(cls, spec, s_primes: tuple[int, ...] = (), e: int = 1):
+        if e < 1:
             raise ValueError("index multiplier must be >= 1")
         seen = set()
-        for p in self.s_primes:
+        for p in s_primes:
             if not arith.is_prime(p) or p in seen:
                 raise ValueError("S must be a set of distinct primes")
             seen.add(p)
+        return super().__new__(cls, spec, s_primes, e)
 
     @property
     def alpha(self) -> int:
@@ -340,7 +331,8 @@ def candidate_sweep(
     """
     if lo < 1:
         raise ValueError("k must be >= 1")
-    log_alpha = math.log2(cs.alpha) if cs.s_primes else 0.0
+    with_s = bool(cs.s_primes)
+    log_alpha = math.log2(cs.alpha) if with_s else 0.0
     terms: dict[int, float] = {}  # p -> v_p(lcm(1..k)) * log2(p), increasing p
     total = 0.0  # r_log2(k) from k = lo on
     lcm_powers = arith.prime_power_stream()
@@ -348,7 +340,7 @@ def candidate_sweep(
     search = matgrp.QuotientSearch(cs.spec, allow_central, above=lo)
     det = None
     for k in range(1, hi + 1):
-        resum = bool(cs.s_primes) or k == lo
+        resum = with_s or k == lo
         if k == q:
             terms[p] = i * math.log2(p)
             total += terms[p]  # exact when p is new, else summed again below
@@ -370,11 +362,7 @@ def candidate_sweep(
 # exponent fitting
 
 
-@dataclass(frozen=True)
-class FitResult:
-    slope: float
-    intercept: float
-    max_residual: float
+FitResult = namedtuple("FitResult", "slope intercept max_residual")
 
 
 def fit_exponent(pairs) -> FitResult:

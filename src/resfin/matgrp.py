@@ -18,7 +18,7 @@ import functools
 import heapq
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 from resfin import arith
 
@@ -35,6 +35,39 @@ class UndetectableError(ValueError):
 
 class RangeExhaustedError(RuntimeError):
     """A bounded search ended with no detecting modulus."""
+
+
+class Record:
+    """An immutable element record: fields in __slots__, set once by the
+    subclass's __init__ through object.__setattr__, equal only within one
+    type, hashed as the tuple of fields, shown as Name(field=value, ...).
+    Unlike the namedtuple records it has no tuple + and *, so 3 * x raises
+    TypeError."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(map("{}={!r}".format, self.__slots__, self._values()))
+        return f"{self.__class__.__name__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
 
 
 def mat(rows) -> Mat:
@@ -200,14 +233,9 @@ def detection_gcd(a: Mat) -> int:
     return gcd_key(len(a), False, False)(a)
 
 
-@dataclass(frozen=True)
-class DetectionResult:
-    """A finite quotient that detects a matrix, and how big it is."""
-
-    modulus: int
-    quotient_order: int
-    central_quotient: bool = False
-    search_complete: bool | None = None
+# A finite quotient that detects a matrix, and how big it is.
+DetectionResult = namedtuple("DetectionResult", "modulus quotient_order central_quotient "
+                             "search_complete", defaults=(False, None))
 
 
 def _central_gcd(a: Mat) -> int:

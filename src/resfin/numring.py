@@ -51,10 +51,10 @@ import itertools
 import math
 import random
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from resfin import arith
-from resfin.matgrp import RangeExhaustedError, UndetectableError, det
+from resfin.matgrp import RangeExhaustedError, Record, UndetectableError, det
 
 DEFAULT_PRIME_LIMIT = 10_000
 
@@ -471,26 +471,24 @@ def _is_irreducible(f: tuple) -> bool:
 # rings and elements
 
 
-@dataclass(frozen=True)
-class NumberRing:
+class NumberRing(namedtuple("NumberRing", "min_poly inverted")):
     """Z[x]/(min_poly), localized at the positive integer `inverted`.
 
     min_poly is monic and irreducible over Q (enforced here), stored low
     degree first; elements carry coordinates over the power basis.
     """
 
-    min_poly: tuple[int, ...]
-    inverted: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        f = tuple(int(c) for c in self.min_poly)
-        object.__setattr__(self, "min_poly", f)
+    def __new__(cls, min_poly, inverted: int = 1):
+        f = tuple(int(c) for c in min_poly)
         if len(f) < 2 or f[-1] != 1:
             raise ValueError("min_poly must be monic of degree >= 1")
-        if self.inverted < 1:
+        if inverted < 1:
             raise ValueError("inverted integer must be >= 1")
         if not _is_irreducible(f):
             raise ValueError("min_poly is reducible over the rationals")
+        return super().__new__(cls, f, inverted)
 
     @property
     def degree(self) -> int:
@@ -518,21 +516,21 @@ class NumberRing:
         return _discriminant(self.min_poly)
 
 
-@dataclass(frozen=True)
-class RingElement:
+class RingElement(Record):
     """coords over the power basis, divided by ring.inverted ** denom_exp."""
 
-    ring: NumberRing
-    coords: tuple[int, ...]
-    denom_exp: int = 0
+    __slots__ = ("ring", "coords", "denom_exp")
 
-    def __post_init__(self):
-        if len(self.coords) != self.ring.degree:
-            raise ValueError(f"need {self.ring.degree} coordinates, got {len(self.coords)}")
-        if self.denom_exp < 0:
+    def __init__(self, ring: NumberRing, coords: tuple[int, ...], denom_exp: int = 0):
+        if len(coords) != ring.degree:
+            raise ValueError(f"need {ring.degree} coordinates, got {len(coords)}")
+        if denom_exp < 0:
             raise ValueError("denominator exponent must be >= 0")
-        if self.denom_exp > 0 and all(c % self.ring.inverted == 0 for c in self.coords):
+        if denom_exp > 0 and all(c % ring.inverted == 0 for c in coords):
             raise ValueError("representation not normalized (use ring.element)")
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "denom_exp", denom_exp)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
@@ -612,11 +610,7 @@ def reduce_element(a: RingElement, p: int, root: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class SplitDetection:
-    prime: int
-    root: int
-    residue: int
+SplitDetection = namedtuple("SplitDetection", "prime root residue")
 
 
 def detect_split(a: RingElement, limit: int = DEFAULT_PRIME_LIMIT) -> SplitDetection:
@@ -641,11 +635,7 @@ def detect_split(a: RingElement, limit: int = DEFAULT_PRIME_LIMIT) -> SplitDetec
     )
 
 
-@dataclass(frozen=True)
-class IdealDetection:
-    prime: int
-    factor: tuple[int, ...]
-    norm: int
+IdealDetection = namedtuple("IdealDetection", "prime factor norm")
 
 
 def min_detecting_ideal(a: RingElement, limit: int = DEFAULT_PRIME_LIMIT) -> IdealDetection:
