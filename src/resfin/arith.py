@@ -70,8 +70,6 @@ def primes_up_to(limit: int) -> list[int]:
 
 def _pollard_rho(n: int) -> int:
     """A nontrivial factor of composite odd n, Brent's variant, deterministic."""
-    if n % 2 == 0:
-        return 2
     for c in range(1, 100):
         x = y = 2
         d = 1
@@ -86,8 +84,7 @@ def _pollard_rho(n: int) -> int:
 
 
 def _factor_into(n: int, acc: dict[int, int]) -> None:
-    if n == 1:
-        return
+    """Count the primes of an odd n > 1 into acc."""
     if is_prime(n):
         acc[n] = acc.get(n, 0) + 1
         return

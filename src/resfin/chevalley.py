@@ -45,14 +45,8 @@ from collections import namedtuple
 from functools import cached_property
 
 from resfin import arith, matgrp
+from resfin.matgrp import DEFAULT_BUDGET, BudgetExceededError
 from resfin.matgrp import Mat, identity, mat_inv_mod, mat_mul_mod, reduce_mod
-
-
-class BudgetExceededError(RuntimeError):
-    """An enumeration would exceed its element budget."""
-
-
-DEFAULT_ENUM_BUDGET = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +60,7 @@ class GroupSpec(namedtuple("GroupSpec", "n")):
     whose one order every list of root elements E_ij in resfin follows."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs __new__
 
     def __new__(cls, n: int):
         if n < 2:
@@ -159,7 +154,7 @@ SL4 = GroupSpec(4)
 def closure(
     gens: list[Mat],
     m: int,
-    budget: int = DEFAULT_ENUM_BUDGET,
+    budget: int = DEFAULT_BUDGET,
     stop_at: int | None = None,
 ) -> tuple[list[int], list[array], array, array]:
     """BFS closure of I under right multiplication by gens (nonempty) mod m.
@@ -323,7 +318,7 @@ def _fixed(f, g) -> set[int]:
     return set(itertools.compress(range(len(f)), map(operator.eq, f, g)))
 
 
-def enumerate_group(spec: GroupSpec, m: int, budget: int = DEFAULT_ENUM_BUDGET) -> FiniteGroupTable:
+def enumerate_group(spec: GroupSpec, m: int, budget: int = DEFAULT_BUDGET) -> FiniteGroupTable:
     """The closure of the E_ij(1) mod m, as a table: they generate SL_n(Z/m)
     as a monoid (see strong_approx_check).  The BFS order, and with it every
     index, is theirs, not that of the E_ij(+-1); classes, centers and the
@@ -981,7 +976,7 @@ def strong_approx_check(
     m: int,
     trials: int = 64,
     seed: int = 0,
-    budget: int = DEFAULT_ENUM_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> CheckResult:
     """Does the level-N congruence subgroup of SL_n(Z) surject onto SL_n(Z/m)?
 

@@ -17,8 +17,8 @@ from collections.abc import Iterator
 
 from . import arith, counterexamples, growth, matgrp, numring
 from . import chevalley
-from .chevalley import BudgetExceededError, GroupSpec
-from .matgrp import RangeExhaustedError
+from .chevalley import GroupSpec
+from .matgrp import BudgetExceededError
 
 EXIT_OK = 0
 EXIT_FALSIFIED = 1
@@ -95,11 +95,6 @@ def _parse_range(text: str) -> tuple[int, int]:
     if hi < lo:
         raise ValueError(f"empty range {text!r}")
     return lo, hi
-
-
-def _require_prime_p(args) -> None:
-    if args.p < 2 or not arith.is_prime(args.p):
-        raise ValueError(f"--p must be prime, got {args.p}")
 
 
 def _budget(args) -> int:
@@ -228,18 +223,24 @@ def _cmd_fit(args) -> int:
 
 
 VERIFY_HEADER = ["check_name", "instance", "status", "detail"]
-VERIFY_SUITES = (
-    "moy-prasad", "adjoint", "normal-subgroups", "centerless", "strong-approx",
-)
+VERIFY_SUITES = {  # the flags each suite needs, in the order its usage error names them
+    "moy-prasad": ("--p", "--k"),
+    "adjoint": ("--p",),
+    "normal-subgroups": ("--modulus",),
+    "centerless": ("--modulus",),
+    "strong-approx": ("--level", "--modulus"),
+}
 
 
 def _cmd_verify(args) -> int:
     spec = _spec_for(args)
+    needs = VERIFY_SUITES[args.suite]
+    if any(getattr(args, flag[2:]) is None for flag in needs):
+        raise ValueError(f"{args.suite} needs {' and '.join(needs)}")
+    if "--p" in needs and (args.p < 2 or not arith.is_prime(args.p)):
+        raise ValueError(f"--p must be prime, got {args.p}")
     results: list[chevalley.CheckResult] = []
     if args.suite == "moy-prasad":
-        if args.p is None or args.k is None:
-            raise ValueError("moy-prasad needs --p and --k")
-        _require_prime_p(args)
         lo, hi = _parse_range(args.k)
         if lo < 2:
             raise ValueError("moy-prasad needs level k >= 2")
@@ -248,25 +249,16 @@ def _cmd_verify(args) -> int:
                 results.append(chevalley.moy_prasad_check(spec, args.p, k, i))
             results.append(chevalley.commutator_filtration_check(spec, args.p, k))
     elif args.suite == "adjoint":
-        if args.p is None:
-            raise ValueError("adjoint needs --p")
-        _require_prime_p(args)
         results.append(chevalley.adjoint_irreducibility_check(spec, args.p))
     elif args.suite == "normal-subgroups":
-        if args.modulus is None:
-            raise ValueError("normal-subgroups needs --modulus")
         if args.modulus >= 1:  # a composite modulus fails before enumeration
             chevalley._prime_power_modulus(args.modulus)
         table = chevalley.enumerate_group(spec, args.modulus, budget=_budget(args))
         results.append(chevalley.normal_structure_check(table))
     elif args.suite == "centerless":
-        if args.modulus is None:
-            raise ValueError("centerless needs --modulus")
         table = chevalley.enumerate_group(spec, args.modulus, budget=_budget(args))
         results.append(chevalley.centerless_quotient_check(table))
     else:  # strong-approx
-        if args.level is None or args.modulus is None:
-            raise ValueError("strong-approx needs --level and --modulus")
         if args.level < 1:
             raise ValueError(f"--level must be >= 1, got {args.level}")
         if args.level > 1 and args.trials < 1:
@@ -373,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--power", type=int, default=1, help="measure D(g^k) instead of D(g)")
     p.add_argument("--allow-central", action="store_true")
-    p.add_argument("--budget", type=int, default=growth.DEFAULT_BALL_BUDGET)
+    p.add_argument("--budget", type=int, default=matgrp.DEFAULT_BUDGET)
     p.add_argument("--threads", type=int, help="accepted and ignored; growth tables run serially")
     add_output(p)
     p.set_defaults(func=_cmd_growth)
@@ -405,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
         "no other suite reads it",
     )
     p.add_argument(
-        "--budget", type=int, default=chevalley.DEFAULT_ENUM_BUDGET,
+        "--budget", type=int, default=matgrp.DEFAULT_BUDGET,
         help="element budget of the group enumeration in normal-subgroups, "
         "centerless and strong-approx; no other suite reads it",
     )
@@ -454,15 +446,12 @@ def main(argv=None) -> int:
     args = _parser().parse_args(_join_signed_values(argv))
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (RangeExhaustedError, BudgetExceededError) as exc:
+    except BudgetExceededError as exc:
         print(f"budget: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 def entry() -> None:

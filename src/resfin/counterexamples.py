@@ -31,7 +31,7 @@ from collections import namedtuple
 
 from resfin import arith, matgrp
 from resfin.chevalley import CheckResult
-from resfin.matgrp import Mat, RangeExhaustedError, Record, UndetectableError
+from resfin.matgrp import BudgetExceededError, Mat, Record, UndetectableError
 
 
 # The least detecting fold of a family (for Z^d, the least quotient Z/a):
@@ -117,7 +117,7 @@ def lamp_detect(g: LampElement, m_max: int = DEFAULT_FOLD_LIMIT) -> Detection:
         support, shift = lamp_fold(g, m)
         if support or shift:
             return Detection(m, m * 2**m)
-    raise RangeExhaustedError(f"no fold modulus <= {m_max} detects the element")
+    raise BudgetExceededError(f"no fold modulus <= {m_max} detects the element")
 
 
 def lamp_quotient_D(k: int, corrected: bool = True) -> Detection:
@@ -231,7 +231,7 @@ def semidirect_detect(g: SemidirectElement, d_max: int = DEFAULT_FOLD_LIMIT) -> 
     for d in range(1, d_max + 1):  # d = 1 is Q itself: it sees the rotation part
         if semidirect_fold(g, d) != ((0, 0), matgrp.identity(2)):
             return Detection(d, 8 * d * d)
-    raise RangeExhaustedError(f"no fold modulus <= {d_max} detects the element")
+    raise BudgetExceededError(f"no fold modulus <= {d_max} detects the element")
 
 
 def semidirect_quotient_D(k: int) -> Detection:

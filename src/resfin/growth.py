@@ -17,10 +17,9 @@ from collections import namedtuple
 from collections.abc import Iterator
 
 from resfin import arith, matgrp
-from resfin.chevalley import BudgetExceededError, GroupSpec
-from resfin.matgrp import Mat, DetectionResult
+from resfin.chevalley import GroupSpec
+from resfin.matgrp import DEFAULT_BUDGET, BudgetExceededError, Mat, DetectionResult
 
-DEFAULT_BALL_BUDGET = 10**6
 MATERIALIZE_LIMIT = 64
 
 
@@ -32,6 +31,7 @@ class GeneratingSet(namedtuple("GeneratingSet", "name mats")):
     """A named generating set, closed under inverses."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs __new__
 
     def __new__(cls, name: str, mats: tuple[Mat, ...]):
         pool = set(mats)
@@ -152,7 +152,7 @@ def farb_growth(
     n_max: int,
     k: int = 1,
     allow_central: bool = False,
-    budget: int = DEFAULT_BALL_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> GrowthTable:
     """The table n -> F^k(n) for n <= n_max, maximizing D(gamma^k) over the
     ball and skipping gamma with gamma^k = 1 (all gamma != 1 when k = 1).
@@ -224,6 +224,7 @@ class CandidateSeq(namedtuple("CandidateSeq", "spec s_primes e")):
     """The probe family A_k = E_12(e * alpha^k * lcm(1..k)), alpha = prod(S)."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs __new__
 
     def __new__(cls, spec, s_primes: tuple[int, ...] = (), e: int = 1):
         if e < 1:

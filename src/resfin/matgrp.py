@@ -33,8 +33,11 @@ class UndetectableError(ValueError):
     """The element is the identity; no finite quotient detects it."""
 
 
-class RangeExhaustedError(RuntimeError):
-    """A bounded search ended with no detecting modulus."""
+class BudgetExceededError(RuntimeError):
+    """A bounded computation ran out: an element budget or a search range."""
+
+
+DEFAULT_BUDGET = 10**6
 
 
 class Record:
@@ -345,6 +348,6 @@ def brute_force_D(a: Mat, spec, m_max: int) -> DetectionResult:
         if best is None or (order, m) < best:
             best = (order, m)
     if best is None:
-        raise RangeExhaustedError(f"no modulus <= {m_max} detects the element")
+        raise BudgetExceededError(f"no modulus <= {m_max} detects the element")
     complete = least_pp is not None and m_max >= 2 * least_pp
     return DetectionResult(best[1], best[0], False, search_complete=complete)

@@ -54,7 +54,7 @@ import re
 from collections import namedtuple
 
 from resfin import arith
-from resfin.matgrp import RangeExhaustedError, Record, UndetectableError, det
+from resfin.matgrp import BudgetExceededError, Record, UndetectableError, det
 
 DEFAULT_PRIME_LIMIT = 10_000
 
@@ -479,6 +479,7 @@ class NumberRing(namedtuple("NumberRing", "min_poly inverted")):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs __new__
 
     def __new__(cls, min_poly, inverted: int = 1):
         f = tuple(int(c) for c in min_poly)
@@ -630,7 +631,7 @@ def detect_split(a: RingElement, limit: int = DEFAULT_PRIME_LIMIT) -> SplitDetec
             residue = reduce_element(a, p, root)
             if residue:
                 return SplitDetection(p, root, residue)
-    raise RangeExhaustedError(
+    raise BudgetExceededError(
         f"no split prime <= {limit} detects the element; raise the limit"
     )
 
@@ -681,7 +682,7 @@ def min_detecting_ideal(a: RingElement, limit: int = DEFAULT_PRIME_LIMIT) -> Ide
                 best = IdealDetection(p, g, norm)
                 break
     if best is None:
-        raise RangeExhaustedError(
+        raise BudgetExceededError(
             f"no prime ideal of norm <= {limit} detects the element"
         )
     return best

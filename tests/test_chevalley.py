@@ -238,7 +238,7 @@ def filtration_subgroup(table, i):
     return [g for g in table.elements if congruent_to_identity(g, p**i)]
 
 
-def filtration_elements(spec, p, k, i, budget=ch.DEFAULT_ENUM_BUDGET):
+def filtration_elements(spec, p, k, i, budget=matgrp.DEFAULT_BUDGET):
     """Oracle: G^i = ker(SL_n(Z/p^k) -> SL_n(Z/p^i)) built directly, no group
     table and no generators.
 
@@ -1503,6 +1503,14 @@ class TestStrongApprox:
             r = ch.strong_approx_check(SL2, N, m, trials=64, seed=0)
             assert r.passed
             assert r.mode == "probabilistic"
+
+    def test_too_few_generators_fail_at_full_level(self, monkeypatch):
+        # the only failing verdict of the exact N = 1 path: E_12(1) alone
+        # closes to its 9 powers mod 9, not to all of SL_2(Z/9)
+        real = ch._elementary_mod
+        monkeypatch.setattr(ch, "_elementary_mod", lambda *a, **kw: real(*a, **kw)[:1])
+        r = ch.strong_approx_check(SL2, 1, 9)
+        assert (r.status, r.detail, r.mode) == ("fail", "closure reaches 9 of 648", "exact")
 
     def test_too_few_trials_inconclusive(self):
         r = ch.strong_approx_check(SL2, 2, 9, trials=1, seed=5)

@@ -15,7 +15,7 @@ from resfin import arith
 from resfin import counterexamples as cx
 from resfin import matgrp
 from resfin.chevalley import CheckResult
-from resfin.matgrp import RangeExhaustedError, UndetectableError
+from resfin.matgrp import BudgetExceededError, UndetectableError
 
 
 class TestLampElement:
@@ -99,7 +99,7 @@ class TestLampDetection:
     def test_detect_errors(self):
         with pytest.raises(UndetectableError):
             cx.lamp_detect(cx.LAMP_IDENTITY)
-        with pytest.raises(RangeExhaustedError):
+        with pytest.raises(BudgetExceededError):
             cx.lamp_detect(cx.lamp_candidate(3), m_max=3)
 
     def test_lower_bound_certificates(self):
@@ -340,6 +340,10 @@ class TestKernelStructure:
             u1 = (rng.randrange(d), rng.randrange(d))
             u2 = (rng.randrange(d), rng.randrange(d))
             assert cx._kernel_basis(d, u1, u2) == kernel_basis_scan(d, u1, u2), (d, u1, u2)
+
+    def test_in_lattice_checks_the_first_coordinate(self):
+        assert not cx._in_lattice((1, 0), ((2, 0), (0, 2)))
+        assert cx._in_lattice((2, 0), ((2, 0), (0, 2)))
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from resfin import arith, matgrp
 from resfin import growth as gr
-from resfin.chevalley import SL2, SL3, SL4, BudgetExceededError, GroupSpec
+from resfin.chevalley import SL2, SL3, SL4, GroupSpec
+from resfin.matgrp import BudgetExceededError
 
 
 @functools.cache
@@ -41,7 +42,7 @@ def brute_spheres(gens, n):
     return [{sum(g, ()) for g, length in ball.items() if length == r} for r in range(n + 1)]
 
 
-def spheres(gens, n, budget=gr.DEFAULT_BALL_BUDGET):
+def spheres(gens, n, budget=matgrp.DEFAULT_BUDGET):
     """gr._spheres as sets, after checking that no sphere repeats an element."""
     out = gr._spheres(gens, n, budget)
     assert sum(map(len, out)) == len(set().union(*out))
@@ -189,7 +190,7 @@ def _reference_word(n, i, j, z, words):
 class TestWordBall:
     def test_radius_zero_and_one(self):
         gens = gr.sl2_st()
-        assert gr._spheres(gens, 0, gr.DEFAULT_BALL_BUDGET) == [[(1, 0, 0, 1)]]
+        assert gr._spheres(gens, 0, matgrp.DEFAULT_BUDGET) == [[(1, 0, 0, 1)]]
         b1 = spheres(gens, 1)
         assert [len(s) for s in b1] == [1, 4]
 
@@ -213,7 +214,7 @@ class TestWordBall:
 
     def test_negative_radius(self):
         with pytest.raises(ValueError):
-            gr._spheres(gr.sl2_st(), -1, gr.DEFAULT_BALL_BUDGET)
+            gr._spheres(gr.sl2_st(), -1, matgrp.DEFAULT_BUDGET)
 
 
 class TestGeneratingSet:
@@ -312,7 +313,7 @@ class TestFarbGrowth:
         s, t = matgrp.mat([[0, -1], [1, 0]]), matgrp.elementary(2, 1, 2, 1)
         gens = gr.GeneratingSet("S^-1,S,T^-1,T", (matgrp.mat_inv(s), s, matgrp.mat_inv(t), t))
         table = gr.farb_growth(gens, SL2, 3)
-        first = [sphere[0] for sphere in gr._spheres(gens, 1, gr.DEFAULT_BALL_BUDGET)]
+        first = [sphere[0] for sphere in gr._spheres(gens, 1, matgrp.DEFAULT_BUDGET)]
         assert first == [(1, 0, 0, 1), sum(matgrp.mat_inv(s), ())]
         assert table.rows[1].witness == s
         assert table == per_element_table(gens, SL2, 3)
@@ -653,6 +654,14 @@ class TestShortUnipotentWord:
                 total[0] += c * v[0]
                 total[1] += c * v[1]
             assert total == [m, 0], m
+
+    def test_nonnegative_matches_float_sign(self):
+        # a + b phi with phi irrational is 0 only at (0, 0); on this grid it
+        # is at least 0.05 away from 0 otherwise, far beyond float error
+        phi = (1 + math.sqrt(5)) / 2
+        for a in range(-12, 13):
+            for b in range(-12, 13):
+                assert gr._nonnegative(a, b) == (a + b * phi >= 0), (a, b)
 
     def test_inverse_word(self):
         w = gr.short_unipotent_word(SL3, 97)

@@ -271,8 +271,12 @@ class TestBruteForceD:
         assert r.search_complete is False
 
     def test_exhausted_range_raises(self):
-        with pytest.raises(matgrp.RangeExhaustedError):
+        with pytest.raises(matgrp.BudgetExceededError):
             matgrp.brute_force_D(matgrp.elementary(2, 1, 2, 60), SL2, 4)
+
+    def test_size_mismatch_raises(self):
+        with pytest.raises(ValueError, match="matrix size 2 does not match spec n=3"):
+            matgrp.brute_force_D(matgrp.elementary(2, 1, 2, 60), SL3, 10)
 
     @settings(max_examples=60, deadline=None)
     @given(sl2_word())

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resfin import numring as nr
-from resfin.matgrp import RangeExhaustedError, UndetectableError
+from resfin.matgrp import BudgetExceededError, UndetectableError
 
 ZI = nr.GAUSSIAN
 R2 = nr.SQRT2
@@ -343,7 +343,7 @@ class TestDetectSplit:
     def test_zero_and_limit(self):
         with pytest.raises(UndetectableError):
             nr.detect_split(ZI.zero())
-        with pytest.raises(RangeExhaustedError):
+        with pytest.raises(BudgetExceededError):
             nr.detect_split(ZI.element((0, 5)), limit=3)
 
     def test_residue_is_live(self):
@@ -369,7 +369,7 @@ class TestMinDetectingIdeal:
     def test_zero_and_limit(self):
         with pytest.raises(UndetectableError):
             nr.min_detecting_ideal(ZI.zero())
-        with pytest.raises(RangeExhaustedError):
+        with pytest.raises(BudgetExceededError):
             nr.min_detecting_ideal(ZI.element((0, 5)), limit=1)
 
     def test_never_beaten_by_split_detection(self):
@@ -636,7 +636,7 @@ class TestResidueTableOracle:
                 for limit in (250, 20000):
                     want = _oracle_detect_split(a, limit)
                     if want is None:
-                        with pytest.raises(RangeExhaustedError):
+                        with pytest.raises(BudgetExceededError):
                             nr.detect_split(a, limit)
                     else:
                         assert nr.detect_split(a, limit) == want
@@ -644,7 +644,7 @@ class TestResidueTableOracle:
                 for limit in (250, 1000):
                     want = _oracle_ideal(a, limit)
                     if want is None:
-                        with pytest.raises(RangeExhaustedError):
+                        with pytest.raises(BudgetExceededError):
                             nr.min_detecting_ideal(a, limit)
                     else:
                         assert nr.min_detecting_ideal(a, limit) == want
@@ -727,13 +727,13 @@ def _memo_primes(f):
 def _assert_matches_oracles(a, limit):
     want = _oracle_detect_split(a, limit)
     if want is None:
-        with pytest.raises(RangeExhaustedError):
+        with pytest.raises(BudgetExceededError):
             nr.detect_split(a, limit)
     else:
         assert nr.detect_split(a, limit) == want
     want = _oracle_ideal(a, limit)
     if want is None:
-        with pytest.raises(RangeExhaustedError):
+        with pytest.raises(BudgetExceededError):
             nr.min_detecting_ideal(a, limit)
     else:
         assert nr.min_detecting_ideal(a, limit) == want
@@ -844,7 +844,7 @@ class TestScanLemmas:
             else:
                 assert (want.prime, want.norm) == (p, p * p)
             if want is None:
-                with pytest.raises(RangeExhaustedError):
+                with pytest.raises(BudgetExceededError):
                     nr.min_detecting_ideal(a, limit)
             else:
                 assert nr.min_detecting_ideal(a, limit) == want
@@ -874,7 +874,7 @@ class TestResidueTableCoherence:
     def _run(fn, args):
         try:
             return fn(*args)
-        except RangeExhaustedError as exc:
+        except BudgetExceededError as exc:
             return ("exhausted", str(exc))
 
     def test_interleaved_scans_match_fresh_tables(self):
@@ -891,9 +891,9 @@ class TestResidueTableCoherence:
         nr.split_primes(ZI, 5000)
         assert [p for p, _ in nr.split_primes(ZI, 30)] == [5, 13, 17, 29]
         big = ZI.element((math.lcm(*range(1, 40)), 0))
-        with pytest.raises(RangeExhaustedError):
+        with pytest.raises(BudgetExceededError):
             nr.detect_split(big, 37)
-        with pytest.raises(RangeExhaustedError):
+        with pytest.raises(BudgetExceededError):
             nr.min_detecting_ideal(big, 37)
         assert nr.detect_split(big, 5000).prime == 41
 

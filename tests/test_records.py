@@ -138,12 +138,41 @@ def test_number_ring_stores_int_coefficients():
          "denominator exponent must be >= 0"),
         (lambda: numring.RingElement(RING_HALF, (2, 4), 1),
          "representation not normalized (use ring.element)"),
+        # _make and _replace build through __new__ too
+        pytest.param(lambda: chevalley.GroupSpec._make([1]), "need n >= 2",
+                     id="GroupSpec._make"),
+        pytest.param(lambda: growth.sl2_st()._replace(mats=(matgrp.elementary(2, 1, 2, 1),)),
+                     "set not closed under inverse at ((1, 1), (0, 1))",
+                     id="GeneratingSet._replace"),
+        pytest.param(lambda: growth.CandidateSeq(chevalley.GroupSpec(2))._replace(e=0),
+                     "index multiplier must be >= 1", id="CandidateSeq._replace"),
+        pytest.param(lambda: numring.NumberRing((1, 0, 1))._replace(min_poly=(-1, 0, 1)),
+                     "min_poly is reducible over the rationals", id="NumberRing._replace"),
     ],
 )
 def test_validation_messages(make, message):
     with pytest.raises(ValueError) as exc:
         make()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "rec, change, direct",
+    [
+        (chevalley.GroupSpec(3), {"n": 4}, chevalley.GroupSpec(4)),
+        (growth.sl2_st(), {"name": "T,S"}, growth.GeneratingSet("T,S", growth.sl2_st().mats)),
+        (growth.CandidateSeq(chevalley.GroupSpec(2)), {"s_primes": (2, 3), "e": 12},
+         growth.CandidateSeq(chevalley.GroupSpec(2), (2, 3), 12)),
+        (numring.GAUSSIAN, {"inverted": 2}, RING_HALF),
+        (RING_HALF, {"min_poly": [1.0, 0, True]}, RING_HALF),
+    ],
+    ids=["GroupSpec", "GeneratingSet", "CandidateSeq", "NumberRing", "NumberRing-normalized"],
+)
+def test_valid_replace_equals_the_record_built_directly(rec, change, direct):
+    new = rec._replace(**change)
+    assert new == direct and type(new) is type(direct)
+    if sys.version_info >= (3, 13):
+        assert copy.replace(rec, **change) == direct
 
 
 ELEMENTS = [
@@ -158,6 +187,12 @@ def test_elements_have_no_tuple_operators(x):
     for op in (lambda: 3 * x, lambda: 3 + x, lambda: (1,) + x, lambda: len(x), lambda: x < x):
         with pytest.raises(TypeError):
             op()
+
+
+def test_element_records_are_unequal_across_types():
+    lamp, semi = ELEMENTS[1], ELEMENTS[2]
+    assert lamp != semi and semi != lamp
+    assert lamp != (frozenset({1, 3}), 2) and (frozenset({1, 3}), 2) != lamp
 
 
 @pytest.mark.parametrize("x", ELEMENTS[1:], ids=[type(x).__name__ for x in ELEMENTS[1:]])
