@@ -344,6 +344,12 @@ def _cmd_ring(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser, whose parse_args parses the command and then
+    the rest of argv with that command's parser."""
+    return _build_parsers()[0]
+
+
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     ap = argparse.ArgumentParser(
         prog="resfin",
         description="minimal detecting quotients and residual finiteness growth",
@@ -418,22 +424,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-max", type=int, default=numring.DEFAULT_PRIME_LIMIT)
     p.set_defaults(func=_cmd_ring)
 
-    return ap
+    return ap, sub.choices
 
 
 @functools.lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process.  Parsing leaves it unchanged and
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the parsers it holds for its commands, by
+    name, built once per process.  Parsing leaves them unchanged and
     returns a fresh Namespace per call."""
-    return build_parser()
+    return _build_parsers()
 
 
 def _join_signed_values(argv: list[str]) -> list[str]:
-    """Rewrite "--matrix -1,0;0,-1" as "--matrix=-1,0;0,-1": argparse takes a
-    separate value that begins with "-" for an unknown flag."""
+    """Rewrite "--matrix -1,0;0,-1" as "--matrix=-1,0;0,-1", and so for
+    --element and --k ("--k -2..5"): argparse takes a separate value that
+    begins with "-" for an unknown flag."""
     out: list[str] = []
     for tok in argv:
-        if (out and out[-1] in ("--matrix", "--element")
+        if (out and out[-1] in ("--matrix", "--element", "--k")
                 and tok.startswith("-") and not tok.startswith("--")):
             out[-1] += "=" + tok
         else:
@@ -442,8 +450,19 @@ def _join_signed_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = _parser().parse_args(_join_signed_values(argv))
+    argv = _join_signed_values(sys.argv[1:] if argv is None else argv)
+    ap, commands = _parser()
+    if argv and argv[0] in commands:
+        # what parse_args does past the command, without its second pass
+        # over argv: the command's parser takes the rest, and tokens it
+        # leaves are the top-level parser's error
+        args, extra = commands[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0])
+        )
+        if extra:
+            ap.error(f"unrecognized arguments: {' '.join(extra)}")
+    else:  # no command first: usage, help or an error, as parse_args gives
+        args = ap.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

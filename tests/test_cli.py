@@ -16,16 +16,17 @@ import pytest
 from resfin import chevalley, cli
 
 
-def run_cli(argv, stdin_text=None):
-    """Invoke main() in process, returning (exit code, stdout, stderr).
-    An argparse usage error's SystemExit becomes its exit code."""
+def run_cli(argv, stdin_text=None, main=None):
+    """Invoke main() (or the given stand-in) in process, returning (exit
+    code, stdout, stderr).  An argparse usage error's SystemExit becomes its
+    exit code."""
     old_out, old_err, old_in = sys.stdout, sys.stderr, sys.stdin
     sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
     if stdin_text is not None:
         sys.stdin = io.StringIO(stdin_text)
     try:
         try:
-            rc = cli.main(argv)
+            rc = (main or cli.main)(argv)
         except SystemExit as exc:
             rc = exc.code
         return rc, sys.stdout.getvalue(), sys.stderr.getvalue()
@@ -603,6 +604,10 @@ USAGE_ERRORS = [  # value errors: exit 2, one "error:" line
     # candidates past the integer-to-string limit fail before any row
     ["examples", "--group", "lamplighter", "--k", "2..9859"],
     ["examples", "--group", "semidirect", "--k", "2..9859"],
+    # a --k range that begins with a minus sign reaches the command's check
+    ["candidates", "--group", "sl2", "--k", "-2..5"],
+    ["verify", "--suite", "moy-prasad", "--group", "sl2", "--p", "5", "--k", "-1..2"],
+    ["examples", "--group", "abelian", "--k", "-3..-1"],
     ["ring", "--ring", "f=", "--element", "1"],
     ["ring", "--ring", "f=1", "--element", "1"],
     ["ring", "--ring", "f=1,0,1", "--element", "1,2,3"],
@@ -788,6 +793,13 @@ STDERR_DIGESTS = {
         "f5c09fbadec59e089776a81d06d1541979b131db4b345e967eb66063a90f1513",
     "verify --suite centerless --group sl2 --modulus 4 --budget -1":
         "cced38b2e559451dbae447a1ef4b6508342005be2ee0c3dc0240e2573142cb57",
+    # a --k range that begins with a minus sign: the command's own message
+    "candidates --group sl2 --k -2..5":
+        "951f50fab381689e01caa9ac168712b2d72ffb2c7ad06a992e7d31b4bff9d260",
+    "verify --suite moy-prasad --group sl2 --p 5 --k -1..2":
+        "90a0b707baeebbf4e829857d6da4a43495ffbf59d0852f79916ae38becd4f1fc",
+    "examples --group abelian --k -3..-1":
+        "7ecbeb5186726e7bdb43b4f58c3d5a5d884d800a057ba46a2c83338caf082892",
 }
 
 
@@ -881,6 +893,21 @@ class TestExitCodes:
             assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
     def test_cached_parser_matches_a_fresh_one(self):
+        # the cached table holds the cached parser's own command parsers: a
+        # default set on one shows in the top-level parse of that command,
+        # and cache_clear drops the table with the parser
+        ap, commands = cli._parser()
+        assert sorted(commands) == sorted(argv[0] for argv in VALID_CALLS)
+        try:
+            for argv in VALID_CALLS:
+                commands[argv[0]].set_defaults(probe=argv[0])
+                assert ap.parse_args(argv).probe == argv[0]
+        finally:
+            cli._parser.cache_clear()
+        fresh_ap, fresh_commands = cli._parser()
+        assert fresh_ap is not ap
+        assert all(fresh_commands[name] is not commands[name] for name in commands)
+        assert not hasattr(fresh_ap.parse_args(VALID_CALLS[0]), "probe")
         calls = [
             ["dq", "--matrix", "1,12;0,1"],
             ["verify", "--suite", "centerless", "--group", "sl2", "--modulus", "5"],
@@ -900,6 +927,76 @@ class TestExitCodes:
             fresh.append(run_cli(argv))
         assert reused == fresh
         assert cli._parser() is cli._parser()
+
+
+VALID_CALLS = [  # one call of each command that exits 0
+    ["dq", "--matrix", "1,12;0,1"],
+    ["growth", "--group", "sl2", "--n-max", "2"],
+    ["candidates", "--group", "sl2", "--k", "2..4"],
+    ["fit"],
+    ["verify", "--suite", "adjoint", "--group", "sl2", "--p", "5"],
+    ["examples", "--group", "abelian", "--k", "2..4"],
+    ["ring", "--ring", "f=1,0,1", "--element", "0,5"],
+]
+
+FIT_STDIN = "k,quotient_order\n2,6\n3,24\n4,120\n5,720\n"
+
+DISPATCH_CALLS = VALID_CALLS + [
+    # help at both levels
+    ["-h"], ["--help"], ["dq", "-h"], ["verify", "--help"],
+    ["dq", "--matrix", "1,1;0,1", "-h"],
+    # no command first
+    [], ["bogus"], ["--format", "csv", "dq"],
+    ["--", "dq", "--matrix", "1,1;0,1"],
+    # argparse's own errors in a command
+    ["dq"], ["dq", "--matrix"], ["candidates", "--group", "sl2"],
+    ["growth", "--group", "sl2", "--n-max", "2", "--gens", "abc"],
+    ["verify", "--suite", "bogus", "--group", "sl2"],
+    ["growth", "--group", "sl2", "--n-max", "x"],
+    ["dq", "--matrix", "1,1;0,1", "--bogus"],
+    ["dq", "--matrix", "1,1;0,1", "--bogus", "x", "--allow-central"],
+    ["dq", "--matrix", "1,1;0,1", "x", "y"],
+    ["fit", "a.csv", "b.csv"],
+    # abbreviated flags
+    ["growth", "--group", "sl2", "--n-m", "3"],
+    ["dq", "--mat", "1,12;0,1"],
+    ["dq", "--matrix", "1,12;0,1", "--allow"],
+    # "--"
+    ["dq", "--matrix", "1,1;0,1", "--"],
+    ["dq", "--", "--matrix", "1,1;0,1"],
+    ["fit", "--", "-"],
+    # signed values
+    ["dq", "--matrix", "-1,1;0,-1", "--allow-central"],
+    ["ring", "--ring", "f=1,0,1", "--element", "-3,2"],
+    ["candidates", "--group", "sl2", "--k", "-2..5"],
+    ["candidates", "--group", "sl2", "--k", "-2"],
+    # the command's own exits 1, 2 and 3
+    ["verify", "--suite", "adjoint", "--group", "sl2", "--p", "2"],
+    ["dq", "--matrix", "2,0;0,1"],
+    ["growth", "--group", "sl2", "--n-max", "3", "--budget", "5"],
+]
+
+
+def two_level_main(argv):
+    """The reference dispatch: the top-level parser's parse_args over all
+    of argv, then the command under main's two handlers."""
+    args = cli.build_parser().parse_args(cli._join_signed_values(argv))
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return cli.EXIT_USAGE
+    except cli.BudgetExceededError as exc:
+        print(f"budget: {exc}", file=sys.stderr)
+        return cli.EXIT_INCONCLUSIVE
+
+
+@pytest.mark.parametrize("argv", DISPATCH_CALLS, ids=" ".join)
+def test_dispatch_matches_the_two_level_parse(argv):
+    got = run_cli(argv, FIT_STDIN)
+    assert got == run_cli(argv, FIT_STDIN, main=two_level_main)
+    if argv in VALID_CALLS:
+        assert (got[0], got[2]) == (0, "")
 
 
 def test_emit_quoting_and_endings():
