@@ -130,16 +130,32 @@ def least_nondivisor(m: int) -> int:
     """
     if m < 1:
         raise ValueError("least_nondivisor requires m >= 1")
-    # Only prime powers need testing, in blocks: q divides m exactly when it
-    # divides m mod P for a product P of prime powers that q divides, and
-    # reducing a huge m once per block beats once per q.
-    stream = prime_power_stream()
-    while True:
-        block = [q for q, _, _ in itertools.islice(stream, 64)]
+    return next(nondivisors(m, map(_VALUE, prime_power_stream())))
+
+
+WORD = 1 << 64
+
+
+def nondivisors(m: int, qs):
+    """The q that do not divide m, in order, from an increasing stream qs of
+    positive ints; lazy, so a consumer may stop early.
+
+    A word-size m (|m| < WORD) is tested q by q.  A multiword m is reduced
+    once per block of 64 q: q divides m exactly when it divides m mod P for
+    a product P of q's block, and one remainder of a huge m by P beats one
+    per q.
+    """
+    if -WORD < m < WORD:
+        return filter(m.__mod__, qs)
+    return _blocked_nondivisors(m, iter(qs))
+
+
+def _blocked_nondivisors(m: int, qs):
+    while block := list(itertools.islice(qs, 64)):
         r = m % math.prod(block)
         for q in block:
             if r % q:
-                return q
+                yield q
 
 
 def is_prime_power(q: int) -> tuple[int, int] | None:
@@ -161,8 +177,15 @@ def prime_power_stream(limit: int | None = None, above: int = 0):
 
 def primes(limit: int | None = None):
     """The primes in increasing order (those <= limit, if given), read from
-    the sieve cache, so a range it already holds sieves nothing."""
-    return _read_sieve(2, None, limit, 0)
+    the sieve cache, so a range it already holds sieves nothing.  The part
+    the cache holds is a slice of it, with no generator step per prime, and
+    only a reader that runs past it grows the sieve."""
+    sieved_to, _, cache = _SIEVE
+    if limit is None or sieved_to < limit <= _SIEVE_CAP:
+        return itertools.chain(cache, _read_sieve(2, None, limit, sieved_to))
+    if 0 <= limit <= sieved_to:
+        return itertools.islice(cache, bisect.bisect_right(cache, limit))
+    return _read_sieve(2, None, limit, 0)  # raises at the first step
 
 
 def _read_sieve(column: int, key, limit: int | None, above: int):

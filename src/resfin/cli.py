@@ -437,16 +437,33 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
 
 def _join_signed_values(argv: list[str]) -> list[str]:
     """Rewrite "--matrix -1,0;0,-1" as "--matrix=-1,0;0,-1", and so for
-    --element and --k ("--k -2..5"): argparse takes a separate value that
-    begins with "-" for an unknown flag."""
+    --element and --k ("--k -2..5") and their abbreviations ("--mat"):
+    argparse takes a separate value that begins with "-" for an unknown
+    flag."""
     out: list[str] = []
     for tok in argv:
-        if (out and out[-1] in ("--matrix", "--element", "--k")
-                and tok.startswith("-") and not tok.startswith("--")):
+        # a flag with "=" holds its value already
+        if (out and "=" not in out[-1] and tok.startswith("-") and not tok.startswith("--")
+                and _takes_signed_value(argv[0], out[-1])):
             out[-1] += "=" + tok
         else:
             out.append(tok)
     return out
+
+
+_SIGNED_FLAGS = ("--matrix", "--element", "--k")
+
+
+def _takes_signed_value(command: str, flag: str) -> bool:
+    """Is flag one of _SIGNED_FLAGS, or a prefix of exactly one flag of the
+    command's parser, one of them (argparse's abbreviation rule)?"""
+    if flag in _SIGNED_FLAGS:
+        return True
+    commands = _parser()[1]
+    if command not in commands or not flag.startswith("--"):
+        return False
+    hits = [f for f in commands[command]._option_string_actions if f.startswith(flag)]
+    return len(hits) == 1 and hits[0] in _SIGNED_FLAGS
 
 
 def main(argv=None) -> int:

@@ -321,7 +321,9 @@ def candidate_sweep(
     at k = p^i, in p's term alone.  A new prime's term comes last in the
     left-to-right sum of r_log2, so it is added to a running total; any
     other change (k = p^i with i > 1, k = lo, every k when S is nonempty)
-    sums the terms again in increasing p from k * log2(alpha).
+    sums the terms again in increasing p from k * log2(alpha).  The terms
+    at k = lo are read off the prime powers q <= lo, so the sweep starts
+    at lo.
 
     Survival never returns as k grows, since multiplier_valuation(k, p)
     never falls, and it changes only at prime powers k.  So one
@@ -335,12 +337,15 @@ def candidate_sweep(
     with_s = bool(cs.s_primes)
     log_alpha = math.log2(cs.alpha) if with_s else 0.0
     terms: dict[int, float] = {}  # p -> v_p(lcm(1..k)) * log2(p), increasing p
-    total = 0.0  # r_log2(k) from k = lo on
     lcm_powers = arith.prime_power_stream()
-    q, p, i = next(lcm_powers)
+    for q, p, i in lcm_powers:  # the terms at k = lo, up to the first q > lo
+        if q > lo:
+            break
+        terms[p] = i * math.log2(p)
+    total = 0.0  # r_log2(k), summed afresh at k = lo
     search = matgrp.QuotientSearch(cs.spec, allow_central, above=lo)
     det = None
-    for k in range(1, hi + 1):
+    for k in range(lo, hi + 1):
         resum = with_s or k == lo
         if k == q:
             terms[p] = i * math.log2(p)
@@ -348,8 +353,6 @@ def candidate_sweep(
             resum = resum or i > 1
             det = None
             q, p, i = next(lcm_powers)
-        if k < lo:
-            continue
         if resum:
             total = k * log_alpha
             for term in terms.values():

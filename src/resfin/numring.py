@@ -411,7 +411,10 @@ def _split_rows(ring, limit: int, skip: int = 1):
     disc = ring.discriminant()
     bad = abs(disc) * ring.inverted * skip
     table = _SPLIT.setdefault(ring.min_poly, {})
-    for p in arith.primes(limit):
+    primes = arith.primes(limit)
+    if bad >= arith.WORD:  # one remainder per block; no p left divides bad
+        primes, bad = arith.nondivisors(bad, primes), 1
+    for p in primes:
         if bad % p:
             roots = table.get(p)
             if roots is None:
@@ -663,7 +666,10 @@ def min_detecting_ideal(a: RingElement, limit: int = DEFAULT_PRIME_LIMIT) -> Ide
     f = a.ring.min_poly
     skip = a.ring.inverted * math.gcd(*a.coords)
     best: IdealDetection | None = None
-    for p in arith.primes(limit):
+    primes = arith.primes(limit)
+    if skip >= arith.WORD:  # one remainder per block; no p left divides skip
+        primes, skip = arith.nondivisors(skip, primes), 1
+    for p in primes:
         if best is not None and p > best.norm:
             break
         if skip % p == 0:

@@ -153,6 +153,48 @@ class TestLeastNondivisor:
                     assert pp**e <= k
 
 
+def _nondivisor_ms():
+    """Word-size and multiword m: 1, lcm(1..K) * c, products of prime
+    powers, both sides of arith.WORD, and negatives."""
+    ms = [1, 12, arith.WORD - 1, arith.WORD, arith.WORD + 1, -12]
+    for k in (40, 150, 1000, 2900):
+        lcm = math.lcm(*range(1, k + 1))
+        ms += [lcm, 7 * lcm, (2**61 - 1) * lcm, -3 * lcm]
+    powers = [q for q, _, _ in arith.prime_power_stream(3000)]
+    ms += [2**10 * 3**5 * 7**3, math.prod(powers[::3]), math.prod(powers[60:70]),
+           math.prod(arith.primes(727)), math.prod(arith.primes(727)) // 311]
+    return ms
+
+
+@pytest.mark.parametrize("start", [0, 150])
+@pytest.mark.parametrize("length", [63, 64, 65, 128, 129])
+@pytest.mark.parametrize("stream", ["primes", "prime powers"])
+def test_nondivisors_matches_the_per_q_test(stream, length, start):
+    # blocks of 64 q cut the stream at 64 and 128; the lcm multiples keep
+    # every q <= K out, and a start of 150 puts q on both sides of K
+    if stream == "primes":
+        every = list(arith.primes(20000))
+    else:
+        every = [q for q, _, _ in arith.prime_power_stream(20000)]
+    qs = every[start:start + length]
+    for m in _nondivisor_ms():
+        want = [q for q in qs if m % q]
+        assert list(arith.nondivisors(m, qs)) == want, m
+        assert list(arith.nondivisors(m, iter(qs))) == want, m
+
+
+def test_nondivisors_is_lazy():
+    # a consumer that stops early gets the head of the stream, read at most
+    # one block of 64 past its last q, also from an endless stream
+    lcm = math.lcm(*range(1, 2901))
+    for m in (12, 7 * lcm):
+        want = [q for q in range(2, 4000) if m % q]
+        for n in (1, 5, 70):
+            qs = itertools.count(2)
+            assert list(itertools.islice(arith.nondivisors(m, qs), n)) == want[:n]
+            assert next(qs) <= want[n - 1] + 65
+
+
 def prime_powers_above(k, limit):
     """(p, i) for the prime powers k < p**i <= limit, read off the stream."""
     return [(p, i) for _, p, i in arith.prime_power_stream(limit, above=k)]
@@ -218,6 +260,26 @@ def test_primes_read_the_prime_power_cache(monkeypatch):
     with pytest.raises(ValueError, match="exceeds cap"):
         next(arith.primes(10**8 + 1))
     assert sieved == []
+
+
+def test_primes_slice_the_cache_and_grow_only_past_it(monkeypatch):
+    # a reader gets the cached primes first; only one that runs past them
+    # sieves, by the same steps as a reader of the prime-power stream
+    monkeypatch.setattr(arith, "_SIEVE", (0, [], []))
+    sieved = []
+    sieve = arith.primes_up_to
+    monkeypatch.setattr(arith, "primes_up_to", lambda n: sieved.append(n) or sieve(n))
+    assert list(itertools.islice(arith.primes(20000), 3)) == [2, 3, 5]
+    assert sieved == [512]
+    assert list(itertools.islice(arith.primes(20000), 97)) == sieve(512)
+    assert list(itertools.islice(arith.primes(), 97)) == sieve(512)
+    assert sieved == [512]
+    assert list(arith.primes(20000)) == sieve(20000)
+    assert sieved == [512, 2048, 8192, 20000]
+    assert list(itertools.islice(arith.primes(), 2263)) == sieve(20011)
+    assert sieved == [512, 2048, 8192, 20000, 80000]
+    with pytest.raises(ValueError, match="at least above"):
+        next(arith.primes(-1))
 
 
 def test_prime_powers_above_reads_the_prime_power_cache(monkeypatch):

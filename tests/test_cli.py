@@ -6,6 +6,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import runpy
 import subprocess
@@ -428,6 +429,50 @@ def test_search_modes_match_golden_digests():
     for argv, want in SEARCH_DIGESTS:
         got = hashlib.sha256(json.dumps(list(run_cli(argv))).encode()).hexdigest()
         assert got == want, argv
+
+
+# The same digests for `ring` on lcm(1..K) * coords, elements whose content
+# is a multiword integer, in each ring of the rings benchmark, at both ends
+# of its K bands and at two prime limits, recorded at 3745ae2.  Two rows
+# exit 3: no split prime <= 3000 of x^5 - x + 1 survives lcm(1..2900), and
+# none at all survives lcm(1..3000).
+RING_LARGE_CONTENT_DIGESTS = [  # (ring, coords, K, --m-max, digest)
+    ("f=1,0,1", (7, -3), 1100, 3000, "2408c162cfa5078b2d258273cd1757f40f1f29e016af452d3006ac4a4608c8bc"),
+    ("f=1,0,1", (7, -3), 1100, 20000, "2408c162cfa5078b2d258273cd1757f40f1f29e016af452d3006ac4a4608c8bc"),
+    ("f=1,0,1", (7, -3), 2900, 3000, "f46b6e4c50c82ad01801624a6e37ee0234839d4fae3dc3b98ec164278c6c6099"),
+    ("f=1,0,1", (7, -3), 2900, 20000, "f46b6e4c50c82ad01801624a6e37ee0234839d4fae3dc3b98ec164278c6c6099"),
+    ("f=-2,0,1", (5, 2), 1100, 3000, "102f8e5755d989b78cfe012d39860d94ef71ed451261c5d40b0db24021cb1e3d"),
+    ("f=-2,0,1", (5, 2), 1100, 20000, "102f8e5755d989b78cfe012d39860d94ef71ed451261c5d40b0db24021cb1e3d"),
+    ("f=-2,0,1", (5, 2), 2900, 3000, "c2838c5f498b4399437176f5cd9bd0d2e3aa414a0434794966df5c2ec5e8a889"),
+    ("f=-2,0,1", (5, 2), 2900, 20000, "c2838c5f498b4399437176f5cd9bd0d2e3aa414a0434794966df5c2ec5e8a889"),
+    ("f=-2,0,0,1", (3, -1, 4), 1100, 3000, "755c85f599d45292171e9b2cb6b6bd3e835339e874b2761fcfd998ef728738a1"),
+    ("f=-2,0,0,1", (3, -1, 4), 1100, 20000, "755c85f599d45292171e9b2cb6b6bd3e835339e874b2761fcfd998ef728738a1"),
+    ("f=-2,0,0,1", (3, -1, 4), 2900, 3000, "50f26ebab1d8ce9300ce9535aeeafbdc006d32c72be1005e19fabaac6ca6dfcd"),
+    ("f=-2,0,0,1", (3, -1, 4), 2900, 20000, "50f26ebab1d8ce9300ce9535aeeafbdc006d32c72be1005e19fabaac6ca6dfcd"),
+    ("f=1,0,0,0,1", (2, 0, -5, 1), 1100, 3000, "cd3f0be8f3bed65db74f94ad1c44a72294009da2c026a3950a728ee944ad0364"),
+    ("f=1,0,0,0,1", (2, 0, -5, 1), 1100, 20000, "cd3f0be8f3bed65db74f94ad1c44a72294009da2c026a3950a728ee944ad0364"),
+    ("f=1,0,0,0,1", (2, 0, -5, 1), 2900, 3000, "8cfb3a6cbaa05c3fed0f087294f3cf1e3046cf6dadcb6b2c5c07cc06ecdbd1b0"),
+    ("f=1,0,0,0,1", (2, 0, -5, 1), 2900, 20000, "8cfb3a6cbaa05c3fed0f087294f3cf1e3046cf6dadcb6b2c5c07cc06ecdbd1b0"),
+    ("f=1,-1,0,0,0,1", (1, 4, 0, -2, 3), 1100, 3000, "e2f0a328a5ff3898870177b70df3d8d07f4b0cb7042a9f41f8a9eb1c71c913bb"),
+    ("f=1,-1,0,0,0,1", (1, 4, 0, -2, 3), 1100, 20000, "e2f0a328a5ff3898870177b70df3d8d07f4b0cb7042a9f41f8a9eb1c71c913bb"),
+    ("f=1,-1,0,0,0,1", (1, 4, 0, -2, 3), 2900, 3000, "9fa9a19a31c9936a99ecea63d4b9ec7509e5c117b74bef8089d7a252a03b767a"),
+    ("f=1,-1,0,0,0,1", (1, 4, 0, -2, 3), 2900, 20000, "b1589154d905b7a863e46cc88829110412cd9afff36fd8bb42adab7a5717defa"),
+    ("f=1,0,1;invert=5", (-6, 11), 1100, 3000, "59c191cecd4523f8f833a7de9479184f17f212063b5da08c053a48f06411f38b"),
+    ("f=1,0,1;invert=5", (-6, 11), 1100, 20000, "59c191cecd4523f8f833a7de9479184f17f212063b5da08c053a48f06411f38b"),
+    ("f=1,0,1;invert=5", (-6, 11), 2900, 3000, "1d27b2cfc731dd8ad0422517c10e16665d1abb959ebc6d2f47dc1e35bbaaaec8"),
+    ("f=1,0,1;invert=5", (-6, 11), 2900, 20000, "1d27b2cfc731dd8ad0422517c10e16665d1abb959ebc6d2f47dc1e35bbaaaec8"),
+    ("f=1,0,1", (7, -3), 3000, 3000, "9fa9a19a31c9936a99ecea63d4b9ec7509e5c117b74bef8089d7a252a03b767a"),
+]
+
+
+@pytest.mark.parametrize("ring,coords,k,m_max,want", RING_LARGE_CONTENT_DIGESTS,
+                         ids=[f"{r[0]} K={r[2]} m={r[3]}" for r in RING_LARGE_CONTENT_DIGESTS])
+def test_ring_on_large_contents_matches_golden_digests(ring, coords, k, m_max, want):
+    lcm = math.lcm(*range(1, k + 1))
+    element = ",".join(str(c * lcm) for c in coords)
+    argv = ["ring", "--ring", ring, "--element", element, "--m-max", str(m_max)]
+    got = hashlib.sha256(json.dumps(list(run_cli(argv))).encode()).hexdigest()
+    assert got == want
 
 
 # The same digests for the enumerated group tables (normal subgroups, the
@@ -939,6 +984,11 @@ VALID_CALLS = [  # one call of each command that exits 0
     ["ring", "--ring", "f=1,0,1", "--element", "0,5"],
 ]
 
+ABBREVIATED_SIGNED_CALLS = [  # a signed value after an abbreviated flag: exit 0
+    ["dq", "--mat", "-1,0;0,-1"],
+    ["ring", "--ring", "f=1,0,1", "--elem", "-3,2"],
+]
+
 FIT_STDIN = "k,quotient_order\n2,6\n3,24\n4,120\n5,720\n"
 
 DISPATCH_CALLS = VALID_CALLS + [
@@ -970,6 +1020,8 @@ DISPATCH_CALLS = VALID_CALLS + [
     ["ring", "--ring", "f=1,0,1", "--element", "-3,2"],
     ["candidates", "--group", "sl2", "--k", "-2..5"],
     ["candidates", "--group", "sl2", "--k", "-2"],
+    *ABBREVIATED_SIGNED_CALLS,
+    ["dq", "--x", "-1,0;0,-1"],  # an unknown flag keeps its value apart
     # the command's own exits 1, 2 and 3
     ["verify", "--suite", "adjoint", "--group", "sl2", "--p", "2"],
     ["dq", "--matrix", "2,0;0,1"],
@@ -995,7 +1047,7 @@ def two_level_main(argv):
 def test_dispatch_matches_the_two_level_parse(argv):
     got = run_cli(argv, FIT_STDIN)
     assert got == run_cli(argv, FIT_STDIN, main=two_level_main)
-    if argv in VALID_CALLS:
+    if argv in VALID_CALLS + ABBREVIATED_SIGNED_CALLS:
         assert (got[0], got[2]) == (0, "")
 
 

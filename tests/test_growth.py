@@ -456,11 +456,12 @@ class TestCandidateSweep:
 
     @pytest.mark.parametrize("s_primes", [(), (2,), (2, 3, 5)])
     def test_r_log2_bit_identical_at_every_k(self, s_primes):
-        # windows from 1, from past a prime power, and from a prime power
-        # (2187 = 3^7), where the running total starts
+        # windows from 1, from a prime power (2, 8 = 2^3, 1024, 2187 = 3^7)
+        # and from just past one (6, 1025, 2188), where the running total
+        # starts
         cs = gr.CandidateSeq(SL3, s_primes)
         want = [cs.r_log2(k) for k in range(1, self.K_MAX + 1)]
-        for lo in (1, 6, 1024, 1025, 2187):
+        for lo in (1, 2, 6, 8, 1024, 1025, 2187, 2188):
             got = [r for _, r, _ in gr.candidate_sweep(cs, lo, self.K_MAX)]
             assert got == want[lo - 1:], lo
 
