@@ -988,6 +988,14 @@ def strong_approx_check(
     Lemma: in a finite group x^-1 = x^(ord x - 1), so the closure of X
     under products is <X>.  So E_ij(1) stands for E_ij(-1) = E_ij(1)^(m-1),
     and no sampled conjugate needs its inverse beside it.
+
+    Early stop: the conjugates are drawn one at a time, and the closure of
+    the first t is the subgroup they generate, inside the subgroup all
+    `trials` of them generate.  So once it is SL_n(Z/m) no later draw can
+    change the verdict, and the draws stop.  A conjugate already in the
+    closure adds nothing and is skipped.  Each one kept makes the closure a
+    proper supergroup, at least twice as large (Lagrange), so at most
+    log2 |SL_n(Z/m)| closures run.
     """
     expected = spec.order_mod(m)  # rejects m < 1 first
     if math.gcd(N, m) != 1:
@@ -995,6 +1003,7 @@ def strong_approx_check(
     if expected > budget:
         raise BudgetExceededError(f"target order {expected} exceeds budget {budget}")
     instance = f"{spec.name},N={N},m={m}"
+    reached = []  # the codes of the last closure, once one has run
     if N == 1:
         gens = _elementary_mod(spec, m, signs=(1,))
         mode = "exact"
@@ -1004,7 +1013,9 @@ def strong_approx_check(
         base_gens = [reduce_mod(g, m) for g in spec.elementary_generators()]
         rng = random.Random(seed)
         roots = spec.roots
-        conjugates = {}  # insertion-ordered, each once
+        # the first draw is kept: for m > 1 it is not I, as N is a unit mod
+        # m, and for m = 1 it closes the one-element group at once
+        gens, inside = [], set()  # the conjugates kept, the codes of their closure
         for _ in range(trials):
             i, j = roots[rng.randrange(len(roots))]
             sign = 1 if rng.randrange(2) == 0 else -1
@@ -1013,9 +1024,19 @@ def strong_approx_check(
             for _ in range(rng.randrange(0, 13)):
                 w = mat_mul_mod(w, base_gens[rng.randrange(len(base_gens))], m)
             winv = mat_inv_mod(w, m)
-            conjugates[mat_mul_mod(mat_mul_mod(w, core, m), winv, m)] = None
-        gens = list(conjugates)
-    reached, _, _, _ = closure(gens or [identity(spec.n)], m, budget, stop_at=expected)
+            g = mat_mul_mod(mat_mul_mod(w, core, m), winv, m)
+            code = 0  # as closure codes it: the base-m digits of the rows
+            for entry in itertools.chain.from_iterable(g):
+                code = code * m + entry
+            if code in inside:
+                continue
+            gens.append(g)
+            reached, _, _, _ = closure(gens, m, budget, stop_at=expected)
+            if len(reached) == expected:
+                break
+            inside = set(reached)
+    if not reached:  # N = 1, or trials = 0 (a first draw is always kept)
+        reached, _, _, _ = closure(gens or [identity(spec.n)], m, budget, stop_at=expected)
     if len(reached) == expected:
         return CheckResult(
             "strong-approximation", instance, "pass",

@@ -631,8 +631,14 @@ def detect_split(a: RingElement, limit: int = DEFAULT_PRIME_LIMIT) -> SplitDetec
         raise UndetectableError("zero is undetectable")
     for p, roots in _split_rows(a.ring, limit, math.gcd(*a.coords)):
         for root in roots:
-            residue = reduce_element(a, p, root)
+            # reduce_element without its checks: p is a sieve prime and root
+            # a memoized root.  _split_rows skips every p dividing the
+            # inverted integer, so the unit inverted^-denom_exp cannot make a
+            # residue 0; it scales only the residue returned.
+            residue = _poly_at(a.coords, root, p)
             if residue:
+                if a.denom_exp:
+                    residue = residue * pow(pow(a.ring.inverted, a.denom_exp, p), -1, p) % p
                 return SplitDetection(p, root, residue)
     raise BudgetExceededError(
         f"no split prime <= {limit} detects the element; raise the limit"

@@ -1324,7 +1324,8 @@ def as_lists(result):
 
 
 def strong_approx_generators(monkeypatch, spec, N, m):
-    """The generator list strong_approx_check hands to closure."""
+    """The generator list strong_approx_check hands to its last closure:
+    every conjugate it kept."""
     calls = []
     real = ch.closure
 
@@ -1334,7 +1335,7 @@ def strong_approx_generators(monkeypatch, spec, N, m):
 
     monkeypatch.setattr(ch, "closure", spy)
     assert ch.strong_approx_check(spec, N, m, seed=0).passed
-    return calls[0]
+    return calls[-1]
 
 
 TABLE_INSTANCES = [(SL2, m) for m in (1, 2, 3, 4, 9, 13)] + [(SL3, 2), (SL3, 3), (SL4, 2)]
@@ -1525,6 +1526,76 @@ class TestStrongApprox:
             ch.strong_approx_check(SL2, 2, 0)
         with pytest.raises(ch.BudgetExceededError):
             ch.strong_approx_check(SL3, 1, 9)
+
+
+def eager_strong_approx(spec, N, m, trials, seed):
+    """Oracle for the probabilistic branch of strong_approx_check: draw all
+    `trials` seeded conjugates, drop repeats, close them once, and report
+    (status, detail, mode) as the check does."""
+    expected = spec.order_mod(m)
+    base_gens = [matgrp.reduce_mod(g, m) for g in spec.elementary_generators()]
+    rng = random.Random(seed)
+    conjugates = {}  # insertion-ordered, each once
+    for _ in range(trials):
+        i, j = spec.roots[rng.randrange(len(spec.roots))]
+        sign = 1 if rng.randrange(2) == 0 else -1
+        core = matgrp.reduce_mod(matgrp.elementary(spec.n, i, j, sign * N), m)
+        w = matgrp.identity(spec.n)
+        for _ in range(rng.randrange(0, 13)):
+            w = matgrp.mat_mul_mod(w, base_gens[rng.randrange(len(base_gens))], m)
+        winv = matgrp.mat_inv_mod(w, m)
+        conjugates[matgrp.mat_mul_mod(matgrp.mat_mul_mod(w, core, m), winv, m)] = None
+    gens = list(conjugates) or [matgrp.identity(spec.n)]
+    reached = len(ch.closure(gens, m, stop_at=expected)[0])
+    if reached == expected:
+        return "pass", f"closure reaches all {expected} elements", "probabilistic"
+    return (
+        "inconclusive", f"closure reaches {reached} of {expected} after {trials} trials", "probabilistic",
+    )
+
+
+EARLY_STOP_INSTANCES = [
+    (SL2, N, m)
+    for N in (2, 3, 4, 5, 7, 11)
+    for m in (3, 4, 5, 7, 8, 9, 11, 16, 25, 27)
+    if math.gcd(N, m) == 1
+] + [(SL3, 2, 3), (SL3, 4, 3), (SL3, 5, 4)]
+
+
+@pytest.mark.parametrize("spec,N,m", EARLY_STOP_INSTANCES, ids=_ids)
+def test_early_stop_matches_eager_oracle(monkeypatch, spec, N, m):
+    """The draws stop at the first full closure and skip conjugates already
+    inside it, with every verdict and detail of the eager draw-all-then-close
+    oracle.  A closure spy sees the lemma's shape: each call has one more
+    generator than the last, only the last may reach the full order, and
+    there are at most log2 |SL_n(Z/m)| + 1 calls.  A spy on mat_inv_mod,
+    called once per draw, sees the draws end at the call that closes."""
+    expected = spec.order_mod(m)
+    cases = [(trials, seed) for trials in (0, 1, 2, 3, 8, 64) for seed in range(3)]
+    want = {case: eager_strong_approx(spec, N, m, *case) for case in cases}
+    calls, draws = [], []
+    real, real_inv = ch.closure, ch.mat_inv_mod
+
+    def spy(gens, m, *args, **kwargs):
+        result = real(gens, m, *args, **kwargs)
+        calls.append((len(gens), len(result[0]), len(draws)))
+        return result
+
+    def inv_spy(w, m):
+        draws.append(w)
+        return real_inv(w, m)
+
+    monkeypatch.setattr(ch, "closure", spy)
+    monkeypatch.setattr(ch, "mat_inv_mod", inv_spy)
+    for trials, seed in cases:
+        calls.clear()
+        draws.clear()
+        r = ch.strong_approx_check(spec, N, m, trials, seed)
+        assert (r.status, r.detail, r.mode) == want[trials, seed], (trials, seed)
+        assert [k for k, _, _ in calls] == list(range(1, len(calls) + 1)), (trials, seed)
+        assert all(reached < expected for _, reached, _ in calls[:-1]), (trials, seed)
+        assert len(calls) <= math.log2(expected) + 1, (trials, seed)
+        assert len(draws) == (calls[-1][2] if r.passed else trials), (trials, seed)
 
 
 def test_check_result_passed_property():

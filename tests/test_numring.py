@@ -356,6 +356,31 @@ class TestDetectSplit:
             assert d.residue != 0
             assert nr.reduce_element(ZI.element(coords), d.prime, d.root) == d.residue
 
+    # the rings of perfbench's rings workload
+    @pytest.mark.parametrize("text", [
+        "f=1,0,1", "f=-2,0,1", "f=-2,0,0,1", "f=1,0,0,0,1", "f=1,-1,0,0,0,1", "f=1,0,1;invert=5",
+    ])
+    def test_inline_residue_matches_reduce_element(self, monkeypatch, text):
+        # detect_split reduces inline, without reduce_element's checks: the
+        # residue is the same, and no primality test runs
+        ring = nr.parse_ring(text)
+        rng = random.Random(text)
+        elements = []
+        for k in range(40):
+            coords = [rng.randint(-10**6, 10**6) * (1 + k % 3) for _ in ring.min_poly[1:]]
+            if any(coords):
+                elements.append(ring.element(coords, k % 4 if ring.inverted > 1 else 0))
+        if ring.inverted > 1:
+            assert sum(a.denom_exp > 0 for a in elements) > 20
+        calls = []
+        real = nr.arith.is_prime
+        monkeypatch.setattr(nr.arith, "is_prime", lambda n: calls.append(n) or real(n))
+        found = [nr.detect_split(a) for a in elements]
+        assert calls == []
+        monkeypatch.undo()
+        for a, d in zip(elements, found):
+            assert d.residue and nr.reduce_element(a, d.prime, d.root) == d.residue
+
 
 class TestMinDetectingIdeal:
     def test_frozen_values(self):
