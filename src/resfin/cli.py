@@ -12,6 +12,7 @@ import functools
 import io
 import itertools
 import json
+import re
 import sys
 from collections.abc import Iterator
 
@@ -306,16 +307,18 @@ def _cmd_examples(args) -> int:
     lo, hi = _parse_range(args.k)
     # the largest k has the longest candidate: build its row before any
     # other, so a k past Python's integer-to-string limit fails at once
-    # (k < 2 fails at its own row)
+    # (k < 2 fails at its own row), and reuse it as the last row
+    last = None
     if lo >= 2:
         try:
-            _example_row(args.group, hi)
+            last = _example_row(args.group, hi)
         except ValueError:
             raise ValueError(
                 f"--k {hi}: the candidate has more digits than Python's "
                 f"{sys.get_int_max_str_digits()}-digit integer-to-string limit"
             ) from None
-    rows = [_example_row(args.group, k) for k in range(lo, hi + 1)]
+    rows = [_example_row(args.group, k) for k in range(lo, hi)]
+    rows.append(last or _example_row(args.group, hi))
     sys.stdout.writelines(emit(EXAMPLES_HEADER, rows, args.format))
     return EXIT_FALSIFIED if any(row[4] is False for row in rows) else EXIT_OK
 
@@ -343,6 +346,18 @@ def _cmd_ring(args) -> int:
 # parser
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser, on which a token that starts with "-" and a digit
+    (or "-." and a digit) is always a value, never a flag: "--matrix
+    -1,0;0,-1", "--mat -1,0;0,-1", "--k -2..5".  argparse reads a token as
+    a value when its negative-number matcher accepts it; its own matcher
+    accepts plain numbers only."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The top-level parser, whose parse_args parses the command and then
     the rest of argv with that command's parser."""
@@ -354,7 +369,7 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
         prog="resfin",
         description="minimal detecting quotients and residual finiteness growth",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     def add_output(p):
         p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -435,39 +450,8 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
     return _build_parsers()
 
 
-def _join_signed_values(argv: list[str]) -> list[str]:
-    """Rewrite "--matrix -1,0;0,-1" as "--matrix=-1,0;0,-1", and so for
-    --element and --k ("--k -2..5") and their abbreviations ("--mat"):
-    argparse takes a separate value that begins with "-" for an unknown
-    flag."""
-    out: list[str] = []
-    for tok in argv:
-        # a flag with "=" holds its value already
-        if (out and "=" not in out[-1] and tok.startswith("-") and not tok.startswith("--")
-                and _takes_signed_value(argv[0], out[-1])):
-            out[-1] += "=" + tok
-        else:
-            out.append(tok)
-    return out
-
-
-_SIGNED_FLAGS = ("--matrix", "--element", "--k")
-
-
-def _takes_signed_value(command: str, flag: str) -> bool:
-    """Is flag one of _SIGNED_FLAGS, or a prefix of exactly one flag of the
-    command's parser, one of them (argparse's abbreviation rule)?"""
-    if flag in _SIGNED_FLAGS:
-        return True
-    commands = _parser()[1]
-    if command not in commands or not flag.startswith("--"):
-        return False
-    hits = [f for f in commands[command]._option_string_actions if f.startswith(flag)]
-    return len(hits) == 1 and hits[0] in _SIGNED_FLAGS
-
-
 def main(argv=None) -> int:
-    argv = _join_signed_values(sys.argv[1:] if argv is None else argv)
+    argv = sys.argv[1:] if argv is None else argv
     ap, commands = _parser()
     if argv and argv[0] in commands:
         # what parse_args does past the command, without its second pass

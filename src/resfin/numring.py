@@ -608,9 +608,16 @@ def reduce_element(a: RingElement, p: int, root: int) -> int:
         raise ValueError(f"localized integer {ring.inverted} is not invertible mod {p}")
     if _poly_at(ring.min_poly, root, p) != 0:
         raise ValueError(f"{root} is not a root of the minimal polynomial mod {p}")
+    return _residue(a, p, root)
+
+
+def _residue(a: RingElement, p: int, root: int) -> int:
+    """reduce_element without its checks, for a prime p that does not
+    divide the inverted integer: the unit inverted^-denom_exp then scales a
+    nonzero residue and cannot make it 0."""
     value = _poly_at(a.coords, root, p)
-    if a.denom_exp:
-        value = value * pow(pow(ring.inverted, a.denom_exp, p), -1, p) % p
+    if value and a.denom_exp:
+        value = value * pow(pow(a.ring.inverted, a.denom_exp, p), -1, p) % p
     return value
 
 
@@ -631,14 +638,9 @@ def detect_split(a: RingElement, limit: int = DEFAULT_PRIME_LIMIT) -> SplitDetec
         raise UndetectableError("zero is undetectable")
     for p, roots in _split_rows(a.ring, limit, math.gcd(*a.coords)):
         for root in roots:
-            # reduce_element without its checks: p is a sieve prime and root
-            # a memoized root.  _split_rows skips every p dividing the
-            # inverted integer, so the unit inverted^-denom_exp cannot make a
-            # residue 0; it scales only the residue returned.
-            residue = _poly_at(a.coords, root, p)
+            # _split_rows keeps no p that divides the inverted integer
+            residue = _residue(a, p, root)
             if residue:
-                if a.denom_exp:
-                    residue = residue * pow(pow(a.ring.inverted, a.denom_exp, p), -1, p) % p
                 return SplitDetection(p, root, residue)
     raise BudgetExceededError(
         f"no split prime <= {limit} detects the element; raise the limit"

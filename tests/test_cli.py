@@ -301,6 +301,17 @@ class TestExamples:
         )
         assert json.loads(out)[0]["certificate_pass"] is True
 
+    @pytest.mark.parametrize("group", ["lamplighter", "semidirect", "abelian"])
+    def test_each_row_is_built_once(self, monkeypatch, group):
+        # the row of the largest k, built first for the digit-limit check,
+        # is the table's last row, not built again
+        calls = []
+        real = cli._example_row
+        monkeypatch.setattr(cli, "_example_row", lambda g, k: calls.append(k) or real(g, k))
+        rc, out, _ = run_cli(["examples", "--group", group, "--k", "3..6"])
+        assert rc == 0 and len(out.splitlines()) == 5
+        assert calls == [6, 3, 4, 5]
+
 
 class TestRing:
     def test_gaussian_detection(self):
@@ -1032,7 +1043,7 @@ DISPATCH_CALLS = VALID_CALLS + [
 def two_level_main(argv):
     """The reference dispatch: the top-level parser's parse_args over all
     of argv, then the command under main's two handlers."""
-    args = cli.build_parser().parse_args(cli._join_signed_values(argv))
+    args = cli.build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
@@ -1049,6 +1060,57 @@ def test_dispatch_matches_the_two_level_parse(argv):
     assert got == run_cli(argv, FIT_STDIN, main=two_level_main)
     if argv in VALID_CALLS + ABBREVIATED_SIGNED_CALLS:
         assert (got[0], got[2]) == (0, "")
+
+
+SIGNED_VALUES = ["-1", "-0", "-.5", "-1,2", "-1,0;0,-1", "-2..5", "-1..2", "-3..-1"]
+
+
+def _value_flag_calls():
+    """Each valid call, then each long flag of its command that takes a
+    value, or the abbreviation of one, then a value that starts with "-"
+    and a digit."""
+    commands = cli._parser()[1]
+    for call in VALID_CALLS:
+        parser = commands[call[0]]
+        flags = [a.option_strings[-1] for a in parser._actions if a.option_strings and a.nargs != 0]
+        flags += {"dq": ["--mat"], "ring": ["--elem"]}.get(call[0], [])
+        for flag, value in itertools.product(flags, SIGNED_VALUES):
+            yield call + [flag, value]
+
+
+VALUE_FLAG_CALLS = list(_value_flag_calls())
+
+
+def test_every_command_has_value_flag_calls():
+    assert {argv[0] for argv in VALUE_FLAG_CALLS} == {c[0] for c in VALID_CALLS} - {"fit"}
+    assert ["verify", "--suite", "adjoint", "--group", "sl2", "--p", "5", "--k", "-1..2"] in VALUE_FLAG_CALLS
+    assert ["examples", "--group", "abelian", "--k", "2..4", "--k", "-3..-1"] in VALUE_FLAG_CALLS
+
+
+@pytest.mark.parametrize("argv", VALUE_FLAG_CALLS, ids=" ".join)
+def test_a_signed_token_is_the_value_of_the_flag_before_it(argv):
+    # "--flag -x" parses as "--flag=-x": same exit code, stdout and stderr
+    *head, flag, value = argv
+    assert run_cli(argv, FIT_STDIN) == run_cli(head + [f"{flag}={value}"], FIT_STDIN)
+
+
+SIGNED_MALFORMED = [  # (argv, exit code, the last line of stderr)
+    (["dq", "--group", "-1,2", "--matrix", "1,1;0,1"], 2, "error: unknown group '-1,2'"),
+    (["verify", "--suite", "adjoint", "--group", "sl2", "--p", "-1,2"], 2,
+     "resfin verify: error: argument --p: invalid int value: '-1,2'"),
+    (["fit", "-1,2"], 2, "error: [Errno 2] No such file or directory: '-1,2'"),
+    # an unknown flag keeps its value apart
+    (["dq", "--matrix", "1,1;0,1", "--x", "-1,0;0,-1"], 2,
+     "resfin: error: unrecognized arguments: --x -1,0;0,-1"),
+]
+
+
+@pytest.mark.parametrize("argv,code,last", SIGNED_MALFORMED,
+                         ids=[" ".join(argv) for argv, _, _ in SIGNED_MALFORMED])
+def test_signed_malformed_values_reach_the_flag_s_own_check(tmp_path, monkeypatch, argv, code, last):
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run_cli(argv)
+    assert (rc, out, err.splitlines()[-1]) == (code, "", last)
 
 
 def test_emit_quoting_and_endings():
