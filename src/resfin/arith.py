@@ -69,7 +69,8 @@ def primes_up_to(limit: int) -> list[int]:
 
 
 def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n, Brent's variant, deterministic."""
+    """A nontrivial factor of composite odd n, deterministic: Floyd's cycle
+    finding (x takes one step, y two, one gcd per step) for c = 1, 2, ..."""
     for c in range(1, 100):
         x = y = 2
         d = 1

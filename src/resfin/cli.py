@@ -62,18 +62,12 @@ def _csv_text(rows) -> str:
 
 
 def _csv_cell(v):
-    if v is None:
-        return ""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
     return v
 
 
 def _json_value(v):
-    if isinstance(v, bool) or v is None or isinstance(v, (float, str)):
-        return v
     if isinstance(v, int) and abs(v) > JSON_INT_LIMIT:
         return str(v)
     return v

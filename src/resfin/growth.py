@@ -238,7 +238,7 @@ class CandidateSeq(namedtuple("CandidateSeq", "spec s_primes e")):
 
     @property
     def alpha(self) -> int:
-        return math.prod(self.s_primes) if self.s_primes else 1
+        return math.prod(self.s_primes)
 
     def r(self, k: int) -> int:
         """r_k = alpha^k * lcm(1..k), materialized; k is capped to keep the
@@ -258,7 +258,7 @@ class CandidateSeq(namedtuple("CandidateSeq", "spec s_primes e")):
         so no call sieves."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        out = k * (math.log2(self.alpha) if self.s_primes else 0.0)
+        out = k * math.log2(self.alpha)
         for q, p, i in arith.prime_power_stream():
             if q > k:
                 break
@@ -335,7 +335,7 @@ def candidate_sweep(
     if lo < 1:
         raise ValueError("k must be >= 1")
     with_s = bool(cs.s_primes)
-    log_alpha = math.log2(cs.alpha) if with_s else 0.0
+    log_alpha = math.log2(cs.alpha)
     terms: dict[int, float] = {}  # p -> v_p(lcm(1..k)) * log2(p), increasing p
     lcm_powers = arith.prime_power_stream()
     for q, p, i in lcm_powers:  # the terms at k = lo, up to the first q > lo
@@ -376,9 +376,10 @@ def fit_exponent(pairs) -> FitResult:
     input points.  The sums are math.fsum's correctly rounded ones, in the
     formulas of Python 3.11's statistics.linear_regression, without
     importing statistics (and with it fractions and decimal) into every
-    process that imports resfin.
+    process that imports resfin.  math.log takes ints of any size, so no
+    point goes through float(): orders past 2**1024 fit as well.
     """
-    pts = [(float(x), float(y)) for x, y in pairs]
+    pts = list(pairs)
     if len(pts) < 3:
         raise ValueError("need at least 3 points")
     if any(x <= 0 or y <= 0 for x, y in pts):

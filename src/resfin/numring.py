@@ -346,12 +346,11 @@ def factor_distinct_mod(f, p) -> list[tuple]:
 
 
 # Memos per min_poly, keyed by p and filled only at the primes some scan
-# asked about: the factors of f mod p, its roots, the split memo (the roots
-# if p splits completely, else ()) and x^p mod f, which the last two share.
+# asked about: the factors of f mod p, its roots and the split memo (the
+# roots if p splits completely, else ()).
 _FACTORS: dict[tuple, dict[int, list[tuple]]] = {}
 _ROOTS: dict[tuple, dict[int, tuple[int, ...]]] = {}
 _SPLIT: dict[tuple, dict[int, tuple[int, ...]]] = {}
-_FROBENIUS: dict[tuple, dict[int, tuple[int, ...]]] = {}
 
 
 def _factors_mod(f: tuple, p: int) -> list[tuple]:
@@ -359,14 +358,6 @@ def _factors_mod(f: tuple, p: int) -> list[tuple]:
     table = _FACTORS.setdefault(f, {})
     if p not in table:
         table[p] = factor_distinct_mod(f, p)
-    return table[p]
-
-
-def _frobenius(f: tuple, p: int) -> tuple[int, ...]:
-    """x^p mod (f, p), computed once per (f, p)."""
-    table = _FROBENIUS.setdefault(f, {})
-    if p not in table:
-        table[p] = _ppowmod((0, 1), p, _pmod_coeffs(f, p), p)
     return table[p]
 
 
@@ -381,7 +372,7 @@ def _roots_mod(f: tuple, p: int) -> tuple[int, ...]:
     roots = table.get(p)
     if roots is None:
         fbar = _pmod_coeffs(f, p)
-        frob = _psub(_frobenius(f, p), (0, 1), p)
+        frob = _psub(_ppowmod((0, 1), p, fbar, p), (0, 1), p)
         lin = _pgcd(fbar, frob, p)
         factors = _split_equal_degree(lin, 1, p) if len(lin) > 1 else []
         roots = table[p] = tuple(sorted(-g[0] % p for g in factors))
@@ -395,7 +386,8 @@ def _split_roots(f: tuple, p: int) -> tuple[int, ...]:
     splits into distinct linear factors exactly when it divides x^p - x, that
     is when x^p = x mod f (x reduced mod f: 0 for f = x).  Only then does
     _roots_mod run, and its gcd with x^p - x = 0 is f itself."""
-    if _frobenius(f, p) != _pdivmod((0, 1), _pmod_coeffs(f, p), p)[1]:
+    fbar = _pmod_coeffs(f, p)
+    if _ppowmod((0, 1), p, fbar, p) != _pdivmod((0, 1), fbar, p)[1]:
         return ()
     return _roots_mod(f, p)
 

@@ -10,7 +10,9 @@ import math
 import os
 import runpy
 import subprocess
+import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -182,6 +184,26 @@ class TestFit:
         path.write_text("")
         assert run_cli(["fit", str(path)]) == (
             2, "", "error: empty input, expected a candidates or growth CSV\n")
+
+    def test_orders_past_the_float_range(self, tmp_path):
+        # sl8 orders near 10**315: the fit takes math.log of the ints, never float()
+        _, csv_text, _ = run_cli(["candidates", "--group", "sl8", "--k", "100000..100004"])
+        path = tmp_path / "c8.csv"
+        path.write_text(csv_text)
+        rc, out, err = run_cli(["fit", str(path)])
+        assert (rc, err) == (0, "")
+        rows = [line.split(",") for line in csv_text.splitlines()[1:]]
+        assert all(int(order) > 2**1024 for *_, order in rows)
+        # least squares in exact rationals over the same logs
+        xs = [Fraction(math.log(int(k))) for k, *_ in rows]
+        ys = [Fraction(math.log(int(order))) for *_, order in rows]
+        n = len(rows)
+        slope = (n * sum(x * y for x, y in zip(xs, ys)) - sum(xs) * sum(ys)) / (
+            n * sum(x * x for x in xs) - sum(xs) ** 2)
+        intercept = (sum(ys) - slope * sum(xs)) / n
+        fitted = json.loads(out)
+        assert fitted["slope"] == pytest.approx(float(slope), rel=1e-9)
+        assert fitted["intercept"] == pytest.approx(float(intercept), rel=1e-9)
 
     def test_incomplete_rows_are_skipped(self):
         complete = ["k,modulus,quotient_order"] + [f"{k},7,{k ** 3}" for k in range(1, 6)]
@@ -1120,6 +1142,32 @@ def test_emit_quoting_and_endings():
     assert data == "a\n"
     rows = json.loads("".join(cli.emit(["v"], [[2**60]], "json")))
     assert rows == [{"v": str(2**60)}]
+
+
+def test_emit_cells_follow_the_written_rules():
+    # csv: "" for None, true/false for bools, repr for floats, str otherwise;
+    # json: ints past 2**53 - 1 in magnitude as strings, the rest as they are
+    rng = random.Random(36)
+    cells = [None, True, False, 2**60, -(2**60), 2**53, 2**53 - 1, -(2**53), "s"]
+    cells += [rng.uniform(-1e6, 1e6) * 10.0 ** rng.randint(-300, 300) for _ in range(2000)]
+    cells += [rng.randint(-(2**64), 2**64) >> rng.randint(0, 64) for _ in range(2000)]
+
+    def csv_text(v):
+        if v is None:
+            return ""
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        return repr(v) if isinstance(v, float) else str(v)
+
+    def json_text(v):
+        big = isinstance(v, int) and not isinstance(v, bool) and abs(v) > 2**53 - 1
+        return json.dumps(str(v) if big else v)
+
+    rows = [[v, "|"] for v in cells]  # a lone empty field would be quoted
+    assert "".join(cli.emit(["v", "w"], rows, "csv")) == "v,w\n" + "".join(
+        csv_text(v) + ",|\n" for v in cells)
+    objs = json.loads("".join(cli.emit(["v", "w"], rows, "json")))
+    assert [json.dumps(obj["v"]) for obj in objs] == [json_text(v) for v in cells]
 
 
 @pytest.mark.parametrize("rows", [

@@ -97,7 +97,7 @@ class TestConstruction:
         nr._is_irreducible.cache_clear()
         _clear_memos(f)
         assert nr.NumberRing(f).degree == 4
-        assert all(f not in memo for memo in (nr._FACTORS, nr._ROOTS, nr._SPLIT, nr._FROBENIUS))
+        assert all(f not in memo for memo in (nr._FACTORS, nr._ROOTS, nr._SPLIT))
 
 
 def _divides_monic(f, g):
@@ -737,7 +737,7 @@ def _good_odd_primes(f, limit):
 
 def _clear_memos(f=None):
     """Forget every per-f memo of f, or of every min_poly."""
-    for memo in (nr._ROOTS, nr._FACTORS, nr._SPLIT, nr._FROBENIUS):
+    for memo in (nr._ROOTS, nr._FACTORS, nr._SPLIT):
         if f is None:
             memo.clear()
         else:
@@ -745,8 +745,27 @@ def _clear_memos(f=None):
 
 
 def _memo_primes(f):
-    memos = (nr._ROOTS, nr._FACTORS, nr._SPLIT, nr._FROBENIUS)
+    memos = (nr._ROOTS, nr._FACTORS, nr._SPLIT)
     return set().union(*(memo.get(f, ()) for memo in memos))
+
+
+def _spy_frobenius(monkeypatch):
+    """Record (p, m) for each power x^p mod (m, p) that numring computes."""
+    calls = []
+    real = nr._ppowmod
+
+    def spy(base, e, mod, p):
+        if base == (0, 1) and e == p:
+            calls.append((p, mod))
+        return real(base, e, mod, p)
+
+    monkeypatch.setattr(nr, "_ppowmod", spy)
+    return calls
+
+
+def _frobenius_primes(calls, f):
+    """The p of the recorded powers x^p mod (f mod p, p)."""
+    return {p for p, mod in calls if mod == nr._pmod_coeffs(f, p)}
 
 
 def _assert_matches_oracles(a, limit):
@@ -795,20 +814,23 @@ class TestScanLemmas:
         want = [(p, rs) for p, rs in _roots_by_values(f, limit).items() if len(rs) == len(f) - 1]
         assert nr.split_primes(nr.NumberRing(f), limit) == want
 
-    def test_non_residue_primes_leave_no_split_entry(self):
+    def test_non_residue_primes_leave_no_split_entry(self, monkeypatch):
         rng = random.Random(9)
+        calls = _spy_frobenius(monkeypatch)
         for ring in oracle_rings():
             f = ring.min_poly
             disc = ring.discriminant()
             _clear_memos(f)
+            calls.clear()
             nr.split_primes(ring, 3000)
             for _ in range(5):
                 coords = [rng.randint(-10**6, 10**6) or 1 for _ in range(ring.degree)]
                 nr.detect_split(ring.element(coords), 20000)
             assert nr._SPLIT[f]
             # nor does the split scan power x^p at such a prime
-            for memo in (nr._SPLIT, nr._FROBENIUS, nr._ROOTS):
-                assert all(p == 2 or _jacobi(disc, p) == 1 for p in memo.get(f, ())), f
+            assert _frobenius_primes(calls, f) == set(nr._SPLIT[f]), f
+            for primes in (nr._SPLIT[f], nr._ROOTS.get(f, ())):
+                assert all(p == 2 or _jacobi(disc, p) == 1 for p in primes), f
 
     @pytest.mark.parametrize("K", (40, 150))
     def test_content_primes_leave_no_memo_entry(self, K):
@@ -922,14 +944,16 @@ class TestResidueTableCoherence:
             nr.min_detecting_ideal(big, 37)
         assert nr.detect_split(big, 5000).prime == 41
 
-    def test_table_grows_only_as_far_as_scanned(self):
+    def test_table_grows_only_as_far_as_scanned(self, monkeypatch):
         f = (3, 1, 0, 1)  # x^3 + x + 3, disc -247 = -13 * 19, used by no other test
         ring = nr.NumberRing(f)
         _clear_memos(f)
+        calls = _spy_frobenius(monkeypatch)
         nr.split_primes(ring, 100)
+        monkeypatch.undo()
         # only the primes that pass the sign test get a split memo entry and
         # a power x^p, and only the split ones get roots
-        assert set(nr._SPLIT[f]) == set(nr._FROBENIUS[f]) == {
+        assert set(nr._SPLIT[f]) == _frobenius_primes(calls, f) == {
             p for p in _sieve(100) if p == 2 or _jacobi(-247, p) == 1
         }
         assert set(nr._ROOTS[f]) == {p for p, roots in nr._SPLIT[f].items() if roots}
