@@ -858,12 +858,13 @@ def normal_subgroups_containing_center(table: FiniteGroupTable) -> list[frozense
     """All normal subgroups of the table group that contain its center.
 
     Method: conjugacy classes and their product table; for each class C, the
-    atom <Z, C>; then one worklist that joins each subgroup it has found
-    with each atom, starting from Z.  Every normal subgroup above the center
-    is a join of these atoms (it is generated by the classes it contains),
-    and joining one atom at a time reaches every such join, so the family is
-    complete.  Subgroups are class bitmasks and each closure is a fixpoint
-    of class products (class_product_table, _class_closure).
+    atom <Z, C>; then one fold over the atoms, starting from {Z}, that adds
+    the join of each subgroup so far with the atom.  Lemma: after each atom,
+    the set holds every join of the atoms seen so far (a join with the new
+    atom is the new atom joined to a join of earlier ones), and every normal
+    subgroup above Z is the join of the atoms of its own classes, so the
+    family is complete.  Subgroups are class bitmasks and each closure is a
+    fixpoint of class products (class_product_table, _class_closure).
     """
     classes = conjugacy_classes(table)
     prod = class_product_table(table, classes)
@@ -871,16 +872,9 @@ def normal_subgroups_containing_center(table: FiniteGroupTable) -> list[frozense
     # exactly their fixed points: the singleton classes
     z_mask = sum(1 << ci for ci, cls in enumerate(classes) if len(cls) == 1)
 
-    atoms = {_class_closure(z_mask | 1 << ci, prod) for ci in range(len(classes))}
-    found = [z_mask]  # the center is already a subgroup
-    subgroups = set(found)
-    for sub in found:  # the list grows while it is walked
-        for atom in atoms:
-            if atom & ~sub:
-                join = _class_closure(sub | atom, prod)
-                if join not in subgroups:
-                    subgroups.add(join)
-                    found.append(join)
+    subgroups = {z_mask}  # the center is already a subgroup
+    for atom in {_class_closure(z_mask | 1 << ci, prod) for ci in range(len(classes))}:
+        subgroups |= {_class_closure(sub | atom, prod) for sub in subgroups if atom & ~sub}
     out = [
         frozenset(x for ci in _bits(mask) for x in classes[ci]) for mask in subgroups
     ]
@@ -1003,9 +997,9 @@ def strong_approx_check(
     if expected > budget:
         raise BudgetExceededError(f"target order {expected} exceeds budget {budget}")
     instance = f"{spec.name},N={N},m={m}"
-    reached = []  # the codes of the last closure, once one has run
+    reached = 1  # the size of the last closure; that of no generators is {I}
     if N == 1:
-        gens = _elementary_mod(spec, m, signs=(1,))
+        reached = len(closure(_elementary_mod(spec, m, signs=(1,)), m, budget, stop_at=expected)[0])
         mode = "exact"
     else:
         mode = "probabilistic"
@@ -1031,13 +1025,12 @@ def strong_approx_check(
             if code in inside:
                 continue
             gens.append(g)
-            reached, _, _, _ = closure(gens, m, budget, stop_at=expected)
-            if len(reached) == expected:
+            codes, _, _, _ = closure(gens, m, budget, stop_at=expected)
+            reached = len(codes)
+            if reached == expected:
                 break
-            inside = set(reached)
-    if not reached:  # N = 1, or trials = 0 (a first draw is always kept)
-        reached, _, _, _ = closure(gens or [identity(spec.n)], m, budget, stop_at=expected)
-    if len(reached) == expected:
+            inside = set(codes)
+    if reached == expected:
         return CheckResult(
             "strong-approximation", instance, "pass",
             f"closure reaches all {expected} elements", mode,
@@ -1045,9 +1038,9 @@ def strong_approx_check(
     if N == 1:
         return CheckResult(
             "strong-approximation", instance, "fail",
-            f"closure reaches {len(reached)} of {expected}", mode,
+            f"closure reaches {reached} of {expected}", mode,
         )
     return CheckResult(
         "strong-approximation", instance, "inconclusive",
-        f"closure reaches {len(reached)} of {expected} after {trials} trials", mode,
+        f"closure reaches {reached} of {expected} after {trials} trials", mode,
     )

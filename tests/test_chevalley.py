@@ -1248,9 +1248,29 @@ class TestEngineAgainstOracles:
 
     @pytest.mark.parametrize("spec,m", [(SL2, 8), (SL2, 9), (SL2, 25), (SL3, 2)],
                              ids=lambda v: str(getattr(v, "name", v)))
-    def test_worklist_matches_pairwise_saturation(self, spec, m):
+    def test_atom_fold_matches_pairwise_saturation(self, spec, m):
         table = table_for(spec, m)
         assert ch.normal_subgroups_containing_center(table) == pairwise_saturation(table)
+
+    @pytest.mark.parametrize("gens,order,subgroups,atoms", [
+        ([((1, 6), (7, 3)), ((1, 4), (0, 1))], 16, 5, 4),
+        ([((7, 6), (2, 3)), ((1, 0), (3, 1))], 128, 11, 8),
+    ], ids=["order16", "order128"])
+    def test_lattice_that_needs_its_joins(self, gens, order, subgroups, atoms):
+        # In every SL_n(Z/m) table above, each normal subgroup over the
+        # center is an atom <Z, C>.  These two subgroups of SL_2(Z/8) have
+        # normal subgroups that are only joins of atoms, so a lattice that
+        # keeps the atoms and drops the joins fails here.
+        codes, right, parent, via = ch.closure(gens, 8)
+        table = ch.FiniteGroupTable(SL2, 8, codes, gens, right, parent, via)
+        assert len(table) == order
+        classes = ch.conjugacy_classes(table)
+        prod = ch.class_product_table(table, classes)
+        z_mask = sum(1 << ci for ci, cls in enumerate(classes) if len(cls) == 1)
+        assert len({ch._class_closure(z_mask | 1 << ci, prod) for ci in range(len(classes))}) == atoms
+        found = ch.normal_subgroups_containing_center(table)
+        assert len(found) == subgroups
+        assert found == oracle_normal_subgroups(table) == pairwise_saturation(table)
 
     def test_cayley_graph_and_tree(self):
         table = table_for(SL2, 9)
@@ -1505,6 +1525,16 @@ class TestStrongApprox:
             assert r.passed
             assert r.mode == "probabilistic"
 
+    @pytest.mark.parametrize("spec,m", [(SL2, 1), (SL2, 8), (SL2, 9), (SL3, 2), (SL3, 3)],
+                             ids=lambda v: str(getattr(v, "name", v)))
+    def test_full_level_closes_once(self, monkeypatch, spec, m):
+        # N = 1 closes its E_ij(1) once, and nothing else
+        calls = []
+        real = ch.closure
+        monkeypatch.setattr(ch, "closure", lambda gens, *a, **kw: calls.append(gens) or real(gens, *a, **kw))
+        assert ch.strong_approx_check(spec, 1, m).passed
+        assert calls == [ch._elementary_mod(spec, m, signs=(1,))]
+
     def test_too_few_generators_fail_at_full_level(self, monkeypatch):
         # the only failing verdict of the exact N = 1 path: E_12(1) alone
         # closes to its 9 powers mod 9, not to all of SL_2(Z/9)
@@ -1568,8 +1598,9 @@ def test_early_stop_matches_eager_oracle(monkeypatch, spec, N, m):
     inside it, with every verdict and detail of the eager draw-all-then-close
     oracle.  A closure spy sees the lemma's shape: each call has one more
     generator than the last, only the last may reach the full order, and
-    there are at most log2 |SL_n(Z/m)| + 1 calls.  A spy on mat_inv_mod,
-    called once per draw, sees the draws end at the call that closes."""
+    there are at most log2 |SL_n(Z/m)| + 1 calls, none without a draw.  A
+    spy on mat_inv_mod, called once per draw, sees the draws end at the call
+    that closes."""
     expected = spec.order_mod(m)
     cases = [(trials, seed) for trials in (0, 1, 2, 3, 8, 64) for seed in range(3)]
     want = {case: eager_strong_approx(spec, N, m, *case) for case in cases}
@@ -1592,6 +1623,7 @@ def test_early_stop_matches_eager_oracle(monkeypatch, spec, N, m):
         draws.clear()
         r = ch.strong_approx_check(spec, N, m, trials, seed)
         assert (r.status, r.detail, r.mode) == want[trials, seed], (trials, seed)
+        assert bool(calls) == bool(trials), (trials, seed)  # the closure of nothing is {I}
         assert [k for k, _, _ in calls] == list(range(1, len(calls) + 1)), (trials, seed)
         assert all(reached < expected for _, reached, _ in calls[:-1]), (trials, seed)
         assert len(calls) <= math.log2(expected) + 1, (trials, seed)

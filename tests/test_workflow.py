@@ -2,12 +2,14 @@
 
 Each step's `run: |` block runs as the workflow's `shell: bash` runs it,
 under `bash -e -o pipefail`, with `resfin` and `python` on PATH as shims to
-this interpreter and RUNNER_TEMP a temporary directory.  The workflow is
-read without a YAML parser: only step names and `run:` blocks are needed.
+this interpreter (or another one) and RUNNER_TEMP a temporary directory.
+The workflow is read without a YAML parser: only step names and `run:`
+blocks are needed.
 """
 
 import os
 import re
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -62,20 +64,21 @@ def runs():
 
 @pytest.fixture
 def run_step(tmp_path):
-    """Run a script as a `shell: bash` step, returning the CompletedProcess."""
+    """Run a script as a `shell: bash` step under a Python, by default this
+    one, returning the CompletedProcess."""
     bin_dir = tmp_path / "bin"
     bin_dir.mkdir()
-    for shim, args in (("resfin", '-m resfin "$@"'), ("python", '"$@"')):
-        path = bin_dir / shim
-        path.write_text(f'#!/bin/sh\nexec "{sys.executable}" {args}\n')
-        path.chmod(0o755)
     runner_temp = tmp_path / "runner_temp"
     runner_temp.mkdir()
     env = dict(os.environ, RUNNER_TEMP=str(runner_temp))
     env["PATH"] = os.pathsep.join((str(bin_dir), env.get("PATH", "")))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
 
-    def run(script):
+    def run(script, python=sys.executable):
+        for shim, args in (("resfin", '-m resfin "$@"'), ("python", '"$@"')):
+            path = bin_dir / shim
+            path.write_text(f'#!/bin/sh\nexec "{python}" {args}\n')
+            path.chmod(0o755)
         path = tmp_path / "step.sh"
         path.write_text(script)
         return subprocess.run(
@@ -94,6 +97,21 @@ def test_every_step_is_run_or_skipped_by_name(runs):
 def test_cli_step_passes(runs, run_step, name):
     done = run_step(runs[name])
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_exit_codes_under_other_pythons(runs, run_step):
+    # argparse's internals differ between Pythons; the signed-value rows
+    # catch one that drops the private _negative_number_matcher the CLI sets
+    pythons = [
+        path for minor in range(10, 14)
+        if (3, minor) != sys.version_info[:2] and (path := shutil.which(f"python3.{minor}"))
+        and subprocess.run([path, "-c", "pass"], capture_output=True, timeout=60).returncode == 0
+    ]
+    if not pythons:
+        pytest.skip("no other python3.10 to python3.13 on PATH starts")
+    for python in pythons:
+        done = run_step(runs["Exit codes"], python)
+        assert done.returncode == 0, (python, done.stdout + done.stderr)
 
 
 def test_an_altered_exit_code_row_fails(runs, run_step):
